@@ -17,6 +17,9 @@ PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDR_MASK = 0xFFFFFFFF
 
+_F64 = struct.Struct("<d")
+_VEC = struct.Struct("<4I")
+
 
 class PageFault(Exception):
     """Access to a page not present in this component's memory image."""
@@ -116,19 +119,40 @@ class PagedMemory:
         else:
             self.write_bytes(addr, struct.pack("<I", value & 0xFFFFFFFF))
 
+    # Wide accesses take one struct call inside a page; an access that
+    # straddles two pages goes byte by byte, so a fault on the second page
+    # comes after the first page's bytes were written.
+
     def read_f64(self, addr: int) -> float:
-        return struct.unpack("<d", self.read_bytes(addr, 8))[0]
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - 8:
+            return _F64.unpack_from(self._page_for(addr), offset)[0]
+        return _F64.unpack(self.read_bytes(addr, 8))[0]
 
     def write_f64(self, addr: int, value: float) -> None:
-        self.write_bytes(addr, struct.pack("<d", float(value)))
+        self._write_wide(addr, _F64.pack(float(value)))
 
     def read_vec(self, addr: int):
         """Read a 4-lane int32 vector (16 bytes)."""
-        return list(struct.unpack("<4I", self.read_bytes(addr, 16)))
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - 16:
+            return list(_VEC.unpack_from(self._page_for(addr), offset))
+        return list(_VEC.unpack(self.read_bytes(addr, 16)))
 
     def write_vec(self, addr: int, lanes) -> None:
-        self.write_bytes(
-            addr, struct.pack("<4I", *[lane & 0xFFFFFFFF for lane in lanes]))
+        self._write_wide(
+            addr, _VEC.pack(*[lane & 0xFFFFFFFF for lane in lanes]))
+
+    def _write_wide(self, addr: int, data: bytes) -> None:
+        addr &= ADDR_MASK
+        offset = addr & PAGE_MASK
+        if offset <= PAGE_SIZE - len(data):
+            self._page_for(addr)[offset:offset + len(data)] = data
+            self.dirty.add(addr >> PAGE_SHIFT)
+        else:
+            self.write_bytes(addr, data)
 
     # -- whole image helpers (validation / debug) ---------------------------
 

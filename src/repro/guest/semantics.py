@@ -19,78 +19,9 @@ from typing import Dict, List, Tuple
 from repro.guest.isa import s32, u32
 
 # --------------------------------------------------------------------------
-# Integer ALU + flag semantics (x86-style, see DESIGN.md for documented
-# deviations: PF/AF omitted, IDIV flags defined, shift OF defined as 0).
+# Integer division and condition codes.  The flag writes of each ALU op are
+# stated once, in its builder in :mod:`repro.guest.emulator`.
 # --------------------------------------------------------------------------
-
-
-def add32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(a + b)
-    flags = {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(res < u32(a)),
-        "OF": ((~(a ^ b)) & (a ^ res)) >> 31 & 1,
-    }
-    return res, flags
-
-
-def sub32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(a - b)
-    flags = {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(u32(a) < u32(b)),
-        "OF": ((a ^ b) & (a ^ res)) >> 31 & 1,
-    }
-    return res, flags
-
-
-def logic32(res: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(res)
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": 0, "OF": 0}
-
-
-def inc32(a: int) -> Tuple[int, Dict[str, int]]:
-    """INC: like ADD 1 but CF is preserved (caller keeps old CF)."""
-    res = u32(a + 1)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "OF": int(res == 0x80000000),
-    }
-
-
-def dec32(a: int) -> Tuple[int, Dict[str, int]]:
-    """DEC: like SUB 1 but CF is preserved."""
-    res = u32(a - 1)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "OF": int(u32(a) == 0x80000000),
-    }
-
-
-def neg32(a: int) -> Tuple[int, Dict[str, int]]:
-    res = u32(-a)
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": int(u32(a) != 0),
-        "OF": int(u32(a) == 0x80000000),
-    }
-
-
-def imul32(a: int, b: int) -> Tuple[int, Dict[str, int]]:
-    full = s32(a) * s32(b)
-    res = u32(full)
-    overflow = int(full != s32(res))
-    return res, {
-        "ZF": int(res == 0),
-        "SF": res >> 31,
-        "CF": overflow,
-        "OF": overflow,
-    }
 
 
 def idiv32(a: int, b: int) -> Tuple[int, int]:
@@ -105,54 +36,20 @@ def idiv32(a: int, b: int) -> Tuple[int, int]:
     return u32(quotient), u32(remainder)
 
 
-def shl32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    res = u32(a << count)
-    cf = (u32(a) >> (32 - count)) & 1
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
-
-
-def shr32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    cf = (u32(a) >> (count - 1)) & 1
-    res = u32(a) >> count
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
-
-
-def sar32(a: int, count: int) -> Tuple[int, Dict[str, int]]:
-    count &= 31
-    if count == 0:
-        return u32(a), {}
-    cf = (s32(a) >> (count - 1)) & 1
-    res = u32(s32(a) >> count)
-    return res, {"ZF": int(res == 0), "SF": res >> 31, "CF": cf, "OF": 0}
-
-
-def fcmp(a: float, b: float) -> Dict[str, int]:
-    """FCMP flag result; unordered (NaN) sets ZF=CF=1 like x86 FCOMI."""
-    if math.isnan(a) or math.isnan(b):
-        return {"ZF": 1, "SF": 0, "CF": 1, "OF": 0}
-    return {"ZF": int(a == b), "SF": 0, "CF": int(a < b), "OF": 0}
-
-
-#: Condition-code predicates over (ZF, SF, CF, OF) -> bool.
+#: Condition-code predicates over the flags list [ZF, SF, CF, OF] -> bool.
 CONDITION_EVAL = {
-    "E": lambda zf, sf, cf, of: zf == 1,
-    "NE": lambda zf, sf, cf, of: zf == 0,
-    "L": lambda zf, sf, cf, of: sf != of,
-    "LE": lambda zf, sf, cf, of: zf == 1 or sf != of,
-    "G": lambda zf, sf, cf, of: zf == 0 and sf == of,
-    "GE": lambda zf, sf, cf, of: sf == of,
-    "B": lambda zf, sf, cf, of: cf == 1,
-    "BE": lambda zf, sf, cf, of: cf == 1 or zf == 1,
-    "A": lambda zf, sf, cf, of: cf == 0 and zf == 0,
-    "AE": lambda zf, sf, cf, of: cf == 0,
-    "S": lambda zf, sf, cf, of: sf == 1,
-    "NS": lambda zf, sf, cf, of: sf == 0,
+    "E": lambda f: f[0] == 1,
+    "NE": lambda f: f[0] == 0,
+    "L": lambda f: f[1] != f[3],
+    "LE": lambda f: f[0] == 1 or f[1] != f[3],
+    "G": lambda f: f[0] == 0 and f[1] == f[3],
+    "GE": lambda f: f[1] == f[3],
+    "B": lambda f: f[2] == 1,
+    "BE": lambda f: f[2] == 1 or f[0] == 1,
+    "A": lambda f: f[2] == 0 and f[0] == 0,
+    "AE": lambda f: f[2] == 0,
+    "S": lambda f: f[1] == 1,
+    "NS": lambda f: f[1] == 0,
 }
 
 
