@@ -22,19 +22,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import costs
-from repro.guest import semantics as sem
-from repro.guest.isa import s32, u32
 from repro.guest.memory import PagedMemory, PageFault
 from repro.guest.state import GuestState
 from repro.host.isa import (
-    CodeUnit, GUEST_FLAG_HOME, GUEST_FPR_HOME, GUEST_GPR_HOME, GUEST_VR_HOME,
-    NUM_FREGS, NUM_IREGS, NUM_VREGS,
+    BINDINGS, CodeUnit, GUEST_FLAG_HOME, GUEST_FPR_HOME, GUEST_GPR_HOME,
+    GUEST_VR_HOME, HOST_VALUE_OPS, MEMORY_OPS, NUM_FREGS, NUM_IREGS,
+    NUM_VREGS, OP_NS, evaluator, memory_lines, names_in, value_stmt,
 )
-
-#: Host addresses at/above this are the TOL-private data area (spill slots
-#: and TOL bookkeeping), invisible to the guest and exempt from
-#: checkpointing and validation.
-TOL_AREA_BASE = 0xF000_0000
+from repro.host.isa import TOL_AREA_BASE  # noqa: F401 (re-export)
 
 #: Max buffered trace records before a mid-unit flush (bounds memory on
 #: long-running loops; batch boundaries never change timing results).
@@ -137,6 +132,14 @@ class _Checkpoint:
     guest_pc: int
 
 
+class AssertFail(Exception):
+    """A speculation assert failed (the region rolls back)."""
+
+
+class SpecFail(Exception):
+    """Alias-table conflict or overflow (the region rolls back)."""
+
+
 class HostEmulator:
     """Executes code units; owns the host register files and the
     co-designed hardware structures."""
@@ -162,7 +165,6 @@ class HostEmulator:
         #: host cost of the BBM inline profiling sequence (0 with
         #: hardware-assisted profiling).
         self.profile_inline_cost = costs.BBM_PROFILE_INLINE
-        self._extra_insns = 0
         self.ibtc = IBTC(capacity=ibtc_size)
         self.fuel_per_dispatch = fuel_per_dispatch
         # Global counters.
@@ -172,7 +174,7 @@ class HostEmulator:
         self.guest_retired_total = 0
         #: Closure-compiled straight-line segments executed, and the
         #: host instructions they covered (the remainder of
-        #: ``host_insns_total`` went through the interpretive slow path).
+        #: ``host_insns_total`` went through the per-instruction steps).
         self.fast_segments = 0
         self.fast_segment_insns = 0
         #: when set, execution returns to the TOL at the next checkpoint
@@ -189,11 +191,12 @@ class HostEmulator:
         #: delivers its buffered records through this when set (must be
         #: record-for-record equivalent to looping ``trace_sink``).
         self.trace_sink_batch: Optional[Callable] = None
-        #: When True (and a batch sink is attached), the interpretive and
-        #: fast paths buffer ``(index, info)`` records and deliver them
-        #: through ``trace_sink_batch`` at unit boundaries instead of one
-        #: ``trace_sink`` call per instruction.  Record order is exactly
-        #: the per-instruction stream; only the call granularity changes.
+        #: When True (and a batch sink is attached), the per-instruction
+        #: and segment paths buffer ``(index, info)`` records and deliver
+        #: them through ``trace_sink_batch`` at unit boundaries instead of
+        #: one ``trace_sink`` call per instruction.  Record order is
+        #: exactly the per-instruction stream; only the call granularity
+        #: changes.
         self.trace_batching = False
         # -- direct (IR-less) tier ------------------------------------
         #: Execute units through generated direct-tier programs when
@@ -218,13 +221,14 @@ class HostEmulator:
         #: resilience layer uses it to implicate translations after a
         #: divergence.
         self.unit_log: Optional[deque] = None
-        self._pending_info = None
         # Checkpoint / undo state.
         self._checkpoint: Optional[_Checkpoint] = None
         self._undo: List[tuple] = []  # ("u32"/"f64"/"vec", addr, old value)
         self._region_insns = 0
         #: TOL-private data area (spill slots); not part of guest memory.
         self.tol_memory = PagedMemory(demand_zero=True)
+        #: op -> this emulator's step for every value and memory op.
+        self._steps = {op: make(self) for op, make in _STEP_MAKERS.items()}
 
     # ------------------------------------------------------------------
     # Guest state <-> host register transfer (prologue / epilogue).
@@ -242,7 +246,7 @@ class HostEmulator:
 
     def store_guest_state(self, state: GuestState, eip: int) -> None:
         for i, home in enumerate(GUEST_GPR_HOME):
-            state.gpr[i] = u32(self.iregs[home])
+            state.gpr[i] = self.iregs[home] & 0xFFFFFFFF
         for i, home in enumerate(GUEST_FLAG_HOME):
             state.flags[i] = 1 if self.iregs[home] else 0
         for i, home in enumerate(GUEST_FPR_HOME):
@@ -294,8 +298,8 @@ class HostEmulator:
         self._undo.clear()
         self.alias_table.clear()
         # In-place restore: the register-file *lists* are identity-stable
-        # for the emulator's lifetime (direct-tier programs bake direct
-        # references to them).
+        # for the emulator's lifetime (steps and direct-tier programs
+        # bind them once).
         self.iregs[:] = cp.iregs
         self.fregs[:] = cp.fregs
         self.vregs[:] = [list(v) for v in cp.vregs]
@@ -305,47 +309,6 @@ class HostEmulator:
         restart = cp.guest_pc
         self._checkpoint = None
         return restart
-
-    # -- memory access (guest memory vs TOL-private area) ----------------
-
-    def _mem_for(self, addr: int) -> PagedMemory:
-        return self.tol_memory if addr >= TOL_AREA_BASE else self.memory
-
-    def _read_u32(self, addr: int) -> int:
-        return self._mem_for(addr).read_u32(addr)
-
-    def _read_f64(self, addr: int) -> float:
-        return self._mem_for(addr).read_f64(addr)
-
-    def _read_vec(self, addr: int):
-        return self._mem_for(addr).read_vec(addr)
-
-    # -- undo-logged memory writes (TOL area is exempt: spill slots are
-    # always rewritten before use after a restart) -----------------------
-
-    def _write_u32(self, addr: int, value: int) -> None:
-        if addr >= TOL_AREA_BASE:
-            self.tol_memory.write_u32(addr, value)
-            return
-        if self._checkpoint is not None:
-            self._undo.append(("u32", addr, self.memory.read_u32(addr)))
-        self.memory.write_u32(addr, value)
-
-    def _write_f64(self, addr: int, value: float) -> None:
-        if addr >= TOL_AREA_BASE:
-            self.tol_memory.write_f64(addr, value)
-            return
-        if self._checkpoint is not None:
-            self._undo.append(("f64", addr, self.memory.read_f64(addr)))
-        self.memory.write_f64(addr, value)
-
-    def _write_vec(self, addr: int, lanes) -> None:
-        if addr >= TOL_AREA_BASE:
-            self.tol_memory.write_vec(addr, lanes)
-            return
-        if self._checkpoint is not None:
-            self._undo.append(("vec", addr, self.memory.read_vec(addr)))
-        self.memory.write_vec(addr, lanes)
 
     # ------------------------------------------------------------------
     # Main dispatch loop.
@@ -359,39 +322,34 @@ class HostEmulator:
         self.store_guest_state(state, event.next_pc)
         return event
 
-    class _Fail(Exception):
-        def __init__(self, kind):
-            self.kind = kind
-
     def _run(self, unit: CodeUnit) -> ExitEvent:
         event = self._run_inner(unit)
         self.host_insns_total += event.host_insns
         return event
 
     def _run_inner(self, unit: CodeUnit) -> ExitEvent:
-        executed = 0
         fuel = self.fuel_per_dispatch
+        # Host instructions executed in this dispatch: ``rb +
+        # self._region_insns``.  The open region's counter is the only
+        # per-instruction count (steps add serial-search charges to it
+        # too); ``rb`` absorbs each region as it commits or rolls back.
+        rb = -self._region_insns
         iregs, fregs, vregs = self.iregs, self.fregs, self.vregs
-        # Compiled segments stay active while a trace sink is attached:
-        # segment ops are pure register ops (total functions, no memory,
-        # no control), so executing the whole segment and then delivering
-        # its records produces the exact record stream the slow path
-        # interleaves (every record is ``(unit, index, ins, None)``).
+        steps = self._steps
         use_fast = self.fastpath
+        sink = self.trace_sink
+        sink_batch = self.trace_sink_batch
         # Batched trace delivery: buffer ``(index, info)`` records and
         # hand whole runs to the batch sink at unit boundaries (and at a
         # cap, checked at branch sites, so loop-heavy units stay bounded).
         # ``tbuf`` is always empty at the top of the dispatch loop.
         tbuf = None
-        sink_batch = self.trace_sink_batch
-        if (self.trace_sink is not None and self.trace_batching
-                and sink_batch is not None):
+        if sink is not None and self.trace_batching and sink_batch is not None:
             tbuf = []
         unit_log = self.unit_log
         use_direct = self.direct_enable
         if use_direct:
-            dkey = "_directprog" if self.trace_sink is None \
-                else "_directprog_traced"
+            dkey = "_directprog" if sink is None else "_directprog_traced"
             dhook = self.direct_promote_hook
             dthresh = self.direct_promote_threshold
         while True:
@@ -408,13 +366,13 @@ class HostEmulator:
                     dprog = udict.get(dkey)
                 if dprog is not None:
                     self.direct_entries += 1
-                    entered = executed
+                    entered = rb + self._region_insns
                     # ``unit`` rebinds to wherever the program ended up
                     # (cluster programs follow chains between members
                     # internally, so exits can come from any member).
-                    kind, a, b, executed, unit = dprog(self, executed,
-                                                       fuel)
+                    kind, a, b, executed, unit = dprog(self, entered, fuel)
                     self.direct_insns += executed - entered
+                    rb = executed - self._region_insns
                     if kind == 0:
                         unit = a  # chain / IBTC hit: continue in unit a
                         continue
@@ -441,7 +399,7 @@ class HostEmulator:
             size = len(instrs)
             try:
                 while index < size:
-                    if executed >= fuel:
+                    if rb + self._region_insns >= fuel:
                         raise HostEmulationError(
                             f"fuel exhausted in unit {unit.uid} "
                             f"(entry {unit.entry_pc:#x}): likely a "
@@ -450,85 +408,38 @@ class HostEmulator:
                         seg = prog[index]
                         if seg is not None:
                             length, fn, records, brecords = seg
-                            executed += length
                             self._region_insns += length
                             self.fast_segments += 1
                             self.fast_segment_insns += length
                             fn(iregs, fregs, vregs)
                             if tbuf is not None:
                                 tbuf.extend(brecords)
-                            elif self.trace_sink is not None:
-                                sink = self.trace_sink
+                            elif sink is not None:
                                 for rec_index, rec_ins in records:
                                     sink(unit, rec_index, rec_ins, None)
                             index += length
                             continue
                     ins = instrs[index]
-                    executed += 1
                     self._region_insns += 1
                     op = ins.op
-                    # Inline the hottest integer ops; everything else goes
-                    # through the handler table.
-                    if op == "add32":
-                        iregs[ins.d] = (iregs[ins.a] + iregs[ins.b]) \
-                            & 0xFFFFFFFF
-                    elif op == "addi32":
-                        iregs[ins.d] = (iregs[ins.a] + ins.imm) & 0xFFFFFFFF
-                    elif op == "mov":
-                        iregs[ins.d] = iregs[ins.a]
-                    elif op == "li":
-                        iregs[ins.d] = ins.imm & 0xFFFFFFFFFFFFFFFF
-                    elif op == "ld32":
-                        addr = u32(iregs[ins.a] + ins.imm)
-                        if self.trace_sink is not None:
-                            self._pending_info = {"mem_addr": addr}
-                        iregs[ins.d] = self._read_u32(addr)
-                    elif op == "st32":
-                        addr = u32(iregs[ins.a] + ins.imm)
-                        if self.trace_sink is not None:
-                            self._pending_info = {"mem_addr": addr}
-                        self._write_u32(addr, iregs[ins.b])
-                    elif op == "beqz":
-                        taken = iregs[ins.a] == 0
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": taken}))
-                            if len(tbuf) > _TRACE_BATCH_CAP:
-                                sink_batch(unit, tbuf)
-                                del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": taken})
-                        if taken:
-                            index = ins.target
-                            continue
-                        index += 1
-                        continue
-                    elif op == "bnez":
-                        taken = iregs[ins.a] != 0
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": taken}))
-                            if len(tbuf) > _TRACE_BATCH_CAP:
-                                sink_batch(unit, tbuf)
-                                del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": taken})
-                        if taken:
-                            index = ins.target
-                            continue
-                        index += 1
-                        continue
-                    elif op == "j":
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": True}))
-                            if len(tbuf) > _TRACE_BATCH_CAP:
-                                sink_batch(unit, tbuf)
-                                del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": True})
-                        index = ins.target
-                        continue
+                    step = steps.get(op)
+                    nxt = index + 1
+                    # The trace record is ``{key: val}`` (None without a
+                    # key); ``flush`` ends the batch (unit boundary),
+                    # ``cap`` bounds it; ``leave`` is where control goes
+                    # after the record: an ExitEvent or a unit to enter.
+                    key = leave = None
+                    cap = flush = False
+                    if step is not None:
+                        val = step(ins)  # memory ops return the address
+                        if val is not None:
+                            key = "mem_addr"
+                    elif op == "beqz" or op == "bnez" or op == "j":
+                        val = op == "j" or (iregs[ins.a] == 0) == (
+                            op == "beqz")
+                        key, cap = "taken", True
+                        if val:
+                            nxt = ins.target
                     elif op == "chkpt":
                         if (self.pause_retired_at is not None
                                 and self.guest_retired_total
@@ -541,163 +452,92 @@ class HostEmulator:
                                 sink_batch(unit, tbuf)
                                 del tbuf[:]
                             return ExitEvent(
-                                kind=EXIT_TOL,
-                                next_pc=ins.meta["guest_pc"],
-                                unit=unit,
-                                exit_index=None,
-                                host_insns=executed,
-                            )
+                                kind=EXIT_TOL, next_pc=ins.meta["guest_pc"],
+                                unit=unit, exit_index=None,
+                                host_insns=rb + self._region_insns)
                         self._take_checkpoint(ins.meta["guest_pc"])
                     elif op == "commit":
+                        rb += self._region_insns
                         self._commit_region(unit, ins.meta["guest_insns"])
-                    elif op == "assert_nz":
-                        if iregs[ins.a] == 0:
-                            raise self._Fail(EXIT_ASSERT)
-                    elif op == "assert_z":
-                        if iregs[ins.a] != 0:
-                            raise self._Fail(EXIT_ASSERT)
-                    elif op == "exit":
-                        interrupt = False
-                        if ins.meta.get("profile"):
-                            executed += self.profile_inline_cost
-                            self._region_insns += self.profile_inline_cost
-                            if self.profile_hook is not None:
-                                interrupt = self.profile_hook(
-                                    unit, ins.meta["next_pc"])
+                    elif op == "assert_nz" or op == "assert_z":
+                        if (iregs[ins.a] == 0) == (op == "assert_nz"):
+                            raise AssertFail
+                    elif op == "exit" or op == "exit_ind" or op == "ibtc":
+                        leave = self._leave(unit, index, ins)
+                        rb += self._region_insns
                         self._commit_region(unit, ins.meta["guest_insns"])
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": True}))
-                            sink_batch(unit, tbuf)
-                            del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": True})
-                        link = ins.meta.get("link")
-                        if link is not None and not interrupt:
-                            unit = link
-                            break  # chained: continue in linked unit
-                        return ExitEvent(
-                            kind=EXIT_TOL,
-                            next_pc=ins.meta["next_pc"],
-                            unit=unit,
-                            exit_index=index,
-                            host_insns=executed,
-                        )
-                    elif op == "exit_ind":
-                        next_pc = u32(iregs[ins.a])
-                        if ins.meta.get("profile"):
-                            executed += self.profile_inline_cost
-                            self._region_insns += self.profile_inline_cost
-                            if self.profile_hook is not None:
-                                self.profile_hook(unit, next_pc)
-                        self._commit_region(unit, ins.meta["guest_insns"])
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": True}))
-                            sink_batch(unit, tbuf)
-                            del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": True})
-                        return ExitEvent(
-                            kind=EXIT_TOL,
-                            next_pc=next_pc,
-                            unit=unit,
-                            exit_index=index,
-                            host_insns=executed,
-                        )
-                    elif op == "ibtc":
-                        target_pc = u32(iregs[ins.a])
-                        interrupt = False
-                        if ins.meta.get("profile"):
-                            executed += self.profile_inline_cost
-                            self._region_insns += self.profile_inline_cost
-                            if self.profile_hook is not None:
-                                interrupt = self.profile_hook(
-                                    unit, target_pc)
-                        # The inline lookup sequence costs extra host insns.
-                        executed += costs.IBTC_HIT_INLINE
-                        self._region_insns += costs.IBTC_HIT_INLINE
-                        self._commit_region(unit, ins.meta["guest_insns"])
-                        if tbuf is not None:
-                            tbuf.append((index, {"taken": True}))
-                            sink_batch(unit, tbuf)
-                            del tbuf[:]
-                        elif self.trace_sink is not None:
-                            self.trace_sink(
-                                unit, index, ins, {"taken": True})
-                        target = None if interrupt else self.ibtc.lookup(
-                            target_pc)
-                        if target is not None:
-                            unit = target
-                            break
-                        return ExitEvent(
-                            kind=EXIT_TOL,
-                            next_pc=target_pc,
-                            unit=unit,
-                            exit_index=index,
-                            ibtc_miss=not interrupt,
-                            host_insns=executed,
-                        )
+                        if leave.__class__ is ExitEvent:
+                            leave.host_insns = rb
+                        key, val, flush = "taken", True, True
                     else:
-                        handler = _SLOW_HANDLERS.get(op)
-                        if handler is None:
-                            raise HostEmulationError(f"unhandled op {op!r}")
-                        handler(self, unit, index, ins)
-                        if self._extra_insns:
-                            executed += self._extra_insns
-                            self._region_insns += self._extra_insns
-                            self._extra_insns = 0
-                    if tbuf is not None:
-                        tbuf.append((index, self._pending_info))
-                        self._pending_info = None
-                    elif self.trace_sink is not None:
-                        self.trace_sink(unit, index, ins,
-                                        self._pending_info)
-                        self._pending_info = None
-                    index += 1
+                        raise HostEmulationError(f"unhandled op {op!r}")
+                    if sink is not None:
+                        info = None if key is None else {key: val}
+                        if tbuf is None:
+                            sink(unit, index, ins, info)
+                        else:
+                            tbuf.append((index, info))
+                            if flush or (
+                                    cap and len(tbuf) > _TRACE_BATCH_CAP):
+                                sink_batch(unit, tbuf)
+                                del tbuf[:]
+                    if leave is not None:
+                        if leave.__class__ is ExitEvent:
+                            return leave
+                        unit = leave
+                        break  # chained / IBTC hit: continue in that unit
+                    index = nxt
                 else:
                     raise HostEmulationError(
                         f"fell off the end of unit {unit.uid} "
                         f"(entry {unit.entry_pc:#x})")
-            except PageFault as fault:
+            except (PageFault, AssertFail, SpecFail) as exc:
+                executed = rb + self._region_insns
                 restart = self._rollback(unit)
-                # The faulting instruction delivered no record; drop its
-                # staged info so it cannot attach to a later instruction.
-                self._pending_info = None
                 if tbuf:
                     sink_batch(unit, tbuf)
                     del tbuf[:]
-                return ExitEvent(
-                    kind=EXIT_PAGE_FAULT,
-                    next_pc=restart,
-                    fault_addr=fault.addr,
-                    unit=unit,
-                    host_insns=executed,
-                )
-            except self._Fail as failure:
-                restart = self._rollback(unit)
-                self._pending_info = None
-                if tbuf:
-                    sink_batch(unit, tbuf)
-                    del tbuf[:]
-                if failure.kind == EXIT_ASSERT:
+                if isinstance(exc, PageFault):
+                    return ExitEvent(
+                        kind=EXIT_PAGE_FAULT, next_pc=restart,
+                        fault_addr=exc.addr, unit=unit, host_insns=executed)
+                if isinstance(exc, AssertFail):
+                    kind = EXIT_ASSERT
                     unit.assert_failures += 1
                 else:
+                    kind = EXIT_SPEC
                     unit.spec_failures += 1
-                return ExitEvent(
-                    kind=failure.kind,
-                    next_pc=restart,
-                    unit=unit,
-                    host_insns=executed,
-                )
+                return ExitEvent(kind=kind, next_pc=restart, unit=unit,
+                                 host_insns=executed)
 
-    # ------------------------------------------------------------------
-    # Tracing helpers (no-ops unless a sink is attached).
-    # ------------------------------------------------------------------
-
-    def _trace_mem(self, unit, index, ins, addr):
-        if self.trace_sink is not None:
-            self._pending_info = {"mem_addr": addr}
+    def _leave(self, unit, index, ins):
+        """Where an ``exit``/``exit_ind``/``ibtc`` goes once its region
+        commits: the chained unit, the IBTC hit, or a TOL exit event
+        (its ``host_insns`` is filled in by the caller).  Charges the
+        inline profiling and IBTC lookup sequences to the region."""
+        op, meta = ins.op, ins.meta
+        if op == "exit":
+            target = meta["next_pc"]
+        else:
+            target = self.iregs[ins.a] & 0xFFFFFFFF
+        interrupt = False
+        if meta.get("profile"):
+            self._region_insns += self.profile_inline_cost
+            if self.profile_hook is not None:
+                interrupt = self.profile_hook(unit, target)
+        link = None
+        if op == "exit":
+            link = meta.get("link")
+        elif op == "ibtc":
+            # The inline lookup sequence costs extra host insns.
+            self._region_insns += costs.IBTC_HIT_INLINE
+            if not interrupt:
+                link = self.ibtc.lookup(target)
+        if link is not None and not interrupt:
+            return link
+        return ExitEvent(kind=EXIT_TOL, next_pc=target, unit=unit,
+                         exit_index=index,
+                         ibtc_miss=op == "ibtc" and not interrupt)
 
     def _flush_direct_trace(self, unit, records):
         """Deliver a direct-tier program's buffered ``(index, info)``
@@ -715,521 +555,75 @@ class HostEmulator:
                 sink(unit, index, instrs[index], info)
         del records[:]
 
-    def _trace_branch(self, unit, index, ins, taken):
-        if self.trace_sink is not None:
-            self._pending_info = {"taken": taken}
-
 
 # ---------------------------------------------------------------------------
-# Handlers for the less-hot opcodes.
-# ---------------------------------------------------------------------------
-
-_SLOW_HANDLERS = {}
-
-
-def _op(*names):
-    def wrap(fn):
-        for name in names:
-            _SLOW_HANDLERS[name] = fn
-        return fn
-    return wrap
-
-
-_M32 = 0xFFFFFFFF
-
-
-@_op("nop")
-def _h_nop(emu, unit, index, ins):
-    pass
-
-
-@_op("sub32")
-def _h_sub32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] - emu.iregs[ins.b]) & _M32
-
-
-@_op("mul32")
-def _h_mul32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (s32(emu.iregs[ins.a]) * s32(emu.iregs[ins.b])) & _M32
-
-
-@_op("div32s")
-def _h_div32s(emu, unit, index, ins):
-    quotient, _ = sem.idiv32(emu.iregs[ins.a], emu.iregs[ins.b])
-    emu.iregs[ins.d] = quotient
-
-
-@_op("rem32s")
-def _h_rem32s(emu, unit, index, ins):
-    _, remainder = sem.idiv32(emu.iregs[ins.a], emu.iregs[ins.b])
-    emu.iregs[ins.d] = remainder
-
-
-@_op("and32")
-def _h_and32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] & emu.iregs[ins.b]) & _M32
-
-
-@_op("andi32")
-def _h_andi32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] & ins.imm) & _M32
-
-
-@_op("or32")
-def _h_or32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] | emu.iregs[ins.b]) & _M32
-
-
-@_op("ori32")
-def _h_ori32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] | ins.imm) & _M32
-
-
-@_op("xor32")
-def _h_xor32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] ^ emu.iregs[ins.b]) & _M32
-
-
-@_op("xori32")
-def _h_xori32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] ^ ins.imm) & _M32
-
-
-@_op("shl32")
-def _h_shl32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] << (emu.iregs[ins.b] & 31)) & _M32
-
-
-@_op("shli32")
-def _h_shli32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] << (ins.imm & 31)) & _M32
-
-
-@_op("shr32")
-def _h_shr32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (u32(emu.iregs[ins.a]) >> (emu.iregs[ins.b] & 31))
-
-
-@_op("shri32")
-def _h_shri32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (u32(emu.iregs[ins.a]) >> (ins.imm & 31))
-
-
-@_op("sar32")
-def _h_sar32(emu, unit, index, ins):
-    emu.iregs[ins.d] = u32(s32(emu.iregs[ins.a]) >> (emu.iregs[ins.b] & 31))
-
-
-@_op("sari32")
-def _h_sari32(emu, unit, index, ins):
-    emu.iregs[ins.d] = u32(s32(emu.iregs[ins.a]) >> (ins.imm & 31))
-
-
-@_op("not32")
-def _h_not32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (~emu.iregs[ins.a]) & _M32
-
-
-@_op("neg32")
-def _h_neg32(emu, unit, index, ins):
-    emu.iregs[ins.d] = (-emu.iregs[ins.a]) & _M32
-
-
-@_op("add64")
-def _h_add64(emu, unit, index, ins):
-    emu.iregs[ins.d] = (emu.iregs[ins.a] + emu.iregs[ins.b]) \
-        & 0xFFFFFFFFFFFFFFFF
-
-
-@_op("cmpeq")
-def _h_cmpeq(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) == u32(emu.iregs[ins.b]))
-
-
-@_op("cmpeqi")
-def _h_cmpeqi(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) == u32(ins.imm))
-
-
-@_op("cmpne")
-def _h_cmpne(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) != u32(emu.iregs[ins.b]))
-
-
-@_op("cmpnei")
-def _h_cmpnei(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) != u32(ins.imm))
-
-
-@_op("cmplt32s")
-def _h_cmplt32s(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(s32(emu.iregs[ins.a]) < s32(emu.iregs[ins.b]))
-
-
-@_op("cmplt32u")
-def _h_cmplt32u(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) < u32(emu.iregs[ins.b]))
-
-
-@_op("cmple32s")
-def _h_cmple32s(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(s32(emu.iregs[ins.a]) <= s32(emu.iregs[ins.b]))
-
-
-@_op("cmple32u")
-def _h_cmple32u(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) <= u32(emu.iregs[ins.b]))
-
-
-@_op("addcf32")
-def _h_addcf32(emu, unit, index, ins):
-    res = (emu.iregs[ins.a] + emu.iregs[ins.b]) & _M32
-    emu.iregs[ins.d] = int(res < u32(emu.iregs[ins.a]))
-
-
-@_op("addof32")
-def _h_addof32(emu, unit, index, ins):
-    a, b = emu.iregs[ins.a], emu.iregs[ins.b]
-    res = (a + b) & _M32
-    emu.iregs[ins.d] = ((~(a ^ b)) & (a ^ res)) >> 31 & 1
-
-
-@_op("subcf32")
-def _h_subcf32(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(u32(emu.iregs[ins.a]) < u32(emu.iregs[ins.b]))
-
-
-@_op("subof32")
-def _h_subof32(emu, unit, index, ins):
-    a, b = emu.iregs[ins.a], emu.iregs[ins.b]
-    res = (a - b) & _M32
-    emu.iregs[ins.d] = ((a ^ b) & (a ^ res)) >> 31 & 1
-
-
-@_op("mulof32")
-def _h_mulof32(emu, unit, index, ins):
-    full = s32(emu.iregs[ins.a]) * s32(emu.iregs[ins.b])
-    emu.iregs[ins.d] = int(full != s32(u32(full)))
-
-
-# -- floating point ----------------------------------------------------------
-
-
-@_op("fmov")
-def _h_fmov(emu, unit, index, ins):
-    emu.fregs[ins.d] = emu.fregs[ins.a]
-
-
-@_op("lif")
-def _h_lif(emu, unit, index, ins):
-    emu.fregs[ins.d] = float(ins.imm)
-
-
-@_op("fadd")
-def _h_fadd(emu, unit, index, ins):
-    emu.fregs[ins.d] = emu.fregs[ins.a] + emu.fregs[ins.b]
-
-
-@_op("fsub")
-def _h_fsub(emu, unit, index, ins):
-    emu.fregs[ins.d] = emu.fregs[ins.a] - emu.fregs[ins.b]
-
-
-@_op("fmul")
-def _h_fmul(emu, unit, index, ins):
-    emu.fregs[ins.d] = emu.fregs[ins.a] * emu.fregs[ins.b]
-
-
-@_op("fdiv")
-def _h_fdiv(emu, unit, index, ins):
-    emu.fregs[ins.d] = sem.fdiv64(emu.fregs[ins.a], emu.fregs[ins.b])
-
-
-@_op("fneg")
-def _h_fneg(emu, unit, index, ins):
-    emu.fregs[ins.d] = -emu.fregs[ins.a]
-
-
-@_op("fabs")
-def _h_fabs(emu, unit, index, ins):
-    emu.fregs[ins.d] = abs(emu.fregs[ins.a])
-
-
-@_op("fsqrt")
-def _h_fsqrt(emu, unit, index, ins):
-    emu.fregs[ins.d] = sem.gisa_sqrt(emu.fregs[ins.a])
-
-
-@_op("ffloor")
-def _h_ffloor(emu, unit, index, ins):
-    emu.fregs[ins.d] = float(math.floor(emu.fregs[ins.a]))
-
-
-@_op("fcmpeq")
-def _h_fcmpeq(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(emu.fregs[ins.a] == emu.fregs[ins.b])
-
-
-@_op("fcmplt")
-def _h_fcmplt(emu, unit, index, ins):
-    emu.iregs[ins.d] = int(emu.fregs[ins.a] < emu.fregs[ins.b])
-
-
-@_op("fcmpun")
-def _h_fcmpun(emu, unit, index, ins):
-    a, b = emu.fregs[ins.a], emu.fregs[ins.b]
-    emu.iregs[ins.d] = int(a != a or b != b)
-
-
-@_op("i2f")
-def _h_i2f(emu, unit, index, ins):
-    emu.fregs[ins.d] = float(s32(emu.iregs[ins.a]))
-
-
-@_op("f2i")
-def _h_f2i(emu, unit, index, ins):
-    emu.iregs[ins.d] = sem.ftrunc32(emu.fregs[ins.a])
-
-
-# -- vector -------------------------------------------------------------------
-
-
-@_op("vmov")
-def _h_vmov(emu, unit, index, ins):
-    emu.vregs[ins.d] = list(emu.vregs[ins.a])
-
-
-@_op("vadd32")
-def _h_vadd32(emu, unit, index, ins):
-    emu.vregs[ins.d] = [
-        (x + y) & _M32
-        for x, y in zip(emu.vregs[ins.a], emu.vregs[ins.b])]
-
-
-@_op("vsub32")
-def _h_vsub32(emu, unit, index, ins):
-    emu.vregs[ins.d] = [
-        (x - y) & _M32
-        for x, y in zip(emu.vregs[ins.a], emu.vregs[ins.b])]
-
-
-@_op("vmul32")
-def _h_vmul32(emu, unit, index, ins):
-    emu.vregs[ins.d] = [
-        (s32(x) * s32(y)) & _M32
-        for x, y in zip(emu.vregs[ins.a], emu.vregs[ins.b])]
-
-
-@_op("vsplat")
-def _h_vsplat(emu, unit, index, ins):
-    emu.vregs[ins.d] = [u32(emu.iregs[ins.a])] * 4
-
-
-# -- memory -------------------------------------------------------------------
-
-
-@_op("ldx32")
-def _h_ldx32(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + emu.iregs[ins.b])
-    emu._trace_mem(unit, index, ins, addr)
-    emu.iregs[ins.d] = emu._read_u32(addr)
-
-
-@_op("stx32")
-def _h_stx32(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + emu.iregs[ins.c])
-    emu._trace_mem(unit, index, ins, addr)
-    emu._write_u32(addr, emu.iregs[ins.b])
-
-
-@_op("ldf")
-def _h_ldf(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    emu.fregs[ins.d] = emu._read_f64(addr)
-
-
-@_op("stf")
-def _h_stf(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    emu._write_f64(addr, emu.fregs[ins.b])
-
-
-@_op("vld")
-def _h_vld(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    emu.vregs[ins.d] = emu._read_vec(addr)
-
-
-@_op("vst")
-def _h_vst(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    emu._write_vec(addr, emu.vregs[ins.b])
-
-
-@_op("sld32")
-def _h_sld32(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    value = emu._read_u32(addr)
-    if not emu.alias_table.record_load(addr, 4, ins.meta["seq"]):
-        raise emu._Fail(EXIT_SPEC)
-    emu.iregs[ins.d] = value
-
-
-@_op("sldf")
-def _h_sldf(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    value = emu._read_f64(addr)
-    if not emu.alias_table.record_load(addr, 8, ins.meta["seq"]):
-        raise emu._Fail(EXIT_SPEC)
-    emu.fregs[ins.d] = value
-
-
-@_op("st32chk")
-def _h_st32chk(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    if emu.alias_serial_search:
-        cost = len(emu.alias_table.entries)
-        emu._extra_insns += cost
-        emu.alias_search_insns += cost
-    if emu.alias_table.store_conflicts(addr, 4, ins.meta["seq"]):
-        raise emu._Fail(EXIT_SPEC)
-    emu._write_u32(addr, emu.iregs[ins.b])
-
-
-@_op("stfchk")
-def _h_stfchk(emu, unit, index, ins):
-    addr = u32(emu.iregs[ins.a] + ins.imm)
-    emu._trace_mem(unit, index, ins, addr)
-    if emu.alias_serial_search:
-        cost = len(emu.alias_table.entries)
-        emu._extra_insns += cost
-        emu.alias_search_insns += cost
-    if emu.alias_table.store_conflicts(addr, 8, ins.meta["seq"]):
-        raise emu._Fail(EXIT_SPEC)
-    emu._write_f64(addr, emu.fregs[ins.b])
-
-
-# ---------------------------------------------------------------------------
-# Closure compilation of code units (threaded-code fast path).
+# Execution forms generated from the op table (``repro.host.isa``).
 #
-# Straight-line runs of pure register ops are compiled once per unit into a
-# single exec'd closure over (iregs, fregs, vregs), so steady-state replay
-# of hot BBM/superblock code stops re-dispatching per host instruction.
-# Memory ops, branches, checkpoints and the co-designed special ops stay on
-# the interpretive path: they interact with undo logging, page faults,
-# hooks and per-instruction accounting, and compiling them would change
-# observable statistics on the failure paths.  Each statement must compute
-# exactly what the corresponding inline case or _SLOW_HANDLERS entry
-# computes (tests/test_fastpath.py holds the two paths to equality).
+# Every value and memory op gets a step, built once per emulator from a
+# maker compiled once at import: ``step(ins)`` reads its operands from
+# ``ins`` and returns the effective address for memory ops (the trace
+# record's ``mem_addr``).  With ``host_fastpath`` on, straight-line runs
+# of value ops are also compiled once per unit into a single closure over
+# (iregs, fregs, vregs), so steady-state replay of hot BBM/superblock
+# code stops dispatching per host instruction.  Memory ops stay steps
+# there: they interact with undo logging and page faults, and counting
+# them one by one keeps the failure paths' statistics exact.
 # ---------------------------------------------------------------------------
 
-_FAST_NS = {
-    "u32": u32,
-    "s32": s32,
-    "idiv32": sem.idiv32,
-    "fdiv64": sem.fdiv64,
-    "gisa_sqrt": sem.gisa_sqrt,
-    "ftrunc32": sem.ftrunc32,
-    "_floor": math.floor,
-}
 
-#: op -> statement template over I (iregs), F (fregs), V (vregs).
-_FAST_STMTS = {
-    "nop": None,
-    "mov": "I[{d}] = I[{a}]",
-    "add32": "I[{d}] = (I[{a}] + I[{b}]) & 0xFFFFFFFF",
-    "addi32": "I[{d}] = (I[{a}] + {imm}) & 0xFFFFFFFF",
-    "sub32": "I[{d}] = (I[{a}] - I[{b}]) & 0xFFFFFFFF",
-    "mul32": "I[{d}] = (s32(I[{a}]) * s32(I[{b}])) & 0xFFFFFFFF",
-    "div32s": "I[{d}] = idiv32(I[{a}], I[{b}])[0]",
-    "rem32s": "I[{d}] = idiv32(I[{a}], I[{b}])[1]",
-    "and32": "I[{d}] = (I[{a}] & I[{b}]) & 0xFFFFFFFF",
-    "andi32": "I[{d}] = (I[{a}] & {imm}) & 0xFFFFFFFF",
-    "or32": "I[{d}] = (I[{a}] | I[{b}]) & 0xFFFFFFFF",
-    "ori32": "I[{d}] = (I[{a}] | {imm}) & 0xFFFFFFFF",
-    "xor32": "I[{d}] = (I[{a}] ^ I[{b}]) & 0xFFFFFFFF",
-    "xori32": "I[{d}] = (I[{a}] ^ {imm}) & 0xFFFFFFFF",
-    "shl32": "I[{d}] = (I[{a}] << (I[{b}] & 31)) & 0xFFFFFFFF",
-    "shli32": "I[{d}] = (I[{a}] << ({imm} & 31)) & 0xFFFFFFFF",
-    "shr32": "I[{d}] = u32(I[{a}]) >> (I[{b}] & 31)",
-    "shri32": "I[{d}] = u32(I[{a}]) >> ({imm} & 31)",
-    "sar32": "I[{d}] = u32(s32(I[{a}]) >> (I[{b}] & 31))",
-    "sari32": "I[{d}] = u32(s32(I[{a}]) >> ({imm} & 31))",
-    "not32": "I[{d}] = (~I[{a}]) & 0xFFFFFFFF",
-    "neg32": "I[{d}] = (-I[{a}]) & 0xFFFFFFFF",
-    "add64": "I[{d}] = (I[{a}] + I[{b}]) & 0xFFFFFFFFFFFFFFFF",
-    "cmpeq": "I[{d}] = int(u32(I[{a}]) == u32(I[{b}]))",
-    "cmpeqi": "I[{d}] = int(u32(I[{a}]) == u32({imm}))",
-    "cmpne": "I[{d}] = int(u32(I[{a}]) != u32(I[{b}]))",
-    "cmpnei": "I[{d}] = int(u32(I[{a}]) != u32({imm}))",
-    "cmplt32s": "I[{d}] = int(s32(I[{a}]) < s32(I[{b}]))",
-    "cmplt32u": "I[{d}] = int(u32(I[{a}]) < u32(I[{b}]))",
-    "cmple32s": "I[{d}] = int(s32(I[{a}]) <= s32(I[{b}]))",
-    "cmple32u": "I[{d}] = int(u32(I[{a}]) <= u32(I[{b}]))",
-    "addcf32": "I[{d}] = int(((I[{a}] + I[{b}]) & 0xFFFFFFFF)"
-               " < u32(I[{a}]))",
-    "addof32": "I[{d}] = ((~(I[{a}] ^ I[{b}])) & (I[{a}]"
-               " ^ ((I[{a}] + I[{b}]) & 0xFFFFFFFF))) >> 31 & 1",
-    "subcf32": "I[{d}] = int(u32(I[{a}]) < u32(I[{b}]))",
-    "subof32": "I[{d}] = ((I[{a}] ^ I[{b}]) & (I[{a}]"
-               " ^ ((I[{a}] - I[{b}]) & 0xFFFFFFFF))) >> 31 & 1",
-    "mulof32": "I[{d}] = int(s32(I[{a}]) * s32(I[{b}])"
-               " != s32(u32(s32(I[{a}]) * s32(I[{b}]))))",
-    "fmov": "F[{d}] = F[{a}]",
-    "fadd": "F[{d}] = F[{a}] + F[{b}]",
-    "fsub": "F[{d}] = F[{a}] - F[{b}]",
-    "fmul": "F[{d}] = F[{a}] * F[{b}]",
-    "fdiv": "F[{d}] = fdiv64(F[{a}], F[{b}])",
-    "fneg": "F[{d}] = -F[{a}]",
-    "fabs": "F[{d}] = abs(F[{a}])",
-    "fsqrt": "F[{d}] = gisa_sqrt(F[{a}])",
-    "ffloor": "F[{d}] = float(_floor(F[{a}]))",
-    "fcmpeq": "I[{d}] = int(F[{a}] == F[{b}])",
-    "fcmplt": "I[{d}] = int(F[{a}] < F[{b}])",
-    "fcmpun": "I[{d}] = int(F[{a}] != F[{a}] or F[{b}] != F[{b}])",
-    "i2f": "F[{d}] = float(s32(I[{a}]))",
-    "f2i": "I[{d}] = ftrunc32(F[{a}])",
-    "vmov": "V[{d}] = list(V[{a}])",
-    "vadd32": "V[{d}] = [(_x + _y) & 0xFFFFFFFF"
-              " for _x, _y in zip(V[{a}], V[{b}])]",
-    "vsub32": "V[{d}] = [(_x - _y) & 0xFFFFFFFF"
-              " for _x, _y in zip(V[{a}], V[{b}])]",
-    "vmul32": "V[{d}] = [(s32(_x) * s32(_y)) & 0xFFFFFFFF"
-              " for _x, _y in zip(V[{a}], V[{b}])]",
-    "vsplat": "V[{d}] = [I[{a}] & 0xFFFFFFFF] * 4",
-}
+def _undo_if_checkpointed(entry):
+    return ["if EMU._checkpoint is not None:", f"    UNDO.append({entry})"]
 
 
-def _fast_stmt(ins):
-    """Statement for one fast op, or False when the op must stay slow."""
-    template = _FAST_STMTS.get(ins.op)
-    if template is None:
-        # "nop" maps to None but is compilable (it only needs counting).
-        return None if ins.op == "nop" else False
+def _step_lines(op):
+    if op in MEMORY_OPS:
+        return memory_lines(op, "ins.d", "ins.a", "ins.b", "ins.imm",
+                            "ins.meta['seq']", _undo_if_checkpointed,
+                            charge="EMU._region_insns") + ["return _a"]
+    return [value_stmt(op, "ins.d", "ins.a", "ins.b", "ins.imm") or "pass"]
+
+
+def _build_step_makers():
+    src = []
+    for op in sorted(HOST_VALUE_OPS.keys() | MEMORY_OPS.keys()):
+        lines = _step_lines(op)
+        src.append(f"def _make_{op}(EMU):")
+        src += [f"    {name} = {BINDINGS[name]}" for name in names_in(lines)]
+        src.append("    def step(ins):")
+        src += [f"        {line}" for line in lines]
+        src.append("    return step")
+    namespace = dict(OP_NS, _FS=SpecFail)
+    exec(compile("\n".join(src), "<host_steps>", "exec"), namespace)
+    return {op[6:]: fn for op, fn in namespace.items()
+            if op.startswith("_make_")}
+
+
+_STEP_MAKERS = _build_step_makers()
+
+
+#: li/lif: the statement writes the folded value as a literal.
+_FOLD = {"li": evaluator("li"), "lif": evaluator("lif")}
+
+
+def literal_stmt(ins):
+    """``ins`` as one statement over I/F/V with its operands inlined, None
+    for ``nop``, or False when it is not a value op or an operand has no
+    literal (a non-finite float): such instructions stay steps."""
+    row = HOST_VALUE_OPS.get(ins.op)
+    if row is None:
+        return False
     imm = ins.imm
-    if imm is not None and isinstance(imm, float) and not math.isfinite(imm):
+    fold = _FOLD.get(ins.op)
+    if fold is not None:
+        try:
+            imm = fold(imm)
+        except TypeError:
+            return False
+    if isinstance(imm, float) and not math.isfinite(imm):
         return False
-    return template.format(d=ins.d, a=ins.a, b=ins.b, imm=repr(imm))
-
-
-def _li_stmt(ins):
-    if isinstance(ins.imm, float):
-        return False
-    return f"I[{ins.d}] = {ins.imm & 0xFFFFFFFFFFFFFFFF}"
-
-
-def _lif_stmt(ins):
-    value = float(ins.imm)
-    if not math.isfinite(value):
-        return False
-    return f"F[{ins.d}] = {value!r}"
+    if fold is not None:
+        return f"{row[0][0].upper()}[{ins.d}] = {imm!r}"
+    return value_stmt(ins.op, ins.d, ins.a, ins.b, repr(imm))
 
 
 def _compile_segment(stmts):
@@ -1237,50 +631,41 @@ def _compile_segment(stmts):
     if not body:
         body = "    pass"
     src = f"def _seg(I, F, V):\n{body}"
-    namespace = dict(_FAST_NS)
+    namespace = dict(OP_NS)
     exec(compile(src, "<host_fastpath>", "exec"), namespace)
     return namespace["_seg"]
 
 
 def _compile_unit(unit):
     """Build the unit's fast program: a list aligned to instruction
-    indices where entry i is ``(length, closure, records)`` for a
-    compiled straight-line segment starting at i, or None (interpretive
-    path).  ``records`` holds the segment's ``(index, instr)`` pairs so a
-    traced run can deliver the per-instruction records after the closure
-    executes instead of re-entering the slow path.  Segments break at
-    branch targets so control can always enter them."""
+    indices where entry i is ``(length, closure, records, brecords)``
+    for a compiled straight-line segment starting at i, or None (the
+    instruction's step).  ``records`` holds the segment's ``(index,
+    instr)`` pairs so a traced run can deliver the per-instruction
+    records after the closure executes; ``brecords`` is their batched
+    form (segment ops never touch memory or branch, so every info slot
+    is statically None).  Segments break at branch targets so control
+    can always enter them."""
     instrs = unit.instrs
     size = len(instrs)
     targets = {ins.target for ins in instrs if ins.target is not None}
     prog = [None] * size
     i = 0
     while i < size:
-        stmt = _stmt_for(instrs[i])
+        stmt = literal_stmt(instrs[i])
         if stmt is False:
             i += 1
             continue
         stmts = [stmt]
         j = i + 1
         while j < size and j not in targets:
-            stmt = _stmt_for(instrs[j])
+            stmt = literal_stmt(instrs[j])
             if stmt is False:
                 break
             stmts.append(stmt)
             j += 1
         records = tuple((k, instrs[k]) for k in range(i, j))
-        # Batched form of the same records: segment ops never touch
-        # memory or branch, so every info slot is statically None.
         brecords = tuple((k, None) for k in range(i, j))
         prog[i] = (j - i, _compile_segment(stmts), records, brecords)
         i = j
     return prog
-
-
-def _stmt_for(ins):
-    if ins.op == "li":
-        return _li_stmt(ins)
-    if ins.op == "lif":
-        return _lif_stmt(ins)
-    return _fast_stmt(ins)
-

@@ -22,8 +22,12 @@ architectural registers directly on the host registers".
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.guest import semantics as sem
 
 NUM_IREGS = 64
 NUM_FREGS = 32
@@ -43,6 +47,10 @@ FIRST_SCRATCH_IREG = 16
 FIRST_SCRATCH_FREG = 16
 #: First host vector register available to the register allocator.
 FIRST_SCRATCH_VREG = 9
+#: Host addresses at/above this are the TOL-private data area (spill slots
+#: and TOL bookkeeping), invisible to the guest and exempt from
+#: checkpointing and validation.
+TOL_AREA_BASE = 0xF000_0000
 
 
 class HostOp:
@@ -56,7 +64,6 @@ class HostOp:
         "cmpeq", "cmpeqi", "cmpne", "cmpnei", "cmplt32s", "cmplt32u",
         "cmple32s", "cmple32u",
         "addcf32", "addof32", "subcf32", "subof32",
-        "add64",  # address arithmetic beyond 32 bits (scaled index)
     })
     INT_MUL = frozenset({"mul32", "mulof32"})
     INT_DIV = frozenset({"div32s", "rem32s"})
@@ -66,8 +73,8 @@ class HostOp:
     })
     FP_DIV = frozenset({"fdiv", "fsqrt"})
     VEC = frozenset({"vadd32", "vsub32", "vmul32", "vsplat", "vmov"})
-    LOAD = frozenset({"ld32", "ldx32", "ldf", "vld", "sld32", "sldf"})
-    STORE = frozenset({"st32", "stx32", "stf", "vst", "st32chk", "stfchk"})
+    LOAD = frozenset({"ld32", "ldf", "vld", "sld32", "sldf"})
+    STORE = frozenset({"st32", "stf", "vst", "st32chk", "stfchk"})
     BRANCH = frozenset({"beqz", "bnez", "j"})
     ASSERT = frozenset({"assert_z", "assert_nz"})
     SPECIAL = frozenset({"chkpt", "commit", "exit", "exit_ind", "ibtc", "nop"})
@@ -96,6 +103,263 @@ def op_unit_class(op: str) -> str:
             or op in ("exit", "exit_ind", "ibtc")):
         return "branch"
     return "simple"
+
+
+# ---------------------------------------------------------------------------
+# Op semantics, stated once.  The host emulator's per-instruction steps
+# and straight-line segments, the direct tier's programs and the IR
+# evaluator (eval_ops, compile_ops, constant folding) are all generated
+# from these rows; control ops live in the emulator and the direct tier.
+# ---------------------------------------------------------------------------
+
+#: Value ops: op -> (register files, result expression).  ``files`` names
+#: the destination's file, then each source's: 'i' integer, 'f' FP, 'v'
+#: vector, 'n' the immediate.  The expression reads the sources as {a}
+#: and {b}, which must stay atoms (a register, a local or a literal).
+#: Keys are host ops; an IR op reaches its row through ``IR_HOST_OPS``
+#: (fsin/fcos are IR-only: codegen expands them in software), and an
+#: immediate form through ``IR_IMM_FORMS``, with {b} the immediate.
+VALUE_OPS = {
+    "li": ("in", "{a} & 0xFFFFFFFFFFFFFFFF"),
+    "lif": ("fn", "float({a})"),
+    "nop": ("", None),
+    "mov": ("ii", "{a}"),
+    "add32": ("iii", "({a} + {b}) & 0xFFFFFFFF"),
+    "sub32": ("iii", "({a} - {b}) & 0xFFFFFFFF"),
+    "mul32": ("iii", "({a} * {b}) & 0xFFFFFFFF"),
+    "div32s": ("iii", "idiv32({a}, {b})[0]"),
+    "rem32s": ("iii", "idiv32({a}, {b})[1]"),
+    "and32": ("iii", "({a} & {b}) & 0xFFFFFFFF"),
+    "or32": ("iii", "({a} | {b}) & 0xFFFFFFFF"),
+    "xor32": ("iii", "({a} ^ {b}) & 0xFFFFFFFF"),
+    "shl32": ("iii", "({a} << ({b} & 31)) & 0xFFFFFFFF"),
+    "shr32": ("iii", "({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    "sar32": ("iii", "((({a} & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)"
+                     " >> ({b} & 31)) & 0xFFFFFFFF"),
+    "not32": ("ii", "~{a} & 0xFFFFFFFF"),
+    "neg32": ("ii", "-{a} & 0xFFFFFFFF"),
+    "cmpeq": ("iii", "1 if {a} & 0xFFFFFFFF == {b} & 0xFFFFFFFF else 0"),
+    "cmpne": ("iii", "1 if {a} & 0xFFFFFFFF != {b} & 0xFFFFFFFF else 0"),
+    "cmplt32s": ("iii", "1 if {a} & 0xFFFFFFFF ^ 0x80000000"
+                        " < {b} & 0xFFFFFFFF ^ 0x80000000 else 0"),
+    "cmplt32u": ("iii", "1 if {a} & 0xFFFFFFFF < {b} & 0xFFFFFFFF else 0"),
+    "cmple32s": ("iii", "1 if {a} & 0xFFFFFFFF ^ 0x80000000"
+                        " <= {b} & 0xFFFFFFFF ^ 0x80000000 else 0"),
+    "cmple32u": ("iii", "1 if {a} & 0xFFFFFFFF <= {b} & 0xFFFFFFFF else 0"),
+    "addcf32": ("iii", "1 if ({a} + {b}) & 0xFFFFFFFF < {a} & 0xFFFFFFFF"
+                       " else 0"),
+    "addof32": ("iii", "(~({a} ^ {b}) & ({a} ^ ({a} + {b}) & 0xFFFFFFFF))"
+                       " >> 31 & 1"),
+    "subcf32": ("iii", "1 if {a} & 0xFFFFFFFF < {b} & 0xFFFFFFFF else 0"),
+    "subof32": ("iii", "(({a} ^ {b}) & ({a} ^ ({a} - {b}) & 0xFFFFFFFF))"
+                       " >> 31 & 1"),
+    "mulof32": ("iii", "0 if -0x80000000 <= (({a} & 0xFFFFFFFF"
+                       " ^ 0x80000000) - 0x80000000) * (({b} & 0xFFFFFFFF"
+                       " ^ 0x80000000) - 0x80000000) < 0x80000000 else 1"),
+    "fmov": ("ff", "float({a})"),
+    "fadd": ("fff", "{a} + {b}"),
+    "fsub": ("fff", "{a} - {b}"),
+    "fmul": ("fff", "{a} * {b}"),
+    "fdiv": ("fff", "fdiv64({a}, {b})"),
+    "fneg": ("ff", "-{a}"),
+    "fabs": ("ff", "abs({a})"),
+    "fsqrt": ("ff", "gisa_sqrt({a})"),
+    "ffloor": ("ff", "float(_floor({a}))"),
+    "fsin": ("ff", "gisa_sin({a})"),
+    "fcos": ("ff", "gisa_cos({a})"),
+    "fcmpeq": ("iff", "1 if {a} == {b} else 0"),
+    "fcmplt": ("iff", "1 if {a} < {b} else 0"),
+    "fcmpun": ("iff", "1 if {a} != {a} or {b} != {b} else 0"),
+    "i2f": ("fi", "float(({a} & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)"),
+    "f2i": ("if", "ftrunc32({a})"),
+    "vmov": ("vv", "list({a})"),
+    "vadd32": ("vvv", "[(_x + _y) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]"),
+    "vsub32": ("vvv", "[(_x - _y) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]"),
+    "vmul32": ("vvv", "[(_x * _y) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]"),
+    "vsplat": ("vi", "[{a} & 0xFFFFFFFF] * 4"),
+}
+
+#: IR op -> host op for three-address lowering.
+IR_HOST_OPS = {
+    "mov": "mov", "add": "add32", "sub": "sub32", "mul": "mul32",
+    "div": "div32s", "rem": "rem32s", "and": "and32", "or": "or32",
+    "xor": "xor32", "shl": "shl32", "shr": "shr32", "sar": "sar32",
+    "not": "not32", "neg": "neg32",
+    "cmpeq": "cmpeq", "cmpne": "cmpne", "cmplts": "cmplt32s",
+    "cmpltu": "cmplt32u", "cmples": "cmple32s", "cmpleu": "cmple32u",
+    "addcf": "addcf32", "addof": "addof32", "subcf": "subcf32",
+    "subof": "subof32", "mulof": "mulof32",
+    "fmov": "fmov", "fadd": "fadd", "fsub": "fsub", "fmul": "fmul",
+    "fdiv": "fdiv", "fneg": "fneg", "fabs": "fabs", "fsqrt": "fsqrt",
+    "ffloor": "ffloor", "i2f": "i2f", "f2i": "f2i",
+    "fcmpeq": "fcmpeq", "fcmplt": "fcmplt", "fcmpun": "fcmpun",
+    "vmov": "vmov", "vadd": "vadd32", "vsub": "vsub32", "vmul": "vmul32",
+    "vsplat": "vsplat",
+}
+
+#: Integer IR ops with an immediate host form when the *second* source is
+#: constant (plus commutative ops usable with the first).
+IR_IMM_FORMS = {
+    "add": "addi32", "and": "andi32", "or": "ori32", "xor": "xori32",
+    "shl": "shli32", "shr": "shri32", "sar": "sari32",
+    "cmpeq": "cmpeqi", "cmpne": "cmpnei",
+}
+
+#: Every host value op (immediate forms included) -> (files, expression).
+HOST_VALUE_OPS = {op: row for op, row in VALUE_OPS.items()
+                  if op in HostOp.ALL}
+HOST_VALUE_OPS.update(
+    (imm, (VALUE_OPS[IR_HOST_OPS[ir]][0][:2] + "n",
+           VALUE_OPS[IR_HOST_OPS[ir]][1]))
+    for ir, imm in IR_IMM_FORMS.items())
+
+#: Loads and stores: op -> (width, alias-table size).  Width '' is a u32
+#: access, 'F' an f64 one and 'V' four u32 lanes (the suffix of the
+#: memory bindings below).  A nonzero size marks the speculative ops:
+#: loads record their access in the alias table, and checking stores
+#: search it for a younger overlapping load.
+MEMORY_OPS = {
+    "ld32": ("", 0), "ldf": ("F", 0), "vld": ("V", 0),
+    "sld32": ("", 4), "sldf": ("F", 8),
+    "st32": ("", 0), "stf": ("F", 0), "vst": ("V", 0),
+    "st32chk": ("", 4), "stfchk": ("F", 8),
+}
+_WIDTH_FILE = {"": "i", "F": "f", "V": "v"}
+
+#: op -> register files of its (d, a, b, c) fields, for every host op.
+REGFILES = {op: "iiii" for op in HostOp.ALL}
+REGFILES.update((op, (files.replace("n", "i") + "iii")[:4])
+                for op, (files, _) in HOST_VALUE_OPS.items() if files)
+REGFILES.update((op, _WIDTH_FILE[width] + "iii" if op in HostOp.LOAD
+                 else "ii" + _WIDTH_FILE[width] + "i")
+                for op, (width, _) in MEMORY_OPS.items())
+
+#: The names the memory template reads, bound to the emulator state
+#: ``EMU``.  All of it is identity-stable for the emulator's lifetime
+#: (register files and alias table are restored and cleared in place,
+#: memories install pages in place), so generated code may bind it once.
+#: ``AT.store_conflicts`` is looked up per call: fault injection wraps it.
+BINDINGS = {
+    "I": "EMU.iregs", "F": "EMU.fregs", "V": "EMU.vregs",
+    "UNDO": "EMU._undo", "AT": "EMU.alias_table",
+    "ATE": "EMU.alias_table.entries",
+    "ATRL": "EMU.alias_table.record_load",
+    "MR": "EMU.memory.read_u32", "MW": "EMU.memory.write_u32",
+    "MRF": "EMU.memory.read_f64", "MWF": "EMU.memory.write_f64",
+    "MRV": "EMU.memory.read_vec", "MWV": "EMU.memory.write_vec",
+    "TMR": "EMU.tol_memory.read_u32", "TMW": "EMU.tol_memory.write_u32",
+    "TMRF": "EMU.tol_memory.read_f64", "TMWF": "EMU.tol_memory.write_f64",
+    "TMRV": "EMU.tol_memory.read_vec", "TMWV": "EMU.tol_memory.write_vec",
+    "IBTCL": "EMU.ibtc.lookup",
+    # Guest-memory internals for the inlined u32 access (the page dict
+    # is only mutated in place; the dirty set only added to/cleared).
+    "GP": "EMU.memory._pages", "DIRTYA": "EMU.memory.dirty.add",
+}
+
+_U32 = struct.Struct("<I")
+
+#: Helpers the generated code calls (copied into each exec namespace).
+OP_NS = {
+    "idiv32": sem.idiv32, "fdiv64": sem.fdiv64, "gisa_sqrt": sem.gisa_sqrt,
+    "gisa_sin": sem.gisa_sin, "gisa_cos": sem.gisa_cos,
+    "ftrunc32": sem.ftrunc32, "_floor": math.floor,
+    "_SUI": _U32.unpack_from, "_SPI": _U32.pack_into,
+}
+
+
+def value_stmt(op, d, a, b, imm):
+    """Statement computing host value op ``op`` from operand texts, or
+    None for ``nop``: ``I[d] = (I[a] + imm) & 0xFFFFFFFF``."""
+    files, expr = HOST_VALUE_OPS[op]
+    if not files:
+        return None
+    srcs = [imm if f == "n" else f"{f.upper()}[{r}]"
+            for f, r in zip(files[1:], (a, b))]
+    return f"{files[0].upper()}[{d}] = " + expr.format(a=srcs[0],
+                                                       b=srcs[-1])
+
+
+def evaluator(op):
+    """Value op ``op`` (a VALUE_OPS key) as a Python function."""
+    files, expr = VALUE_OPS[op]
+    params = ", ".join("ab"[:len(files) - 1])
+    return eval(f"lambda {params}: " + expr.format(a="a", b="b"),  # noqa: S307
+                dict(OP_NS))
+
+
+_NOT_NAME = {c: " " for c in range(128)
+             if not (chr(c).isalnum() or chr(c) == "_")}
+
+
+def names_in(lines):
+    """The BINDINGS names that source ``lines`` read."""
+    words = "\n".join(lines).translate(_NOT_NAME).split()
+    return sorted(BINDINGS.keys() & set(words))
+
+
+def memory_lines(op, d, a, b, imm, seq, undo, charge=None):
+    """Source lines of load/store ``op`` over BINDINGS, ``_SUI``/
+    ``_SPI`` and ``_FS`` (raised on an alias-table conflict or
+    overflow), with the effective address left in ``_a``.
+
+    The operands are texts: literals for a program generated per unit,
+    ``ins.d``-style reads for a step generated per op.  The hooks:
+    ``undo(entry)`` gives the lines that log a guest store's old value;
+    ``charge`` names the counter a checking store adds its serial
+    alias-table search to (one host instruction per occupied entry,
+    charged inside the store's region), or None to leave it out.
+    TOL-area addresses (spill slots) bypass the undo log; u32 accesses
+    inside one present page skip the memory's methods."""
+    width, alias = MEMORY_OPS[op]
+    out = [f"_a = (I[{a}] + {imm}) & 0xFFFFFFFF" if imm
+           else f"_a = I[{a}] & 0xFFFFFFFF"]
+
+    def put(depth, *lines):
+        out.extend("    " * depth + line for line in lines)
+
+    def probe(depth, fast, slow):
+        put(depth, "_pg = GP.get(_a >> 12)", "_o = _a & 4095",
+            "if _pg is not None and _o < 4093:")
+        put(depth + 1, *fast)
+        put(depth, "else:")
+        put(depth + 1, *slow)
+
+    reg = _WIDTH_FILE[width].upper() + "[{}]"
+    if op in HostOp.STORE:
+        value = reg.format(b)
+        if alias:
+            if charge:
+                put(0, "if EMU.alias_serial_search:")
+                put(1, "_c = len(ATE)", f"{charge} += _c",
+                    "EMU.alias_search_insns += _c")
+            put(0, f"if AT.store_conflicts(_a, {alias}, {seq}):")
+            put(1, "raise _FS")
+        put(0, f"if _a < {TOL_AREA_BASE:#x}:")
+        tag = {"": "'u32'", "F": "'f64'", "V": "'vec'"}[width]
+        if width:
+            put(1, *undo(f"({tag}, _a, MR{width}(_a))"))
+            put(1, f"MW{width}(_a, {value})")
+        else:
+            probe(1, undo(f"({tag}, _a, _SUI(_pg, _o)[0])")
+                  + [f"_SPI(_pg, _o, {value} & 0xFFFFFFFF)",
+                     "DIRTYA(_a >> 12)"],
+                  undo(f"({tag}, _a, MR(_a))") + [f"MW(_a, {value})"])
+        put(0, "else:")
+        put(1, f"TMW{width}(_a, {value})")
+        return out
+    dest = "_v" if alias else reg.format(d)
+    put(0, f"if _a < {TOL_AREA_BASE:#x}:")
+    if width:
+        put(1, f"{dest} = MR{width}(_a)")
+    else:
+        probe(1, [f"{dest} = _SUI(_pg, _o)[0]"], [f"{dest} = MR(_a)"])
+    put(0, "else:")
+    put(1, f"{dest} = TMR{width}(_a)")
+    if alias:
+        put(0, f"if not ATRL(_a, {alias}, {seq}):")
+        put(1, "raise _FS")
+        put(0, f"{reg.format(d)} = _v")
+    return out
 
 
 @dataclass

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.host.isa import HostOp, op_unit_class
+from repro.host.isa import REGFILES, HostOp, op_unit_class
 
 # Scoreboard register-id namespaces (mirrors timing.core; duplicated here
 # so translate-time profiling never imports the timing core).
@@ -50,35 +50,9 @@ KIND_STORE = 2
 KIND_BRANCH = 3   # branch-class ops (incl. exits/asserts/ibtc)
 
 
-def _classify_regfiles(op: str) -> tuple:
-    d = a = b = c = "i"
-    if op in ("lif", "fmov", "fadd", "fsub", "fmul", "fdiv", "fneg",
-              "fabs", "fsqrt", "ffloor"):
-        d = a = b = "f"
-    elif op in ("fcmpeq", "fcmplt", "fcmpun"):
-        d, a, b = "i", "f", "f"
-    elif op == "i2f":
-        d, a = "f", "i"
-    elif op == "f2i":
-        d, a = "i", "f"
-    elif op in ("vmov", "vadd32", "vsub32", "vmul32"):
-        d = a = b = "v"
-    elif op == "vsplat":
-        d, a = "v", "i"
-    elif op in ("ldf", "sldf"):
-        d, a = "f", "i"
-    elif op == "vld":
-        d, a = "v", "i"
-    elif op in ("stf", "stfchk"):
-        d, a, b = "i", "i", "f"
-    elif op == "vst":
-        d, a, b = "i", "i", "v"
-    return (d, a, b, c)
-
-
 #: op -> (d, a, b, c) register file letters ('i' int, 'f' fp, 'v' vec),
-#: precomputed for the whole host ISA at import time.
-_REGFILES = {op: _classify_regfiles(op) for op in sorted(HostOp.ALL)}
+#: from the op table.
+_REGFILES = {op: tuple(files) for op, files in REGFILES.items()}
 
 #: op -> execution-unit class, likewise precomputed at import time.
 _UNIT_CLASS = {op: op_unit_class(op) for op in sorted(HostOp.ALL)}

@@ -18,7 +18,10 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.guest.semantics import TRIG_RECIPES
-from repro.host.isa import CodeUnit, HostInstr
+from repro.host.isa import (
+    VALUE_OPS, CodeUnit, HostInstr, IR_HOST_OPS as _DIRECT,
+    IR_IMM_FORMS as _IMM_FORM,
+)
 from repro.tol.ir import Const, FTmp, IRInstr, Tmp, VTmp, is_arch
 from repro.tol.regalloc import (
     AllocationResult, FP_CONST_SCRATCH, FP_RECIPE_POOL, INT_CONST_SCRATCH,
@@ -27,45 +30,13 @@ from repro.tol.regalloc import (
 
 _FP_CONST_SCRATCH2 = 12
 
-#: IR op -> host op for straightforward three-address lowering.
-_DIRECT = {
-    "mov": "mov", "add": "add32", "sub": "sub32", "mul": "mul32",
-    "div": "div32s", "rem": "rem32s", "and": "and32", "or": "or32",
-    "xor": "xor32", "shl": "shl32", "shr": "shr32", "sar": "sar32",
-    "not": "not32", "neg": "neg32",
-    "cmpeq": "cmpeq", "cmpne": "cmpne", "cmplts": "cmplt32s",
-    "cmpltu": "cmplt32u", "cmples": "cmple32s", "cmpleu": "cmple32u",
-    "addcf": "addcf32", "addof": "addof32", "subcf": "subcf32",
-    "subof": "subof32", "mulof": "mulof32",
-    "fmov": "fmov", "fadd": "fadd", "fsub": "fsub", "fmul": "fmul",
-    "fdiv": "fdiv", "fneg": "fneg", "fabs": "fabs", "fsqrt": "fsqrt",
-    "ffloor": "ffloor", "i2f": "i2f", "f2i": "f2i",
-    "fcmpeq": "fcmpeq", "fcmplt": "fcmplt", "fcmpun": "fcmpun",
-    "vmov": "vmov", "vadd": "vadd32", "vsub": "vsub32", "vmul": "vmul32",
-    "vsplat": "vsplat",
-}
-
-#: Integer ops with an immediate host form when the *second* source is
-#: constant (plus commutative ops usable with the first).
-_IMM_FORM = {
-    "add": "addi32", "and": "andi32", "or": "ori32", "xor": "xori32",
-    "shl": "shli32", "shr": "shri32", "sar": "sari32",
-    "cmpeq": "cmpeqi", "cmpne": "cmpnei",
-}
 _COMMUTATIVE = {"add", "and", "or", "xor", "cmpeq", "cmpne", "mul"}
 
-_FP_OPS = frozenset({
-    "fmov", "fadd", "fsub", "fmul", "fdiv", "fneg", "fabs", "fsqrt",
-    "ffloor", "fsin", "fcos", "fcmpeq", "fcmplt", "fcmpun", "f2i",
-})
 
-def _fp_src_positions(op: str, nsrcs: int) -> frozenset:
-    """Which source positions of an IR op are FP registers."""
-    if op == "i2f" or op == "vsplat":
-        return frozenset()
-    if op in _FP_OPS:
-        return frozenset(range(nsrcs))
-    return frozenset()
+def _fp_src_positions(op: str) -> frozenset:
+    """Which source positions of an IR value op are FP registers."""
+    files = VALUE_OPS[_DIRECT[op]][0]
+    return frozenset(i for i, file in enumerate(files[1:]) if file == "f")
 
 
 _LOADS = {"ld32": "ld32", "ldf": "ldf", "ldv": "vld",
@@ -219,7 +190,7 @@ class CodeGenerator:
                         guest_pc=instr.guest_pc)
                     return
         # General form: materialize remaining constants in scratch regs.
-        fp_src_positions = _fp_src_positions(op, len(srcs))
+        fp_src_positions = _fp_src_positions(op)
         regs = []
         int_scratches = (INT_CONST_SCRATCH, 14)
         fp_scratches = (FP_CONST_SCRATCH, _FP_CONST_SCRATCH2)

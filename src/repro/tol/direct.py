@@ -2,14 +2,13 @@
 
 When a superblock stays hot past ``direct_promote_threshold`` entries,
 its host instruction sequence is compiled *once* into a single generated
-Python function (the same source-generation technique as
-``ir_eval.compile_ops`` and the host emulator's fast segments, extended
-to whole units): straight-line runs collapse into bulk statements over
-the host register files, and the per-instruction dispatch loop
-disappears entirely.  Control flow becomes a flat ``while``-dispatcher
-over branch-leader arms, and a unit whose hot exit chains back to
-itself loops *inside* the generated function without returning to the
-driver.
+Python function: value and memory ops become the statements the op
+table in :mod:`repro.host.isa` gives them (the host emulator's steps and
+segments are generated from the same rows), and the per-instruction
+dispatch loop disappears entirely.  Control flow becomes a flat
+``while``-dispatcher over branch-leader arms, and a unit whose hot exit
+chains back to itself loops *inside* the generated function without
+returning to the driver.
 
 The contract is the same one ``interp_fastpath``/``host_fastpath``
 already obey, extended to every op class: **only simulator wall-clock
@@ -25,10 +24,9 @@ counter.  ``tests/test_fastpath.py`` holds the two paths to
 bit-identity.
 
 Anything the generator cannot prove it can replicate (unknown op,
-branch into a non-branch target, missing metadata, serial alias search
-without the host fast path whose flush sites it mirrors) makes
-``compile_direct`` return ``None`` and the unit simply stays on the
-interpretive path.
+branch into a non-branch target, missing metadata, an immediate with
+no literal form) makes ``compile_direct`` return ``None`` and the unit
+simply stays on the interpretive path.
 
 Failure paths stay precise: speculation asserts, alias conflicts and
 page faults raise module-level exceptions that the generated epilogue
@@ -40,23 +38,15 @@ cache invalidation strips the generated program.
 
 from __future__ import annotations
 
-import re
-import struct
-
 from repro import costs
 from repro.guest.memory import PageFault
 from repro.host.emulator import (
-    _FAST_NS, _FAST_STMTS, _TRACE_BATCH_CAP, HostEmulationError,
-    TOL_AREA_BASE, _stmt_for,
+    _TRACE_BATCH_CAP, AssertFail, HostEmulationError, SpecFail,
+    literal_stmt,
 )
-
-
-class DirectAssertFail(Exception):
-    """Speculation assert failed inside a direct-tier program."""
-
-
-class DirectSpecFail(Exception):
-    """Alias-table conflict/overflow inside a direct-tier program."""
+from repro.host.isa import (
+    BINDINGS, HostOp, MEMORY_OPS, OP_NS, REGFILES, memory_lines, names_in,
+)
 
 
 class _Bail(Exception):
@@ -69,60 +59,14 @@ _MAX_INSTRS = 10_000
 _BRANCH_OPS = ("beqz", "bnez", "j")
 #: Ops that terminate an arm (control never falls through them).
 _TERMINATORS = frozenset({"j", "exit", "exit_ind", "ibtc"})
-#: Handler-table memory/spec ops: the slow path flushes pending
-#: ``_extra_insns`` after each of these (and, with host_fastpath on,
-#: after nothing else) — the generated code mirrors those flush sites
-#: exactly when serial alias search is enabled.
-_SERIAL_FLUSH_OPS = frozenset({
-    "ldx32", "stx32", "ldf", "stf", "vld", "vst",
-    "sld32", "sldf", "st32chk", "stfchk",
-})
-_STORE_OPS = frozenset({"st32", "stx32", "stf", "vst",
-                        "st32chk", "stfchk"})
-_SPEC_OPS = frozenset({"sld32", "sldf", "st32chk", "stfchk"})
-_MEM_OPS = _STORE_OPS | frozenset({"ld32", "ldx32", "ldf", "vld",
-                                   "sld32", "sldf"})
+_SPEC_OPS = frozenset(op for op, (_, size) in MEMORY_OPS.items() if size)
 
-#: Identity-stable emulator state, baked as keyword-argument defaults
-#: (evaluated once at ``def`` time, loaded at local speed — no per-call
-#: rebinding).  Everything here is never rebound for the emulator's
-#: lifetime: the register-file lists (``_rollback`` restores in place),
-#: the undo log, the alias table and its entries list
-#: (``AliasTable.clear`` clears in place), both memories (snapshot
-#: restore installs pages in place) and the IBTC.
-_BAKED = (
-    ("I", "EMU.iregs"),
-    ("F", "EMU.fregs"),
-    ("V", "EMU.vregs"),
-    ("UNDO", "EMU._undo"),
-    ("AT", "EMU.alias_table"),
-    ("ATE", "EMU.alias_table.entries"),
-    ("ATRL", "EMU.alias_table.record_load"),
-    ("MR", "EMU.memory.read_u32"),
-    ("MW", "EMU.memory.write_u32"),
-    ("MRF", "EMU.memory.read_f64"),
-    ("MWF", "EMU.memory.write_f64"),
-    ("MRV", "EMU.memory.read_vec"),
-    ("MWV", "EMU.memory.write_vec"),
-    ("TMR", "EMU.tol_memory.read_u32"),
-    ("TMW", "EMU.tol_memory.write_u32"),
-    ("TMRF", "EMU.tol_memory.read_f64"),
-    ("TMWF", "EMU.tol_memory.write_f64"),
-    ("TMRV", "EMU.tol_memory.read_vec"),
-    ("TMWV", "EMU.tol_memory.write_vec"),
-    ("IBTCL", "EMU.ibtc.lookup"),
-    # Guest-memory internals for the inlined u32 access path: the page
-    # dict is only ever mutated in place (``install_page``, demand-zero
-    # fills, the snapshot restorer) and the dirty set is only ever
-    # ``add``-ed/``clear``-ed, so both survive baking.
-    ("GP", "EMU.memory._pages"),
-    ("DIRTYA", "EMU.memory.dirty.add"),
-)
-_BAKED_NAMES = frozenset(name for name, _ in _BAKED)
-
-#: Possibly-volatile state, re-read per call in the prologue (the
-#: per-mode dicts are rebound by snapshot restore, ``pause_retired_at``
-#: changes between runs, the hooks are wiring-dependent).
+#: Emulator state the function reads besides the op table's ``BINDINGS``
+#: (which are baked as keyword-argument defaults: evaluated once at
+#: ``def`` time, loaded at local speed).  This state may change between
+#: calls, so the prologue re-reads it (the per-mode dicts are rebound by
+#: snapshot restore, ``pause_retired_at`` changes between runs, the
+#: hooks are wiring-dependent).
 _PER_CALL = (
     ("U", "_U"),
     ("ULOG", "EMU.unit_log"),
@@ -137,55 +81,6 @@ _PER_CALL = (
 
 _BINDING_DEPS = {"ATE": ("AT",), "ATRL": ("AT",),
                  "GBMG": ("GBM",), "HBMG": ("HBM",)}
-
-_TOL_LIT = f"{TOL_AREA_BASE:#x}"
-
-#: Pre-parsed u32 codec for the inlined guest-memory access path
-#: (:class:`struct.Struct` bound methods skip the format-string parse
-#: that ``struct.unpack_from``/``pack_into`` pay per call).
-_U32_STRUCT = struct.Struct("<I")
-
-#: ``u32``/``s32`` helper calls inlined to the equivalent masking
-#: expression when the operand is a plain register read or literal
-#: (function-call overhead dominates these one-liners).
-_U32_RE = re.compile(r"\bu32\((I\[\d+\]|-?\d+)\)")
-_S32_RE = re.compile(r"\bs32\((I\[\d+\]|-?\d+)\)")
-
-
-#: Whole-RHS ``int(<comparison>)`` (the cmp*/fcmp*/carry-flag
-#: templates): the ``int`` call only canonicalizes a bool, which a
-#: conditional expression does without the call.  Guarded to
-#: comparisons so truncating ``int()`` uses would never match.
-_INT_RE = re.compile(r"^(.+? = )int\((.+)\)$")
-_CMP_TOKENS = ("==", "!=", "<", ">")
-
-
-def _inline_helpers(stmt):
-    stmt = _U32_RE.sub(lambda m: f"({m.group(1)} & 4294967295)", stmt)
-    stmt = _S32_RE.sub(
-        lambda m: f"((({m.group(1)} & 4294967295) ^ 2147483648)"
-                  " - 2147483648)", stmt)
-    m = _INT_RE.match(stmt)
-    if m:
-        inner = m.group(2)
-        if (inner.count("(") == inner.count(")")
-                and any(tok in inner for tok in _CMP_TOKENS)):
-            stmt = f"{m.group(1)}1 if {inner} else 0"
-    return stmt
-
-
-def _writer_file(op):
-    """Register file ('I'/'F'/'V') written by ``op``, or None."""
-    if op in ("li", "ld32", "ldx32", "sld32"):
-        return "I"
-    if op in ("lif", "ldf", "sldf"):
-        return "F"
-    if op == "vld":
-        return "V"
-    template = _FAST_STMTS.get(op)
-    if template:
-        return template[0]
-    return None
 
 
 class _DirectCompiler:
@@ -231,8 +126,8 @@ class _DirectCompiler:
         # a cluster IBTC hits on members transfer internally too).
         chain_ops = {"exit", "ibtc"} if self.cluster else {"exit"}
         self.has_selfloop = not traced and bool(ops & chain_ops)
-        self.has_mem = bool(ops & _MEM_OPS)
-        self.has_store = bool(ops & _STORE_OPS)
+        self.has_mem = bool(ops & MEMORY_OPS.keys())
+        self.has_store = bool(ops & HostOp.STORE)
         self.has_spec = bool(ops & _SPEC_OPS)
         self.has_assert = bool(ops & {"assert_z", "assert_nz"})
 
@@ -272,12 +167,6 @@ class _DirectCompiler:
             self.w(d, f"if len(TRB) > {_TRACE_BATCH_CAP}:")
             self.w(d + 1, "FLUSH(U, TRB)")
 
-    def _serial_flush(self, d):
-        if self.serial:
-            self.w(d, "if EMU._extra_insns:")
-            self.w(d + 1, "executed += EMU._extra_insns")
-            self.w(d + 1, "EMU._extra_insns = 0")
-
     def _emit_sync(self, d):
         """Write the localized accounting back to the emulator and
         unit.  Every path out of the generated function (returns and
@@ -309,12 +198,6 @@ class _DirectCompiler:
     # -- structure -----------------------------------------------------------
 
     def build(self):
-        if self.serial and not self.emu.fastpath:
-            # The serial-search charge flushes at the slow path's
-            # handler-table sites; with host_fastpath off those sites
-            # include pure ops we compile away.  Keep that combination
-            # on the interpretive path.
-            raise _Bail
         self.unit_leaders = []
         for unit in self.units:
             instrs = unit.instrs
@@ -342,26 +225,15 @@ class _DirectCompiler:
         # shape regardless of which member's checkpoint is active.
         # Restoring a register no member wrote since the checkpoint
         # rewrites its checkpointed (= current) value — bit-identical.
-        iw, fw, vw = set(), set(), set()
+        written = {"i": set(), "f": set(), "v": set()}
         for unit in self.units:
             for ins in unit.instrs:
-                file = _writer_file(ins.op)
-                if file == "I":
-                    iw.add(ins.d)
-                elif file == "F":
-                    fw.add(ins.d)
-                elif file == "V":
-                    vw.add(ins.d)
-        saves = ([f"I[{k}]" for k in sorted(iw)]
-                 + [f"F[{k}]" for k in sorted(fw)]
-                 + [f"V[{k}]" for k in sorted(vw)])
+                if ins.d is not None and ins.op not in HostOp.STORE:
+                    written[REGFILES[ins.op][0]].add(ins.d)
+        saves = [f"{file.upper()}[{k}]"
+                 for file in "ifv" for k in sorted(written[file])]
         if saves:
-            if iw:
-                self.need("I")
-            if fw:
-                self.need("F")
-            if vw:
-                self.need("V")
+            self.need(*(file.upper() for file in "ifv" if written[file]))
             self.save_expr = "(" + ", ".join(saves) + ",)"
         else:
             self.save_expr = "()"
@@ -446,14 +318,17 @@ class _DirectCompiler:
             self._trace_cap_flush(d)
             self.w(d, f"_ip = {ins.target}")
             self.w(d, "continue")
-        elif op in ("ld32", "ldx32", "ldf", "vld"):
-            self._emit_load(d, idx, ins)
-        elif op in ("st32", "stx32", "stf", "vst"):
-            self._emit_store(d, idx, ins)
-        elif op in ("sld32", "sldf"):
-            self._emit_spec_load(d, idx, ins)
-        elif op in ("st32chk", "stfchk"):
-            self._emit_chk_store(d, idx, ins)
+        elif op in MEMORY_OPS:
+            self._flush(d, 1)
+            seq = ins.meta["seq"] if op in _SPEC_OPS else None
+            lines = memory_lines(
+                op, ins.d, ins.a, ins.b, ins.imm, seq,
+                lambda entry: [f"UNDO.append({entry})"],
+                charge="executed" if self.serial else None)
+            self.need(*names_in(lines))
+            for line in lines:
+                self.w(d, line)
+            self._record(d, idx, "{'mem_addr': _a}")
         elif op == "exit":
             self._emit_exit(d, idx, ins)
         elif op == "exit_ind":
@@ -461,20 +336,15 @@ class _DirectCompiler:
         elif op == "ibtc":
             self._emit_ibtc(d, idx, ins)
         else:
-            stmt = _stmt_for(ins)
+            stmt = literal_stmt(ins)
             if stmt is False:
                 raise _Bail
+            if op in ("mov", "fmov") and ins.d == ins.a:
+                # Identity move (register-allocation epilogue): a
+                # runtime no-op — still costed via ``pending``.
+                stmt = None
             if stmt is not None:
-                stmt = _inline_helpers(stmt)
-                lhs, sep, rhs = stmt.partition(" = ")
-                if sep and lhs == rhs:
-                    # Identity mov (register-allocation epilogue): a
-                    # runtime no-op — still costed via ``pending``.
-                    stmt = None
-            if stmt is not None:
-                for name in ("I", "F", "V"):
-                    if name + "[" in stmt:
-                        self.need(name)
+                self.need(*names_in([stmt]))
                 self.w(d, stmt)
             self.pending += 1
             self._record(d, idx)
@@ -529,138 +399,6 @@ class _DirectCompiler:
         self._trace_cap_flush(d + 1)
         self.w(d + 1, f"_ip = {ins.target}")
         self.w(d + 1, "continue")
-
-    def _addr_expr(self, ins):
-        if ins.op == "ldx32":
-            return f"(I[{ins.a}] + I[{ins.b}]) & 0xFFFFFFFF"
-        if ins.op == "stx32":
-            return f"(I[{ins.a}] + I[{ins.c}]) & 0xFFFFFFFF"
-        if ins.imm:
-            return f"(I[{ins.a}] + {ins.imm}) & 0xFFFFFFFF"
-        return f"I[{ins.a}] & 0xFFFFFFFF"
-
-    _LOAD_ACCESS = {
-        "ld32": ("I", "MR", "TMR"),
-        "ldx32": ("I", "MR", "TMR"),
-        "sld32": ("I", "MR", "TMR", 4),
-        "ldf": ("F", "MRF", "TMRF"),
-        "sldf": ("F", "MRF", "TMRF", 8),
-        "vld": ("V", "MRV", "TMRV"),
-    }
-    _STORE_ACCESS = {
-        "st32": ("'u32'", "MR", "MW", "TMW", "I[{b}]"),
-        "stx32": ("'u32'", "MR", "MW", "TMW", "I[{b}]"),
-        "st32chk": ("'u32'", "MR", "MW", "TMW", "I[{b}]", 4),
-        "stf": ("'f64'", "MRF", "MWF", "TMWF", "F[{b}]"),
-        "stfchk": ("'f64'", "MRF", "MWF", "TMWF", "F[{b}]", 8),
-        "vst": ("'vec'", "MRV", "MWV", "TMWV", "V[{b}]"),
-    }
-
-    def _emit_u32_read(self, d, dest):
-        """Inline of ``PagedMemory.read_u32`` for a guest-area address
-        already in ``_a``: page-dict probe + pre-parsed Struct unpack.
-        Missing pages and page-crossing reads fall back to the bound
-        method (which raises the page fault / stitches the bytes
-        exactly as before)."""
-        self.need("GP", "MR")
-        self.w(d, "_pg = GP.get(_a >> 12)")
-        self.w(d, "_o = _a & 4095")
-        self.w(d, "if _pg is not None and _o < 4093:")
-        self.w(d + 1, f"{dest} = _SUI(_pg, _o)[0]")
-        self.w(d, "else:")
-        self.w(d + 1, f"{dest} = MR(_a)")
-
-    def _emit_load(self, d, idx, ins):
-        file, gread, tread = self._LOAD_ACCESS[ins.op]
-        self.need("I", file, gread, tread)
-        self._flush(d, 1)
-        self.w(d, f"_a = {self._addr_expr(ins)}")
-        self.w(d, f"if _a < {_TOL_LIT}:")
-        if gread == "MR":
-            self._emit_u32_read(d + 1, f"{file}[{ins.d}]")
-        else:
-            self.w(d + 1, f"{file}[{ins.d}] = {gread}(_a)")
-        self.w(d, "else:")
-        self.w(d + 1, f"{file}[{ins.d}] = {tread}(_a)")
-        if ins.op in _SERIAL_FLUSH_OPS:
-            self._serial_flush(d)
-        self._record(d, idx, "{'mem_addr': _a}")
-
-    def _emit_store_body(self, d, ins):
-        """The guarded undo-log + write sequence shared by plain and
-        checking stores (TOL-area stores bypass the undo log, exactly
-        like ``_write_u32`` and friends)."""
-        kind, gread, gwrite, twrite, val = self._STORE_ACCESS[ins.op][:5]
-        self.need("I", "UNDO", gread, gwrite, twrite)
-        value = val.format(b=ins.b)
-        if value[0] in "FV":
-            self.need(value[0])
-        self.w(d, f"if _a < {_TOL_LIT}:")
-        if gwrite == "MW":
-            # Inline of ``write_u32`` (+ the undo-log read): same
-            # in-page fast path as :meth:`_emit_u32_read`; the fallback
-            # keeps the read-before-append fault ordering.
-            self.need("GP", "DIRTYA")
-            self.w(d + 1, "_pg = GP.get(_a >> 12)")
-            self.w(d + 1, "_o = _a & 4095")
-            self.w(d + 1, "if _pg is not None and _o < 4093:")
-            self.w(d + 2, f"UNDO.append(({kind}, _a, _SUI(_pg, _o)[0]))")
-            self.w(d + 2, f"_SPI(_pg, _o, {value} & 0xFFFFFFFF)")
-            self.w(d + 2, "DIRTYA(_a >> 12)")
-            self.w(d + 1, "else:")
-            self.w(d + 2, f"UNDO.append(({kind}, _a, {gread}(_a)))")
-            self.w(d + 2, f"{gwrite}(_a, {value})")
-        else:
-            self.w(d + 1, f"UNDO.append(({kind}, _a, {gread}(_a)))")
-            self.w(d + 1, f"{gwrite}(_a, {value})")
-        self.w(d, "else:")
-        self.w(d + 1, f"{twrite}(_a, {value})")
-
-    def _emit_store(self, d, idx, ins):
-        self._flush(d, 1)
-        self.w(d, f"_a = {self._addr_expr(ins)}")
-        self._emit_store_body(d, ins)
-        if ins.op in _SERIAL_FLUSH_OPS:
-            self._serial_flush(d)
-        self._record(d, idx, "{'mem_addr': _a}")
-
-    def _emit_spec_load(self, d, idx, ins):
-        file, gread, tread, size = self._LOAD_ACCESS[ins.op]
-        self.need("I", file, gread, tread, "ATRL")
-        seq = ins.meta["seq"]
-        self._flush(d, 1)
-        self.w(d, f"_a = {self._addr_expr(ins)}")
-        self.w(d, f"if _a < {_TOL_LIT}:")
-        if gread == "MR":
-            self._emit_u32_read(d + 1, "_v")
-        else:
-            self.w(d + 1, f"_v = {gread}(_a)")
-        self.w(d, "else:")
-        self.w(d + 1, f"_v = {tread}(_a)")
-        self.w(d, f"if not ATRL(_a, {size}, {seq}):")
-        self.w(d + 1, "raise _FS")
-        self.w(d, f"{file}[{ins.d}] = _v")
-        self._serial_flush(d)
-        self._record(d, idx, "{'mem_addr': _a}")
-
-    def _emit_chk_store(self, d, idx, ins):
-        self.need("AT")
-        size = self._STORE_ACCESS[ins.op][5]
-        seq = ins.meta["seq"]
-        self._flush(d, 1)
-        self.w(d, f"_a = {self._addr_expr(ins)}")
-        if self.serial:
-            self.need("ATE")
-            self.w(d, "_c = len(ATE)")
-            self.w(d, "EMU._extra_insns += _c")
-            self.w(d, "EMU.alias_search_insns += _c")
-        # Instance-attribute lookup on AT, so the fault injector's
-        # alias_false_negative wrap stays effective in direct code.
-        self.w(d, f"if AT.store_conflicts(_a, {size}, {seq}):")
-        self.w(d + 1, "raise _FS")
-        self._emit_store_body(d, ins)
-        self._serial_flush(d)
-        self._record(d, idx, "{'mem_addr': _a}")
 
     def _emit_profile(self, d, target_expr, want_interrupt):
         """BBM inline-profiling sequence at a profiled exit."""
@@ -860,7 +598,7 @@ class _DirectCompiler:
         unit = self.unit
         handlers = self._gen_handlers()
         params = ["EMU", "executed", "fuel"]
-        for name, _ in _BAKED:
+        for name in BINDINGS:
             if name in self.needs:
                 params.append(f"{name}=_BK_{name}")
         out = []
@@ -911,18 +649,16 @@ def compile_direct(unit, emu, traced=False, cluster=None):
         src = compiler.build()
     except _Bail:
         return None
-    ns = dict(_FAST_NS)
+    ns = dict(OP_NS)
     ns["_U"] = unit
-    ns["_FA"] = DirectAssertFail
-    ns["_FS"] = DirectSpecFail
+    ns["_FA"] = AssertFail
+    ns["_FS"] = SpecFail
     ns["_PF"] = PageFault
     ns["_HEE"] = HostEmulationError
-    ns["_SUI"] = _U32_STRUCT.unpack_from
-    ns["_SPI"] = _U32_STRUCT.pack_into
     for k, member in enumerate(units):
         ns[f"_CU{k}"] = member
     bake_env = {"EMU": emu}
-    for name, expr in _BAKED:
+    for name, expr in BINDINGS.items():
         if name in compiler.needs:
             ns[f"_BK_{name}"] = eval(expr, bake_env)  # noqa: S307
     ns.update(compiler.ns_extra)

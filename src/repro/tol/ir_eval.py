@@ -22,6 +22,10 @@ Two execution strategies share one contract:
   leave architectural state untouched exactly like the interpretive path.
   Ops the compiler does not know are reported by returning ``None`` and the
   caller falls back to :func:`eval_ops`.
+
+Both take each value op's semantics from the op table in
+:mod:`repro.host.isa`: an IR op shares the row of the host op it lowers
+to, so the IR and the host code it becomes cannot drift apart.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.guest import semantics as sem
-from repro.guest.isa import s32, u32
+from repro.guest.isa import u32
 from repro.guest.memory import PagedMemory
 from repro.guest.state import GuestState
+from repro.host.isa import IR_HOST_OPS, OP_NS, VALUE_OPS, evaluator
 from repro.tol.ir import (
     Const, FTmp, Flag, GFReg, GReg, GVReg, IRInstr, Tmp, VTmp,
 )
@@ -154,68 +158,18 @@ def eval_ops(ops: List[IRInstr], state: GuestState, memory: PagedMemory,
     return (FALLTHROUGH, None)
 
 
-# -- pure value ops ----------------------------------------------------------
+#: IR value op -> the op-table row it shares with its host op (fsin and
+#: fcos, which codegen expands in software, have rows of their own).
+_ROWS = {op: IR_HOST_OPS.get(op, op) for op in (*IR_HOST_OPS, "fsin", "fcos")}
 
-_M32 = 0xFFFFFFFF
-
-_EVAL = {
-    "mov": lambda a: a,
-    "add": lambda a, b: (a + b) & _M32,
-    "sub": lambda a, b: (a - b) & _M32,
-    "mul": lambda a, b: (s32(a) * s32(b)) & _M32,
-    "div": lambda a, b: sem.idiv32(a, b)[0],
-    "rem": lambda a, b: sem.idiv32(a, b)[1],
-    "and": lambda a, b: (a & b) & _M32,
-    "or": lambda a, b: (a | b) & _M32,
-    "xor": lambda a, b: (a ^ b) & _M32,
-    "shl": lambda a, b: (a << (b & 31)) & _M32,
-    "shr": lambda a, b: u32(a) >> (b & 31),
-    "sar": lambda a, b: u32(s32(a) >> (b & 31)),
-    "not": lambda a: (~a) & _M32,
-    "neg": lambda a: (-a) & _M32,
-    "cmpeq": lambda a, b: int(u32(a) == u32(b)),
-    "cmpne": lambda a, b: int(u32(a) != u32(b)),
-    "cmplts": lambda a, b: int(s32(a) < s32(b)),
-    "cmpltu": lambda a, b: int(u32(a) < u32(b)),
-    "cmples": lambda a, b: int(s32(a) <= s32(b)),
-    "cmpleu": lambda a, b: int(u32(a) <= u32(b)),
-    "addcf": lambda a, b: int(((a + b) & _M32) < u32(a)),
-    "addof": lambda a, b: ((~(a ^ b)) & (a ^ ((a + b) & _M32))) >> 31 & 1,
-    "subcf": lambda a, b: int(u32(a) < u32(b)),
-    "subof": lambda a, b: ((a ^ b) & (a ^ ((a - b) & _M32))) >> 31 & 1,
-    "mulof": lambda a, b: int(s32(a) * s32(b) != s32(u32(s32(a) * s32(b)))),
-    "fmov": lambda a: float(a),
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": sem.fdiv64,
-    "fneg": lambda a: -a,
-    "fabs": lambda a: abs(a),
-    "fsqrt": sem.gisa_sqrt,
-    "ffloor": lambda a: float(math.floor(a)),
-    "fsin": sem.gisa_sin,
-    "fcos": sem.gisa_cos,
-    "i2f": lambda a: float(s32(a)),
-    "f2i": sem.ftrunc32,
-    "fcmpeq": lambda a, b: int(a == b),
-    "fcmplt": lambda a, b: int(a < b),
-    "fcmpun": lambda a, b: int(a != a or b != b),
-    "vmov": lambda a: list(a),
-    "vadd": lambda a, b: [(x + y) & _M32 for x, y in zip(a, b)],
-    "vsub": lambda a, b: [(x - y) & _M32 for x, y in zip(a, b)],
-    "vmul": lambda a, b: [(s32(x) * s32(y)) & _M32 for x, y in zip(a, b)],
-    "vsplat": lambda a: [u32(a)] * 4,
-}
+#: IR value op -> its semantics as a function (also drives constfold).
+_EVAL = {op: evaluator(row) for op, row in _ROWS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Closure compilation (the hot-loop fast path).
-#
-# Each template must compute exactly what the corresponding _EVAL lambda (or
-# eval_ops special case) computes; the differential tests in
-# tests/test_fastpath.py hold the two paths to instruction-level equality.
-# Source operand expressions are pure (a local, a list index or a literal),
-# so templates may mention an operand more than once.
+# Closure compilation (the hot-loop fast path).  Value ops format their
+# row's expression over the operand expressions, which are pure (a local,
+# a list index or a literal).
 # ---------------------------------------------------------------------------
 
 
@@ -223,75 +177,10 @@ class _Unsupported(Exception):
     """Op list contains something compile_ops does not handle."""
 
 
-#: Source templates for pure value ops ({a}, {b} are operand expressions).
-_SRC = {
-    "mov": "{a}",
-    "add": "(({a}) + ({b})) & 0xFFFFFFFF",
-    "sub": "(({a}) - ({b})) & 0xFFFFFFFF",
-    "mul": "(s32({a}) * s32({b})) & 0xFFFFFFFF",
-    "div": "idiv32({a}, {b})[0]",
-    "rem": "idiv32({a}, {b})[1]",
-    "and": "(({a}) & ({b})) & 0xFFFFFFFF",
-    "or": "(({a}) | ({b})) & 0xFFFFFFFF",
-    "xor": "(({a}) ^ ({b})) & 0xFFFFFFFF",
-    "shl": "(({a}) << (({b}) & 31)) & 0xFFFFFFFF",
-    "shr": "u32({a}) >> (({b}) & 31)",
-    "sar": "u32(s32({a}) >> (({b}) & 31))",
-    "not": "(~({a})) & 0xFFFFFFFF",
-    "neg": "(-({a})) & 0xFFFFFFFF",
-    "cmpeq": "int(u32({a}) == u32({b}))",
-    "cmpne": "int(u32({a}) != u32({b}))",
-    "cmplts": "int(s32({a}) < s32({b}))",
-    "cmpltu": "int(u32({a}) < u32({b}))",
-    "cmples": "int(s32({a}) <= s32({b}))",
-    "cmpleu": "int(u32({a}) <= u32({b}))",
-    "addcf": "int(((({a}) + ({b})) & 0xFFFFFFFF) < u32({a}))",
-    "addof": "((~(({a}) ^ ({b}))) & (({a}) ^ ((({a}) + ({b}))"
-             " & 0xFFFFFFFF))) >> 31 & 1",
-    "subcf": "int(u32({a}) < u32({b}))",
-    "subof": "((({a}) ^ ({b})) & (({a}) ^ ((({a}) - ({b}))"
-             " & 0xFFFFFFFF))) >> 31 & 1",
-    "mulof": "int(s32({a}) * s32({b})"
-             " != s32(u32(s32({a}) * s32({b}))))",
-    "fmov": "float({a})",
-    "fadd": "({a}) + ({b})",
-    "fsub": "({a}) - ({b})",
-    "fmul": "({a}) * ({b})",
-    "fdiv": "fdiv64({a}, {b})",
-    "fneg": "-({a})",
-    "fabs": "abs({a})",
-    "fsqrt": "gisa_sqrt({a})",
-    "ffloor": "float(_floor({a}))",
-    "fsin": "gisa_sin({a})",
-    "fcos": "gisa_cos({a})",
-    "i2f": "float(s32({a}))",
-    "f2i": "ftrunc32({a})",
-    "fcmpeq": "int(({a}) == ({b}))",
-    "fcmplt": "int(({a}) < ({b}))",
-    "fcmpun": "int(({a}) != ({a}) or ({b}) != ({b}))",
-    "vmov": "list({a})",
-    "vadd": "[(_x + _y) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]",
-    "vsub": "[(_x - _y) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]",
-    "vmul": "[(s32(_x) * s32(_y)) & 0xFFFFFFFF for _x, _y in zip({a}, {b})]",
-    "vsplat": "[u32({a})] * 4",
-}
-
 #: Shared exec namespace for compiled closures (copied per compilation).
-_COMPILE_NS = {
-    "u32": u32,
-    "s32": s32,
-    "idiv32": sem.idiv32,
-    "fdiv64": sem.fdiv64,
-    "gisa_sqrt": sem.gisa_sqrt,
-    "gisa_sin": sem.gisa_sin,
-    "gisa_cos": sem.gisa_cos,
-    "ftrunc32": sem.ftrunc32,
-    "_floor": math.floor,
-    "IRAssertFailure": IRAssertFailure,
-    "FALLTHROUGH": FALLTHROUGH,
-    "JUMP": JUMP,
-    "EXIT": EXIT,
-}
+_COMPILE_NS = dict(
+    OP_NS, IRAssertFailure=IRAssertFailure, FALLTHROUGH=FALLTHROUGH,
+    JUMP=JUMP, EXIT=EXIT)
 
 
 def _operand_expr(operand):
@@ -346,15 +235,13 @@ def _compile_stmts(ops):
     stmts = []
     for k, instr in enumerate(ops):
         op = instr.op
-        template = _SRC.get(op)
-        if template is not None:
+        row = _ROWS.get(op)
+        if row is not None:
+            files, template = VALUE_OPS[row]
             exprs = [_operand_expr(s) for s in instr.srcs]
-            if len(exprs) == 1:
-                expr = template.format(a=exprs[0])
-            elif len(exprs) == 2:
-                expr = template.format(a=exprs[0], b=exprs[1])
-            else:
+            if len(exprs) != len(files) - 1:
                 raise _Unsupported(f"bad arity for {op!r}")
+            expr = template.format(a=exprs[0], b=exprs[-1])
             stmts.append(_write_stmt(instr.dst, expr))
         elif op == "ld32":
             stmts.append(_write_stmt(

@@ -22,15 +22,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.host.isa import (
     FIRST_SCRATCH_FREG, FIRST_SCRATCH_IREG, FIRST_SCRATCH_VREG,
     GUEST_FLAG_HOME, GUEST_FPR_HOME, GUEST_GPR_HOME, GUEST_VR_HOME,
-    NUM_FREGS, NUM_IREGS,
+    NUM_FREGS, NUM_IREGS, TOL_AREA_BASE,
 )
 from repro.tol.ir import (
     Const, FTmp, Flag, GFReg, GReg, GVReg, IRInstr, Tmp, VTmp, is_arch,
 )
-
-#: Host addresses at/above this are the TOL-private data area (spill slots),
-#: invisible to the guest.
-TOL_AREA_BASE = 0xF000_0000
 
 # Reserved scratch registers (never given to the allocator).
 INT_SPILL_SCRATCH = (13, 14)

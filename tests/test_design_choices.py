@@ -93,6 +93,68 @@ def test_serial_alias_search_preserves_correctness():
     assert result.exit_code == 0  # validated against the reference
 
 
+@pytest.mark.parametrize("tier", ["steps", "segments", "direct"])
+def test_failed_checking_store_pays_its_search_in_its_own_region(tier):
+    """A checking store that fails its alias check charges the serial
+    search (one host instruction per occupied entry) to the region it
+    rolls back, not to whatever region executes next."""
+    from repro.guest.memory import PagedMemory
+    from repro.guest.state import GuestState
+    from repro.host.emulator import EXIT_SPEC, EXIT_TOL, HostEmulator
+    from repro.host.isa import CodeUnit, HostInstr as H
+    from repro.tol.direct import compile_direct
+
+    memory = PagedMemory(demand_zero=False)
+    memory.install_page(0x10, bytes(4096))
+    emu = HostEmulator(memory, fastpath=tier != "steps")
+    emu.alias_serial_search = True
+
+    def unit(uid, body):
+        instrs = [H("chkpt", meta={"guest_pc": 0x1000}), *body,
+                  H("exit", meta={"next_pc": 0x2000, "guest_insns": 1})]
+        made = CodeUnit(uid=uid, mode="SBM", entry_pc=0x1000, instrs=instrs)
+        if tier == "direct":
+            emu.direct_enable = True
+            made._directprog = compile_direct(made, emu)
+            assert made._directprog is not None
+        return made
+
+    failing = unit(1, [
+        H("li", d=20, imm=0x10000),
+        H("sld32", d=21, a=20, imm=0, meta={"seq": 5}),
+        H("sld32", d=22, a=20, imm=4, meta={"seq": 6}),
+        H("li", d=23, imm=7),
+        H("st32chk", a=20, b=23, imm=0, meta={"seq": 2}),
+    ])
+    event = emu.execute(failing, GuestState())
+    assert event.kind == EXIT_SPEC
+    assert event.host_insns == 8  # 6 executed + 2 entries searched
+    assert (emu.host_insns_committed, emu.host_insns_wasted) == (0, 8)
+    assert emu.alias_search_insns == 2
+
+    unrelated = unit(2, [
+        H("li", d=20, imm=0x10000), H("li", d=21, imm=0),
+        H("ldf", d=20, a=20, imm=8),
+    ])
+    event = emu.execute(unrelated, GuestState())
+    assert event.kind == EXIT_TOL
+    assert event.host_insns == 5
+    assert (emu.host_insns_committed, emu.host_insns_wasted) == (5, 8)
+
+
+def test_serial_search_cost_is_exactly_the_extra_host_instructions():
+    from repro.harness.ablations import sweep_alias_table
+    rows = {row.label: row.metrics
+            for row in sweep_alias_table(scale=0.1, sizes=(1, 4, 32))}
+    searched = 0
+    for size in (1, 4, 32):
+        serial, parallel = rows[f"{size} serial"], rows[f"{size} parallel"]
+        assert serial["app_host_insns"] - parallel["app_host_insns"] \
+            == serial["search_insns"]
+        searched += serial["search_insns"]
+    assert searched > 0
+
+
 # -- hardware-assisted profiling -----------------------------------------------
 
 

@@ -16,6 +16,7 @@ import signal
 import threading
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +331,18 @@ def _busy_worker_pid(client, timeout=30.0):
     raise AssertionError("no worker went busy")
 
 
+def _await_attempt_start(trace_dir, pid, timeout=30.0):
+    """Wait until worker ``pid`` has flushed its ``attempt_start``
+    instant (busy in healthz can come before it is written)."""
+    path = Path(trace_dir) / f"worker-{pid}.jsonl"
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if path.exists() and "attempt_start" in path.read_text():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} wrote no attempt_start")
+
+
 def test_killed_and_resumed_job_is_one_timeline_with_retry_instants(
         tmp_path):
     """ISSUE acceptance: SIGKILL a worker mid-job; the merged timeline
@@ -344,6 +357,7 @@ def test_killed_and_resumed_job_is_one_timeline_with_retry_instants(
             reply = client.submit("arch_run", params, max_attempts=5)
             trace_id = reply["trace_id"]
             pid = _busy_worker_pid(client)
+            _await_attempt_start(host.config.trace_dir, pid)
             os.kill(pid, signal.SIGKILL)
             final = client.wait(reply["job"], timeout=180)
             assert final["state"] == "done"
