@@ -2,11 +2,11 @@
 
 ``darco fuzz`` mutates GISA guest programs to maximize TOL-path
 coverage (``cov.*`` telemetry: unit-exit arms, superblock shapes,
-quarantine ladder edges, direct-tier outcomes, annotated-timing
-fallback reasons) and runs every candidate through a differential
-oracle — the reference interpretive path vs the fastpath / direct /
-annotated-timing tiers, in strict and recover modes — flagging any
-divergence in architectural state, retirement counts or cycle reports.
+quarantine ladder edges, direct-tier outcomes) and runs every
+candidate through a differential oracle — the reference interpretive
+path vs the fastpath / direct / annotated-timing tiers, in strict and
+recover modes — flagging any divergence in architectural state,
+retirement counts or cycle reports.
 Findings are auto-triaged: deduped by incident signature, emitted as
 self-contained repro bundles, ddmin-minimized with a kind-matched
 oracle, and replayed for confirmation.

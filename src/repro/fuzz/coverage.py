@@ -17,13 +17,12 @@ from typing import Dict, FrozenSet, Iterable, Mapping
 #: Counter namespaces that constitute TOL-path coverage.  ``cov.*`` are
 #: the dedicated cheap path counters (exit arms, shapes, direct-tier
 #: outcomes, quarantine edges, sanitizer checks); the others capture
-#: mode mix, incident kinds and annotated-timing fallback reasons.
+#: mode mix and incident kinds.
 COVERAGE_NAMESPACES = (
     "cov.",
     "mode.retired.",
     "resilience.incidents.",
     "resilience.quarantine.",
-    "timing.annotated.fallback.",
 )
 
 

@@ -122,8 +122,7 @@ class WarmupSimulator:
         tol.guest_icount = warm_start
 
         core = InOrderCore(self.timing_config)
-        session = TimingSession(core)
-        tol.host.trace_sink = session.sink
+        TimingSession(core).install(tol)
 
         # Warm-up phase: downscaled promotion thresholds.
         original = (self.tol_config.bbm_threshold,

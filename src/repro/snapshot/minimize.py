@@ -29,7 +29,10 @@ The oracle is two runs per candidate: the plain authoritative
 :class:`GuestEmulator` first (a candidate that crashes or hangs the
 *reference* is an invalid program, not an interesting one), then the
 full co-designed stack; a candidate is interesting iff the reference
-run is clean and the co-designed run raises or records incidents.
+run is clean and the co-designed run raises or records incidents.  Both
+runs are bounded by the candidate's size: the reference by a step cap
+scaled to the original program's run, the co-designed host's fuel
+watchdog by :data:`HOST_FUEL_PER_REFERENCE_STEP` times that cap.
 
 Oracles are pluggable: :class:`ProgramOracle` is the generic divergence
 oracle; :class:`SanitizerOracle` keeps only candidates that still trip a
@@ -57,6 +60,14 @@ assert len(_NOP_BYTE) == 1
 
 #: Direct branches whose ``Imm`` operand is an absolute code address.
 _DIRECT_BRANCH_PREFIXES = ("JMP", "CALL")
+
+#: Host instructions one co-designed dispatch may execute per guest step
+#: of the oracle's reference step cap before the run counts as a livelock
+#: (the host's fuel watchdog).  A candidate the reference completes
+#: within the cap retires at most that many guest instructions, and no
+#: translation expands one by this much; with the default cap the host's
+#: own fuel is the smaller bound.
+HOST_FUEL_PER_REFERENCE_STEP = 64
 
 
 def _is_direct_branch(instr: GuestInstr) -> bool:
@@ -123,12 +134,15 @@ class ProgramOracle:
             return False
         return reference.os.exited
 
-    def diverges(self, program: GuestProgram) -> bool:
+    def _codesigned(self, program: GuestProgram):
+        """A controller for the co-designed run of ``program``, with the
+        fault armed and the host's per-dispatch fuel scaled to the
+        reference step cap, so a candidate whose co-designed run
+        livelocks is settled as quickly as an infinite reference loop is
+        (a divergence to :class:`ProgramOracle`; :class:`SanitizerOracle`
+        rejects it)."""
         from repro.system.controller import Controller
 
-        self.tests_run += 1
-        if not self.valid(program):
-            return False
         controller = Controller(program, config=self.config,
                                 os=self._os())
         tol = controller.codesigned.tol
@@ -137,6 +151,17 @@ class ProgramOracle:
             FaultInjector(FaultSpec(
                 site=self.fault["site"], ordinal=self.fault["ordinal"],
                 salt=self.fault["salt"])).attach(tol)
+        host = tol.host
+        host.fuel_per_dispatch = min(
+            host.fuel_per_dispatch,
+            HOST_FUEL_PER_REFERENCE_STEP * self.reference_step_cap)
+        return controller, tol
+
+    def diverges(self, program: GuestProgram) -> bool:
+        self.tests_run += 1
+        if not self.valid(program):
+            return False
+        controller, tol = self._codesigned(program)
         try:
             controller.run(max_events=self.max_events)
         except Exception:
@@ -161,20 +186,12 @@ class SanitizerOracle(ProgramOracle):
         super().__init__(replace(config, sanitize=True), **kwargs)
 
     def diverges(self, program: GuestProgram) -> bool:
-        from repro.system.controller import Controller
         from repro.tol.sanitize import KIND_SANITIZER, SanitizerError
 
         self.tests_run += 1
         if not self.valid(program):
             return False
-        controller = Controller(program, config=self.config,
-                                os=self._os())
-        tol = controller.codesigned.tol
-        if self.fault is not None:
-            from repro.resilience.faults import FaultInjector, FaultSpec
-            FaultInjector(FaultSpec(
-                site=self.fault["site"], ordinal=self.fault["ordinal"],
-                salt=self.fault["salt"])).attach(tol)
+        controller, tol = self._codesigned(program)
         try:
             controller.run(max_events=self.max_events)
         except SanitizerError:

@@ -148,8 +148,8 @@ def register_controller_collector(telemetry, controller) -> None:
 def register_timing_collector(telemetry, core, session=None) -> None:
     """Scrape the in-order timing core: cycles, per-unit-class issue
     counts, branch/cache statistics and stall attribution.  With a
-    ``TimingSession`` attached, also surface the cycle-annotation
-    fastpath/fallback split (``timing.annotated.*``)."""
+    ``TimingSession`` attached, also surface its batched annotated
+    traffic (``timing.annotated.*``)."""
 
     def collect(reg):
         stats = core.stats
@@ -182,10 +182,5 @@ def register_timing_collector(telemetry, core, session=None) -> None:
                             session.fastpath_batches)
             reg.set_counter("timing.annotated.fastpath",
                             session.fastpath_insns)
-            reg.set_counter("timing.annotated.fallback",
-                            session.fallback_insns)
-            for reason, count in sorted(session.fallback_reasons.items()):
-                reg.set_counter(f"timing.annotated.fallback.{reason}",
-                                count)
 
     telemetry.register_collector(collect)

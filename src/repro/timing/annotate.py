@@ -1,71 +1,89 @@
-"""Static cycle annotation of translated units (Schnerr-style
-back-annotation, PAPERS.md "Cycle Accurate Binary Translation").
+"""Static cycle annotation of translated units, and the in-order step
+stated once (Schnerr-style back-annotation, PAPERS.md "Cycle Accurate
+Binary Translation": the translate-time annotation is the primary model).
 
-A timing run used to pay a per-executed-instruction Python round trip:
-the host emulator delivered every record into ``TimingSession.sink``,
-which re-classified the op, re-mapped its registers into the scoreboard
-namespace and re-synthesized its host PC before calling
-``InOrderCore.feed`` — all of it recomputed on *every execution* of the
-same translated instruction.
+Everything about a host instruction that does not depend on its
+execution is computed once per unit:
 
-This module computes that work **once per unit**:
+- :func:`build_static_profile` captures what does not depend on the
+  timing configuration either: synthetic host PC and I-line, record
+  kind and execution-unit class, scoreboard-mapped destination and
+  sources, and the taken-target PC of control transfers.  It runs
+  lazily, on a unit's first timed execution, and is cached on the unit.
+- :class:`UnitAnnotation` binds a profile to one ``InOrderCore``: class
+  latencies and occupancies from its ``TimingConfig`` and references to
+  its per-class unit scoreboards, as the flat records the step reads.
 
-- :func:`build_static_profile` runs at translate time (hooked into
-  ``CodeGenerator.generate``) and captures everything about an
-  instruction that does not depend on the timing configuration: its
-  synthetic host PC and I-line, execution-unit class, scoreboard-mapped
-  destination/sources, and (for control transfers) the precomputed
-  taken-target PC.
+The in-order step itself -- fetch with I-line and IQ backpressure, the
+RAW bound, unit or port selection, issue with stall attribution,
+latency, the gshare/BTB update and the scoreboard write -- is written
+once, as the source emitter :func:`_emit_step`, over an instruction's
+facts.  Each fact is either a literal folded into the source or the
+name of the local that holds it at run time, and three forms are
+generated from it:
 
-- :func:`resolve_annotation` binds a static profile to one
-  ``InOrderCore``: class latencies/occupancies from the core's
-  ``TimingConfig`` and direct references to the core's per-class unit
-  scoreboards, producing the flat record tuples
-  ``InOrderCore.feed_unit`` consumes in its hoisted-locals loop.  It
-  also derives the unit's *steady-state schedule* — the cycles the body
-  would take under the all-L1-hit / correctly-predicted assumption —
-  kept on the annotation for diagnostics (`steady_cycles`); the live
-  model still executes every stateful update, which is what keeps the
-  fast path bit-identical to the per-instruction path (DESIGN.md §10).
+- the generic loop (:func:`generic_loop`, run by
+  ``InOrderCore.feed_unit``) reads the facts from the annotation records;
+- a hot unit's applier (:func:`compile_applier`) folds them in as
+  literals, one straight-line block per instruction;
+- the periodic applier (:func:`compile_periodic`) of the synthetic TOL
+  overhead annotation folds in the facts that repeat with the mix and
+  reads each record's PC and I-line from the annotation.
 
-Annotations are cached per session keyed by unit uid and dropped via the
-``CodeCache.on_remove`` hook when a unit is invalidated or evicted.
+Per-instruction ``InOrderCore.feed`` and the per-record trace sink are
+fed through the generic loop, so every path computes the same
+arithmetic by construction.  Configuration values are literals in every
+form, and each generated source is compiled once and memoized by its
+text.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from repro.host.isa import REGFILES, HostOp, op_unit_class
 
-# Scoreboard register-id namespaces (mirrors timing.core; duplicated here
-# so translate-time profiling never imports the timing core).
+#: Scoreboard register-id namespaces: integer, FP and vector files.
 FP_BASE = 64
 VEC_BASE = 96
+NUM_SCOREBOARD_REGS = 112
 
-#: record kind codes used by ``InOrderCore.feed_unit``
+#: record kind codes
 KIND_EXEC = 0     # simple/complex/fp/fp_div/vector (a cfg.units class)
 KIND_LOAD = 1
 KIND_STORE = 2
 KIND_BRANCH = 3   # branch-class ops (incl. exits/asserts/ibtc)
 
+#: execution-unit class -> record kind (anything else is KIND_EXEC)
+_CLASS_KIND = {"load": KIND_LOAD, "store": KIND_STORE,
+               "branch": KIND_BRANCH}
 
-#: op -> (d, a, b, c) register file letters ('i' int, 'f' fp, 'v' vec),
-#: from the op table.
+#: op -> (d, a, b, c) register file letters ('i' int, 'f' fp, 'v' vec)
 _REGFILES = {op: tuple(files) for op, files in REGFILES.items()}
 
-#: op -> execution-unit class, likewise precomputed at import time.
+#: op -> execution-unit class
 _UNIT_CLASS = {op: op_unit_class(op) for op in sorted(HostOp.ALL)}
 
 _BASE = {"i": 0, "f": FP_BASE, "v": VEC_BASE}
 
-_KIND = {"load": KIND_LOAD, "store": KIND_STORE, "branch": KIND_BRANCH}
-
 #: a unit's applier is compiled after the generic loop has fed
-#: ``PER_INSN * unit_size + BASE`` of its records (hot units only —
-#: compiling costs real time; see the tiering note below).
-COMPILE_AT_PER_INSN = 8
+#: ``PER_INSN * unit_size + BASE`` of its records, i.e. once the loop has
+#: spent on the unit about what compiling it costs: ~300 us per
+#: instruction against ~0.8 us per record (the hottest units of
+#: bench_timing's workload, 2-vCPU Xeon VM).  On the recorded per-unit
+#: traffic of 429.mcf, 433.milc, ragdoll and bench_timing's workload,
+#: priced with those costs and ~0.5 us per applier record, this factor
+#: gives the least total of any from 100 to 1,200.
+COMPILE_AT_PER_INSN = 400
 COMPILE_AT_BASE = 256
+
+#: units larger than this keep the generic loop (bounds generated-source
+#: size; covers every BBM/SBM unit in practice).
+_MAX_COMPILED_SIZE = 512
+
+#: source text -> code object (cross-session; cleared when full)
+_CODE_CACHE: dict = {}
+_CODE_CACHE_MAX = 1024
 
 
 def host_pc(unit_uid: int, index: int) -> int:
@@ -77,265 +95,455 @@ def build_static_profile(unit) -> list:
     """Timing-config-independent per-instruction profile of ``unit``.
 
     Entry ``i`` is ``(pc, line, kind, klass, dst, srcs, taken_pc)``:
-
-    - ``pc``/``line``: synthetic host PC and its I-cache line;
-    - ``kind``: one of the ``KIND_*`` codes;
-    - ``klass``: the execution-unit class string (telemetry bucketing);
-    - ``dst``: scoreboard-mapped destination (``None`` for stores, which
-      retire through the store buffer);
-    - ``srcs``: scoreboard-mapped source registers with the ``None``
-      operand slots already filtered out;
-    - ``taken_pc``: for branch-class ops, the synthetic target of a
-      taken transfer (``host_pc(uid, target or 0)`` — exactly what the
-      per-instruction adapter computes); ``0`` otherwise.
-
-    Computed once at translate time and attached to the unit as
-    ``_timing_profile``; a few dict lookups per instruction, dwarfed by
-    the SSA/scheduling passes that precede code generation.
+    synthetic host PC and its I-cache line; a ``KIND_*`` code; the
+    execution-unit class string; the scoreboard-mapped destination
+    (``None`` for stores, which retire through the store buffer); the
+    scoreboard-mapped sources, ``None`` operand slots dropped; and, for
+    branch-class ops, the synthetic PC of a taken transfer (``0``
+    otherwise).
     """
-    uid = unit.uid
-    base = uid << 14
+    base = unit.uid << 14
     profile = []
-    append = profile.append
-    regfiles = _REGFILES
-    unit_class = _UNIT_CLASS
-    reg_base = _BASE
-    kinds = _KIND
     for index, ins in enumerate(unit.instrs):
-        op = ins.op
-        klass = unit_class[op]
-        d_class, a_class, b_class, c_class = regfiles[op]
-        kind = kinds.get(klass, KIND_EXEC)
+        klass = _UNIT_CLASS[ins.op]
+        files = _REGFILES[ins.op]
         dst = None
-        if ins.d is not None and kind != KIND_STORE:
-            dst = reg_base[d_class] + ins.d
-        srcs = []
-        if ins.a is not None:
-            srcs.append(reg_base[a_class] + ins.a)
-        if ins.b is not None:
-            srcs.append(reg_base[b_class] + ins.b)
-        if ins.c is not None:
-            srcs.append(reg_base[c_class] + ins.c)
-        pc = base | (index << 2)
+        if ins.d is not None and klass != "store":
+            dst = _BASE[files[0]] + ins.d
+        srcs = tuple(_BASE[file] + reg for file, reg
+                     in zip(files[1:], (ins.a, ins.b, ins.c))
+                     if reg is not None)
         taken_pc = 0
-        if kind == KIND_BRANCH:
+        if klass == "branch":
             taken_pc = base | ((ins.target or 0) << 2)
-        append((pc, pc >> 6, kind, klass, dst, tuple(srcs), taken_pc))
+        profile.append(profile_entry(base | (index << 2), klass, dst, srcs,
+                                     taken_pc))
+    return profile
+
+
+def profile_entry(pc: int, klass: str, dst: Optional[int], srcs: tuple,
+                  taken_pc: int = 0) -> tuple:
+    """One entry of a static profile (see :func:`build_static_profile`)."""
+    return (pc, pc >> 6, _CLASS_KIND.get(klass, KIND_EXEC), klass, dst,
+            srcs, taken_pc)
+
+
+def _unit_profile(unit, profile: Optional[list]) -> list:
+    if profile is None:
+        profile = unit.__dict__.get("_timing_profile")
+        if profile is None:
+            profile = unit._timing_profile = build_static_profile(unit)
     return profile
 
 
 class UnitAnnotation:
     """A static profile bound to one core's configuration and resources.
 
-    ``recs[i]`` is the flat tuple ``feed_unit`` unpacks per executed
+    ``recs[i]`` is the flat tuple the generic loop unpacks per executed
     record: ``(pc, line, kind, ki, dst, srcs, ulist, ext)`` where ``ki``
-    indexes ``class_names`` (telemetry bucketing without per-record dict
-    hashing), ``ulist`` is the core's scoreboard list for the
-    instruction's unit class (``None`` for loads/stores, which bind to
-    the shared memory ports) and ``ext`` is ``(latency, occupancy,
-    n_units)`` for exec ops or the precomputed taken-target PC for
-    branch-class ops.  ``srcs`` is ``None`` when the instruction reads
-    no registers.
+    indexes ``class_names``, ``ulist`` is the core's scoreboard list for
+    an exec instruction's unit class (``None`` otherwise) and ``ext`` is
+    ``(latency, occupancy, n_units)`` for exec instructions and the
+    taken-target PC otherwise.
     """
 
-    __slots__ = ("uid", "recs", "size", "steady_cycles", "class_counts",
-                 "class_names", "compiled", "fed_records", "compile_at")
+    __slots__ = ("uid", "recs", "size", "class_names", "compiled",
+                 "fed_records", "compile_at")
 
-    def __init__(self, uid: int, recs: list, steady_cycles: int,
-                 class_counts: dict, class_names: list):
+    def __init__(self, uid: int, profile, core):
         self.uid = uid
-        self.recs = recs
-        self.size = len(recs)
-        #: cycles for one straight-line pass over the unit body under
-        #: the all-hit / correctly-predicted / no-external-dependence
-        #: assumption (diagnostics; the live model recomputes exactly).
-        self.steady_cycles = steady_cycles
-        self.class_counts = class_counts
-        #: ki -> execution-class string, for merging batch class counts
-        #: back into ``stats.by_class``.
-        self.class_names = class_names
-        #: generated per-unit batch applier (``fn(records) -> None |
-        #: resume position``), or None while the unit stays on the
-        #: generic ``InOrderCore.feed_unit`` loop.
+        self.recs = []
+        self.class_names = []
+        self.extend(profile, core)
+        #: generated applier (``fn(records) -> None | resume position``),
+        #: or None while the unit stays on the generic loop.
         self.compiled = None
-        #: records fed so far through the generic loop; once this
-        #: crosses ``compile_at`` the session compiles the specialized
-        #: applier — annotation is tiered exactly like translation.
+        #: records fed through the generic loop so far; crossing
+        #: ``compile_at`` tiers the unit up to its applier.
         self.fed_records = 0
-        self.compile_at = (COMPILE_AT_PER_INSN * self.size
-                           + COMPILE_AT_BASE)
+        self.compile_at = COMPILE_AT_PER_INSN * self.size + COMPILE_AT_BASE
+
+    def extend(self, profile, core) -> None:
+        """Append the records of further profile entries."""
+        units = core._units
+        classes = core.config.units
+        names = self.class_names
+        append = self.recs.append
+        for pc, line, kind, klass, dst, srcs, taken_pc in profile:
+            if klass not in names:
+                names.append(klass)
+            ulist = None
+            ext = taken_pc
+            if kind == KIND_EXEC:
+                _count, latency, pipelined = classes[klass]
+                ulist = units[klass]
+                ext = (latency, 1 if pipelined else latency, len(ulist))
+            append((pc, line, kind, names.index(klass), dst, srcs, ulist,
+                    ext))
+        self.size = len(self.recs)
 
 
 def resolve_annotation(unit, core, profile: Optional[list] = None
                        ) -> UnitAnnotation:
-    """Bind ``unit``'s static profile to ``core``'s configuration.
+    """Bind ``unit``'s static profile to ``core``'s configuration."""
+    return UnitAnnotation(unit.uid, _unit_profile(unit, profile), core)
 
-    Raises ``KeyError``/``AttributeError`` for units the profile cannot
-    describe (unknown op classes); callers treat that as "unannotatable"
-    and fall back to the per-instruction path.
-    """
-    if profile is None:
-        profile = unit.__dict__.get("_timing_profile")
-        if profile is None:
-            profile = build_static_profile(unit)
-            unit._timing_profile = profile
-    cfg = core.config
-    units = core._units
-    recs: List[Tuple] = []
-    append = recs.append
-    class_counts: dict = {}
-    class_index: dict = {}
-    class_names: list = []
-    # Steady-state schedule: issue-width-limited, dependence-free,
-    # all-hit latencies (documentation of the unit's best case).
-    issue_width = cfg.issue_width or 1
-    l1d_hit = cfg.l1d.hit_latency
-    steady_done = 0
-    for pc, line, kind, klass, dst, srcs, taken_pc in profile:
-        class_counts[klass] = class_counts.get(klass, 0) + 1
-        ki = class_index.get(klass)
-        if ki is None:
-            ki = class_index[klass] = len(class_names)
-            class_names.append(klass)
-        srcs = srcs or None
-        if kind == KIND_EXEC:
-            count, latency, pipelined = cfg.units[klass]
-            occupancy = 1 if pipelined else latency
-            ulist = units[klass]
-            append((pc, line, kind, ki, dst, srcs, ulist,
-                    (latency, occupancy, len(ulist))))
-            steady_done = max(steady_done, latency)
-        elif kind == KIND_BRANCH:
-            ulist = units["simple"]
-            append((pc, line, kind, ki, dst, srcs, ulist, taken_pc))
-            steady_done = max(steady_done, 1)
+
+# ----------------------------------------------------------------------
+# The step, stated once.
+# ----------------------------------------------------------------------
+
+
+class _Facts(NamedTuple):
+    """One instruction as :func:`_emit_step` sees it.  Each field is a
+    literal to fold into the source or the expression that reads it at
+    run time: a local of the generic loop, a record field in the
+    periodic applier."""
+    pc: object
+    line: object
+    new_line: bool     # emit the I-line change check
+    kind: Optional[int]  # None: dispatch on the record's kind
+    srcs: Optional[tuple]  # None: loop over the record's sources
+    dst: object        # register, None (no write) or the local's name
+    unit: Optional[tuple]  # exec: (list, count, latency, occupancy)
+    taken: object      # taken-target PC of a branch
+    info: str          # the record's per-execution dynamics
+    last: bool         # emit the ``last_done`` update (False: a later
+                       # instruction of the same arm completes no earlier)
+
+
+#: the generic loop's facts: every one read from the record
+_RECORD = _Facts("pc", "line", True, None, None, "dst",
+                 ("ulist", "n_units", "latency", "occupancy"), "ext", "info",
+                 True)
+
+#: core state the step uses, bound once per call (generic loop) or per
+#: applier (as default arguments)
+_RESOURCES = (
+    ("RR", "C.reg_ready"), ("IQ", "C._iq"), ("ST", "C._stall"),
+    ("SS", "C.stats"), ("FL", "C.mem.fetch_latency"),
+    ("DL", "C.mem.data_latency"), ("GU", "C.gshare.update"),
+    ("BL", "C.btb.lookup"), ("BU", "C.btb.update"),
+    ("RP", "C._read_ports"), ("WP", "C._write_ports"),
+    ("UL_simple", 'C._units["simple"]'),
+)
+
+#: (local, core attribute) of the scalar state carried across calls
+_SCALARS = (("fetch_cycle", "_fetch_cycle"), ("fetched", "_fetched_in_cycle"),
+            ("last_line", "_last_fetch_line"), ("last_issue", "_last_issue"),
+            ("issued_in_cycle", "_issued_in_cycle"),
+            ("last_done", "_last_done"), ("iq_pos", "_iq_pos"))
+_STALLS = (("st_raw", "raw"), ("st_unit", "unit"), ("st_mem", "memport"),
+           ("st_iq", "iq"), ("st_front", "frontend"))
+
+
+class _Source:
+    """Generated source text: ``emit(indent, line)``."""
+
+    def __init__(self):
+        self.lines = []
+
+    def __call__(self, ind: int, text: str) -> None:
+        self.lines.append("    " * ind + text)
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def _emit_step(emit, ind: int, f: _Facts, cfg) -> None:
+    """One instruction's update of the in-order core: fetch, RAW bound,
+    unit/port selection, issue with stall attribution, latency, branch
+    prediction and scoreboard write, in that order."""
+    emit(ind, f"if fetched >= {cfg.fetch_width}:")
+    emit(ind + 1, "fetch_cycle += 1")
+    emit(ind + 1, "fetched = 0")
+    if f.new_line:
+        emit(ind, f"if {f.line} != last_line:")
+        emit(ind + 1, f"last_line = {f.line}")
+        emit(ind + 1, f"_fl = FL({f.pc}) - {cfg.l1i.hit_latency}")
+        emit(ind + 1, "if _fl > 0:")
+        emit(ind + 2, "fetch_cycle += _fl")
+        emit(ind + 2, "fetched = 0")
+        emit(ind + 2, "st_front += _fl")
+    # IQ backpressure: fetch waits for the op iq_size ahead to issue.
+    emit(ind, "_b = IQ[iq_pos]")
+    emit(ind, "if _b > fetch_cycle:")
+    emit(ind + 1, "st_iq += _b - fetch_cycle")
+    emit(ind + 1, "fetch_cycle = _b")
+    emit(ind + 1, "fetched = 0")
+    emit(ind, "fetched += 1")
+    emit(ind, f"ready = fetch_cycle + {cfg.decode_depth}")
+    raw = _emit_raw(emit, ind, f.srcs)
+    if f.kind is None:
+        for i, kind in enumerate((KIND_EXEC, KIND_LOAD, KIND_BRANCH,
+                                  KIND_STORE)):
+            emit(ind, f"{'elif' if i else 'if'} kind == {kind}:" if i < 3
+                 else "else:")
+            if kind == KIND_EXEC:
+                emit(ind + 1, "latency, occupancy, n_units = ext")
+            _emit_kind(emit, ind + 1, kind, f, raw, cfg)
+    else:
+        _emit_kind(emit, ind, f.kind, f, raw, cfg)
+    if isinstance(f.dst, str):
+        emit(ind, f"if {f.dst} is not None:")
+        emit(ind + 1, f"RR[{f.dst}] = done")
+    elif f.dst is not None:
+        emit(ind, f"RR[{f.dst}] = done")
+    if f.last:
+        emit(ind, "if done > last_done:")
+        emit(ind + 1, "last_done = done")
+
+
+def _emit_raw(emit, ind: int, srcs) -> bool:
+    """Bind ``raw_bound``; False when the instruction reads no register
+    (a zero bound can never bind)."""
+    if srcs is None:
+        emit(ind, "raw_bound = 0")
+        emit(ind, "for _s in srcs:")
+        emit(ind + 1, "_r = RR[_s]")
+        emit(ind + 1, "if _r > raw_bound:")
+        emit(ind + 2, "raw_bound = _r")
+        return True
+    for i, src in enumerate(srcs):
+        if i == 0:
+            emit(ind, f"raw_bound = RR[{src}]")
         else:
-            append((pc, line, kind, ki, dst, srcs, None, None))
-            steady_done = max(steady_done,
-                              l1d_hit if kind == KIND_LOAD else 1)
-    n = len(profile)
-    issue_cycles = (n + issue_width - 1) // issue_width if n else 0
-    steady_cycles = issue_cycles + steady_done
-    return UnitAnnotation(unit.uid, recs, steady_cycles, class_counts,
-                          class_names)
+            emit(ind, f"_r = RR[{src}]")
+            emit(ind, "if _r > raw_bound:")
+            emit(ind + 1, "raw_bound = _r")
+    return bool(srcs)
 
 
-# ----------------------------------------------------------------------
-# Generated per-unit batch appliers.
-#
-# ``feed_unit`` already amortizes the per-record Python call, but it
-# still re-reads every static fact (PC, line, kind, operands, unit
-# class) from the annotation table on every execution and re-dispatches
-# on the record kind.  For compiled units all of that is known at
-# annotation time, so — exactly like the host emulator's fast segments
-# and the direct tier — we generate a specialized Python function per
-# unit with the constants folded into the bytecode:
-#
-# - one straight-line block per instruction, with literal PCs, I-lines,
-#   latencies and scoreboard indices;
-# - the I-line change check elided whenever the previous instruction in
-#   the same straight-line run shares the line (statically known);
-# - RAW lookups unrolled per operand, unit/port selection unrolled for
-#   the 1- and 2-wide cases;
-# - control flow mirroring the unit CFG: arms per *leader* (entry 0,
-#   branch targets, fall-throughs past a branch), so a record batch is
-#   consumed by running down the arm and re-dispatching only at
-#   branch-class records.
-#
-# The arithmetic is ``InOrderCore.feed``'s line for line (see the
-# mirror note in timing/core.py); only its operands are pre-resolved.
-# A batch that enters at a non-leader index (rare: a pause flush inside
-# a run) makes the dispatcher bail by returning the unconsumed
-# position, and the caller finishes the batch on the generic
-# ``feed_unit`` loop — bailing is always exact.
-#
-# Compiling is not free (tens of ms for a big unit), so it is *tiered*
-# like translation itself: the session compiles a unit's applier only
-# after the generic loop has fed ``compile_at`` records for it, and the
-# resulting code objects are memoized by source text — a unit translated
-# identically in a later session (same uid sequence, same timing
-# configuration) rebinds the cached bytecode with a cheap ``exec``
-# instead of recompiling.
-# ----------------------------------------------------------------------
+def _emit_kind(emit, ind: int, kind: int, f: _Facts, raw: bool,
+               cfg) -> None:
+    """Selection, issue and latency of one record kind; binds ``done``."""
+    if kind == KIND_EXEC:
+        ulist, count, latency, occupancy = f.unit
+        at = _emit_select(emit, ind, ulist, count)
+        _emit_issue(emit, ind, raw, "st_unit", cfg)
+        if occupancy == latency:
+            emit(ind, f"done = {ulist}[{at}] = issue + {latency}")
+        else:
+            emit(ind, f"{ulist}[{at}] = issue + {occupancy}")
+            emit(ind, f"done = issue + {latency}")
+    elif kind == KIND_BRANCH:
+        at = _emit_select(emit, ind, "UL_simple", cfg.units["simple"][0])
+        _emit_issue(emit, ind, raw, "st_unit", cfg)
+        emit(ind, f"done = UL_simple[{at}] = issue + 1")
+        emit(ind, f"_inf = {f.info}")
+        emit(ind, '_tk = _inf["taken"] if _inf is not None else False')
+        emit(ind, f"_ok = GU({f.pc}, _tk)")
+        emit(ind, "if _tk:")
+        emit(ind + 1, f"if BL({f.pc}) != {f.taken}:")
+        emit(ind + 2, "_ok = False")
+        emit(ind + 1, f"BU({f.pc}, {f.taken})")
+        emit(ind, "if not _ok:")
+        emit(ind + 1, "n_mispredicts += 1")
+        emit(ind + 1, f"_rd = done + {cfg.mispredict_penalty}")
+        emit(ind + 1, "if _rd > fetch_cycle:")
+        emit(ind + 2, "fetch_cycle = _rd")
+        emit(ind + 2, "fetched = 0")
+    else:
+        load = kind == KIND_LOAD
+        ports, count = (("RP", cfg.mem_read_ports) if load
+                        else ("WP", cfg.mem_write_ports))
+        at = _emit_select(emit, ind, ports, count)
+        _emit_issue(emit, ind, raw, "st_mem", cfg)
+        emit(ind, f"_inf = {f.info}")
+        emit(ind, '_a = _inf["mem_addr"] if _inf is not None else None')
+        if load:
+            emit(ind, f"done = issue + DL({f.pc}, _a or 0)")
+            emit(ind, f"{ports}[{at}] = issue + 1")
+        else:
+            emit(ind, f"DL({f.pc}, _a or 0)")
+            # the store buffer hides the rest
+            emit(ind, f"done = {ports}[{at}] = issue + 1")
 
-#: units larger than this keep the generic ``feed_unit`` loop (bounds
-#: generated-source size; covers every BBM/SBM unit in practice).
-_MAX_COMPILED_SIZE = 512
 
-#: source text -> code object (cross-session; cleared when full)
-_CODE_CACHE: dict = {}
-_CODE_CACHE_MAX = 1024
+def _emit_select(emit, ind: int, lst: str, count) -> str:
+    """Bind ``bound`` to the lowest-ready entry of ``lst`` (ties to the
+    lowest index, as ``min`` resolves them) and return its index
+    expression.  ``count`` is ``len(lst)``, or the local holding it."""
+    if count == 1:
+        emit(ind, f"bound = {lst}[0]")
+        return "0"
+    if count == 2:
+        emit(ind, "at = 0")
+        emit(ind, f"bound = {lst}[0]")
+        emit(ind, f"_u = {lst}[1]")
+        emit(ind, "if _u < bound:")
+        emit(ind + 1, "bound = _u")
+        emit(ind + 1, "at = 1")
+        return "at"
+    if isinstance(count, str):
+        emit(ind, f"if {count} == 1:")
+        emit(ind + 1, "at = 0")
+        _emit_select(emit, ind + 1, lst, 1)
+        emit(ind, f"elif {count} == 2:")
+        _emit_select(emit, ind + 1, lst, 2)
+        emit(ind, "else:")
+        ind += 1
+    emit(ind, f"at = min(range({count}), key={lst}.__getitem__)")
+    emit(ind, f"bound = {lst}[at]")
+    return "at"
 
 
-def _emit_issue_block(emit, ind, n_srcs, bound: str, bucket: str,
-                      issue_width: int) -> None:
-    """The shared issue/stall-attribution sequence of ``feed``, with the
-    RAW comparisons dropped for 0-source instructions (a zero bound can
-    never exceed ``ready`` >= 0)."""
+def _emit_issue(emit, ind: int, raw: bool, stall: str, cfg) -> None:
+    """In-order issue at the binding constraint, ``issue_width`` per
+    cycle; the stall is charged to the constraint that bound it."""
     emit(ind, "issue = ready")
-    if n_srcs:
+    if raw:
         emit(ind, "if raw_bound > issue:")
         emit(ind + 1, "issue = raw_bound")
-    emit(ind, f"if {bound} > issue:")
-    emit(ind + 1, f"issue = {bound}")
-    emit(ind, "if last_issue > issue:")
+    emit(ind, "if bound > issue:")
+    emit(ind + 1, "issue = bound")
+    emit(ind, "if issue > last_issue:")
+    emit(ind + 1, "last_issue = issue")
+    emit(ind + 1, "issued_in_cycle = 1")
+    emit(ind, f"elif issued_in_cycle >= {cfg.issue_width}:")
+    emit(ind + 1, "issue = last_issue = last_issue + 1")
+    emit(ind + 1, "issued_in_cycle = 1")
+    emit(ind, "else:")
     emit(ind + 1, "issue = last_issue")
-    emit(ind, f"if issue == last_issue and issued_in_cycle >= {issue_width}:")
-    emit(ind + 1, "issue += 1")
-    if n_srcs:
+    emit(ind + 1, "issued_in_cycle += 1")
+    if raw:
         emit(ind, "if raw_bound >= issue and raw_bound > ready:")
         emit(ind + 1, "st_raw += raw_bound - ready")
-        emit(ind, f"elif {bound} >= issue and {bound} > ready:")
-    else:
-        emit(ind, f"if {bound} >= issue and {bound} > ready:")
-    emit(ind + 1, f"st_{bucket} += {bound} - ready")
-    emit(ind, "if issue > last_issue:")
-    emit(ind + 1, "issued_in_cycle = 1")
-    emit(ind + 1, "last_issue = issue")
-    emit(ind, "else:")
-    emit(ind + 1, "issued_in_cycle += 1")
-    emit(ind, "IQA(issue)")
+    emit(ind, f"{'elif' if raw else 'if'} bound >= issue and bound > ready:")
+    emit(ind + 1, f"{stall} += bound - ready")
+    emit(ind, "IQ[iq_pos] = issue")
+    emit(ind, f"iq_pos = iq_pos + 1 if iq_pos < {cfg.iq_size - 1} else 0")
 
 
-def _emit_select(emit, ind, ulist: str, n: int, ranges: set) -> str:
-    """Emit lowest-ready selection over ``ulist`` (ties to the lowest
-    index, as ``min`` resolves them); returns the index expression to
-    write back through."""
-    if n == 1:
-        emit(ind, f"unit_bound = {ulist}[0]")
-        return "0"
-    if n == 2:
-        emit(ind, "_ui = 0")
-        emit(ind, f"unit_bound = {ulist}[0]")
-        emit(ind, f"_u1 = {ulist}[1]")
-        emit(ind, "if _u1 < unit_bound:")
-        emit(ind + 1, "unit_bound = _u1")
-        emit(ind + 1, "_ui = 1")
-        return "_ui"
-    ranges.add(n)
-    emit(ind, f"_ui = _min(_R{n}, key={ulist}.__getitem__)")
-    emit(ind, f"unit_bound = {ulist}[_ui]")
-    return "_ui"
+def _emit_enter(emit, ind: int) -> None:
+    for local, attr in _SCALARS:
+        emit(ind, f"{local} = C.{attr}")
+    for local, key in _STALLS:
+        emit(ind, f'{local} = ST["{key}"]')
+    emit(ind, "n_mispredicts = 0")
+
+
+def _emit_leave(emit, ind: int) -> None:
+    for local, attr in _SCALARS:
+        emit(ind, f"C.{attr} = {local}")
+    for local, key in _STALLS:
+        emit(ind, f'ST["{key}"] = {local}')
+    emit(ind, "SS.mispredicts += n_mispredicts")
+    emit(ind, "SS.cycles = last_done")
+
+
+def _code(source: str, name: str):
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[source] = compile(source, name, "exec")
+    return code
+
+
+#: generic-loop source text -> function
+_LOOPS: dict = {}
+
+
+def generic_loop(cfg):
+    """The generic loop for timing configuration ``cfg``:
+    ``fn(core, ann, records)`` feeds the executed ``(index, info)``
+    records of annotation ``ann`` in program order."""
+    emit = _Source()
+    emit(0, "def feed_unit(C, ann, records):")
+    for name, expr in _RESOURCES:
+        emit(1, f"{name} = {expr}")
+    emit(1, "recs = ann.recs")
+    emit(1, "counts = [0] * len(ann.class_names)")
+    _emit_enter(emit, 1)
+    emit(1, "try:")
+    emit(2, "for index, info in records:")
+    emit(3, "pc, line, kind, ki, dst, srcs, ulist, ext = recs[index]")
+    emit(3, "counts[ki] += 1")
+    _emit_step(emit, 3, _RECORD, cfg)
+    emit(1, "finally:")
+    _emit_leave(emit, 2)
+    emit(2, "for ki, count in enumerate(counts):")
+    emit(3, "if count:")
+    emit(4, "name = ann.class_names[ki]")
+    emit(4, "SS.by_class[name] = SS.by_class.get(name, 0) + count")
+    source = emit.text()
+    fn = _LOOPS.get(source)
+    if fn is None:
+        namespace: dict = {}
+        exec(_code(source, "<timing-step>"), namespace)
+        fn = _LOOPS[source] = namespace["feed_unit"]
+    return fn
+
+
+def _exec_facts(kind, klass, cfg):
+    """The unit facts of an exec-class instruction (None otherwise)."""
+    if kind != KIND_EXEC:
+        return None
+    count, latency, pipelined = cfg.units[klass]
+    return f"UL_{klass}", count, latency, 1 if pipelined else latency
+
+
+def _applier(core, classes, label, body, **extra):
+    """Compile an applier ``fn(records)``: ``body(emit)`` writes the
+    ``try`` block, which consumes ``records`` from ``pos``, counts
+    ``kc_<class>`` and returns the position of the first unconsumed
+    record (``None``: all consumed).  ``extra`` binds further names."""
+    params = [f"{name}={expr}" for name, expr in _RESOURCES]
+    params += [f'UL_{klass}=C._units["{klass}"]' for klass in classes
+               if klass not in _CLASS_KIND and klass != "simple"]
+    params += [f"{key}={key}" for key in extra]
+    emit = _Source()
+    emit(0, f"def _applier(records, C=C, {', '.join(params)}):")
+    _emit_enter(emit, 1)
+    for klass in classes:
+        emit(1, f"kc_{klass} = 0")
+    emit(1, "pos = 0")
+    emit(1, "n = len(records)")
+    emit(1, "try:")
+    body(emit)
+    emit(1, "finally:")
+    _emit_leave(emit, 2)
+    for klass in classes:
+        emit(2, f"if kc_{klass}:")
+        emit(3, f'SS.by_class["{klass}"] = '
+                f'SS.by_class.get("{klass}", 0) + kc_{klass}')
+    namespace = {"C": core, **extra}
+    exec(_code(emit.text(), label), namespace)
+    return namespace["_applier"]
+
+
+def _emit_counts(emit, ind: int, klasses) -> None:
+    for klass in dict.fromkeys(klasses):
+        emit(ind, f"kc_{klass} += {klasses.count(klass)}")
 
 
 def compile_applier(unit, core, profile=None):
-    """Generate the unit's specialized batch applier, or ``None`` when
-    the unit is too large to compile.  The returned function has the
-    signature ``fn(records) -> None | int``: ``None`` when the whole
+    """Generate ``unit``'s applier, or ``None`` when the unit is too
+    large to compile.  ``fn(records)`` returns ``None`` when the whole
     batch was consumed, else the position of the first unconsumed
-    record (non-leader entry; the caller falls back to ``feed_unit``
-    for the remainder)."""
-    if profile is None:
-        profile = unit.__dict__.get("_timing_profile")
-        if profile is None:
-            profile = build_static_profile(unit)
-            unit._timing_profile = profile
+    record: a batch is dispatched on its *leaders* (entry, branch
+    targets, fall-throughs past a branch) and runs down whole arms, so
+    a batch entering mid-arm (a pause flush) or ending inside one (a
+    flush or a rollback) bails there and the caller finishes it on the
+    generic loop."""
+    profile = _unit_profile(unit, profile)
     size = len(profile)
     if size == 0 or size > _MAX_COMPILED_SIZE:
         return None
     cfg = core.config
-
-    # -- leaders: entry, branch targets, fall-throughs past branches --
+    # Bounds of ``done - issue`` per instruction (a load's upper bound
+    # is open).  Issue is in order, so within a whole arm an instruction
+    # need not update ``last_done`` when a later one's lower bound
+    # reaches its upper bound.
+    load_lb = min(cfg.l1d.hit_latency, cfg.l2.hit_latency,
+                  cfg.memory_latency)
+    bounds = []
+    for _pc, _line, kind, klass, *_rest in profile:
+        if kind == KIND_EXEC:
+            bounds.append((cfg.units[klass][1],) * 2)
+        else:
+            bounds.append((load_lb, None) if kind == KIND_LOAD else (1, 1))
     leaders = {0}
     for k, ins in enumerate(unit.instrs):
         if profile[k][2] == KIND_BRANCH:
@@ -343,233 +551,64 @@ def compile_applier(unit, core, profile=None):
                 leaders.add(k + 1)
             if ins.target is not None and 0 <= ins.target < size:
                 leaders.add(ins.target)
-    order = sorted(leaders)
-    next_leader = {}
-    for i, lead in enumerate(order):
-        next_leader[lead] = order[i + 1] if i + 1 < len(order) else size
+    order = sorted(leaders) + [size]
 
-    classes = []
-    for entry in profile:
-        if entry[3] not in classes:
-            classes.append(entry[3])
+    def body(emit):
+        emit(2, "while pos < n:")
+        emit(3, "index = records[pos][0]")
+        for i, lead in enumerate(order[:-1]):
+            end = order[i + 1]
+            emit(3, f"{'elif' if i else 'if'} index == {lead}:")
+            emit(4, f"if n - pos < {end - lead}:")
+            emit(5, "return pos")
+            later = [-1] * (end - lead)  # max lower bound after k
+            for k in range(end - 1, lead, -1):
+                later[k - 1 - lead] = max(later[k - lead], bounds[k][0])
+            for k in range(lead, end):
+                pc, line, kind, klass, dst, srcs, taken = profile[k]
+                emit(4, f"# [{k}] {unit.instrs[k].op}")
+                new_line = k == lead or profile[k - 1][1] != line
+                info = f"records[pos + {k - lead}][1]" if k > lead \
+                    else "records[pos][1]"
+                upper = bounds[k][1]
+                last = upper is None or later[k - lead] < upper
+                _emit_step(emit, 4, _Facts(
+                    pc, line, new_line, kind, srcs, dst,
+                    _exec_facts(kind, klass, cfg), taken, info, last), cfg)
+            _emit_counts(emit, 4, [entry[3] for entry in profile[lead:end]])
+            emit(4, f"pos += {end - lead}")
+            emit(4, "continue")
+        emit(3, "else:")
+        emit(4, "return pos")
 
-    params = {
-        "C": core, "RR": core.reg_ready, "IQ": core._iq,
-        "IQA": core._iq.append, "IQP": core._iq.popleft,
-        "ST": core._stall, "SS": core.stats,
-        "FL": core.mem.fetch_latency, "DL": core.mem.data_latency,
-        "GU": core.gshare.update, "BL": core.btb.lookup,
-        "BU": core.btb.update, "_len": len,
-    }
-    uses_min = False
-    needed_ranges: set = set()
-    for klass in classes:
-        if klass in ("load", "store"):
-            continue
-        unit_klass = "simple" if klass == "branch" else klass
-        params[f"UL_{unit_klass}"] = core._units[unit_klass]
-    if "load" in classes:
-        params["RP"] = core._read_ports
-    if "store" in classes:
-        params["WP"] = core._write_ports
+    classes = list(dict.fromkeys(entry[3] for entry in profile))
+    return _applier(core, classes, f"<timing-annotation:{unit.uid}>", body)
 
-    fetch_width = cfg.fetch_width
-    decode_depth = cfg.decode_depth
-    iq_size = cfg.iq_size
-    issue_width = cfg.issue_width
-    mispredict_penalty = cfg.mispredict_penalty
-    l1i_hit = cfg.l1i.hit_latency
 
-    lines: list = []
+def compile_periodic(ann, period: int, core):
+    """Generate the applier of a synthetic annotation whose records
+    repeat every ``period`` records in all but their PC, I-line and
+    taken target (the TOL overhead mix): the repeating facts are
+    literals, those three are read from ``ann.recs``.  ``fn(records)``
+    applies a batch whose record ``i`` has index ``i``, whole."""
+    cfg = core.config
+    slots = ann.recs[:period]
+    klasses = [ann.class_names[ki] for _pc, _line, _kind, ki, *_rest
+               in slots]
 
-    def emit(ind: int, text: str) -> None:
-        lines.append("    " * ind + text)
-
-    def emit_instr(k: int, first: bool) -> None:
-        pc, line, kind, klass, dst, srcs, taken_pc = profile[k]
-        if not first:
+    def body(emit):
+        emit(2, "while True:")
+        for j, (_pc, _line, kind, _ki, dst, srcs, _ulist, _ext) in \
+                enumerate(slots):
             emit(3, "if pos == n:")
             emit(4, "break")
-        emit(3, f"# [{k}] {unit.instrs[k].op}")
-        # fetch
-        emit(3, f"if fetched >= {fetch_width}:")
-        emit(4, "fetch_cycle += 1")
-        emit(4, "fetched = 0")
-        if first or profile[k - 1][1] != line:
-            emit(3, f"if {line} != last_line:")
-            emit(4, f"last_line = {line}")
-            emit(4, f"_fl = FL({pc})")
-            emit(4, f"if _fl > {l1i_hit}:")
-            emit(5, f"fetch_cycle += _fl - {l1i_hit}")
-            emit(5, "fetched = 0")
-            emit(5, f"st_front += _fl - {l1i_hit}")
-        emit(3, f"if _len(IQ) >= {iq_size}:")
-        emit(4, "_b = IQP()")
-        emit(4, "if _b > fetch_cycle:")
-        emit(5, "st_iq += _b - fetch_cycle")
-        emit(5, "fetch_cycle = _b")
-        emit(5, "fetched = 0")
-        emit(3, "fetched += 1")
-        emit(3, f"ready = fetch_cycle + {decode_depth}")
-        # RAW, unrolled per operand
-        n_srcs = len(srcs)
-        if n_srcs == 1:
-            emit(3, f"raw_bound = RR[{srcs[0]}]")
-        elif n_srcs >= 2:
-            emit(3, f"raw_bound = RR[{srcs[0]}]")
-            for s in srcs[1:]:
-                emit(3, f"_r = RR[{s}]")
-                emit(3, "if _r > raw_bound:")
-                emit(4, "raw_bound = _r")
-        # kind-specific issue / latency
-        nonlocal_ranges = needed_ranges
-        if kind == KIND_EXEC:
-            _count, latency, pipelined = cfg.units[klass]
-            occupancy = 1 if pipelined else latency
-            ulist = f"UL_{klass}"
-            n_units = len(core._units[klass])
-            uexpr = _emit_select(emit, 3, ulist, n_units, nonlocal_ranges)
-            _emit_issue_block(emit, 3, n_srcs, "unit_bound", "unit",
-                              issue_width)
-            emit(3, f"{ulist}[{uexpr}] = issue + {occupancy}")
-            emit(3, f"done = issue + {latency}")
-        elif kind == KIND_BRANCH:
-            ulist = "UL_simple"
-            n_units = len(core._units["simple"])
-            uexpr = _emit_select(emit, 3, ulist, n_units, nonlocal_ranges)
-            _emit_issue_block(emit, 3, n_srcs, "unit_bound", "unit",
-                              issue_width)
-            emit(3, f"{ulist}[{uexpr}] = issue + 1")
-            emit(3, "done = issue + 1")
-            emit(3, "n_branches += 1")
-            emit(3, "_inf = records[pos][1]")
-            emit(3, '_tk = _inf["taken"] if _inf is not None else False')
-            emit(3, f"_dok = GU({pc}, _tk)")
-            emit(3, "if _tk:")
-            emit(4, f"_tok = BL({pc}) == {taken_pc}")
-            emit(4, f"BU({pc}, {taken_pc})")
-            emit(4, "if not _dok or not _tok:")
-            emit(5, "n_mispredicts += 1")
-            emit(5, f"_rd = done + {mispredict_penalty}")
-            emit(5, "if _rd > fetch_cycle:")
-            emit(6, "fetch_cycle = _rd")
-            emit(6, "fetched = 0")
-            emit(3, "elif not _dok:")
-            emit(4, "n_mispredicts += 1")
-            emit(4, f"_rd = done + {mispredict_penalty}")
-            emit(4, "if _rd > fetch_cycle:")
-            emit(5, "fetch_cycle = _rd")
-            emit(5, "fetched = 0")
-        else:
-            if kind == KIND_LOAD:
-                plist, n_ports = "RP", len(core._read_ports)
-            else:
-                plist, n_ports = "WP", len(core._write_ports)
-            if n_ports == 1:
-                pexpr = "0"
-                emit(3, f"port_bound = {plist}[0]")
-            else:
-                nonlocal_ranges.add(n_ports)
-                emit(3, f"_pi = _min(_R{n_ports}, key={plist}.__getitem__)")
-                emit(3, f"port_bound = {plist}[_pi]")
-                pexpr = "_pi"
-            _emit_issue_block(emit, 3, n_srcs, "port_bound", "mem",
-                              issue_width)
-            emit(3, "_inf = records[pos][1]")
-            emit(3, '_a = _inf["mem_addr"] if _inf is not None else None')
-            if kind == KIND_LOAD:
-                emit(3, "n_loads += 1")
-                emit(3, f"done = issue + DL({pc}, _a or 0)")
-            else:
-                emit(3, "n_stores += 1")
-                emit(3, f"DL({pc}, _a or 0)")
-                emit(3, "done = issue + 1")
-            emit(3, f"{plist}[{pexpr}] = issue + 1")
-        # shared tail
-        if dst is not None:
-            emit(3, f"RR[{dst}] = done")
-        emit(3, "if done > last_done:")
-        emit(4, "last_done = done")
-        emit(3, f"kc_{klass} += 1")
-        emit(3, "pos += 1")
+            emit(3, "rec = R[pos]")
+            _emit_step(emit, 3, _Facts(
+                "rec[0]", "rec[1]", True, kind, srcs, dst,
+                _exec_facts(kind, klasses[j], cfg), "rec[7]",
+                "records[pos][1]", True), cfg)
+            emit(3, f"kc_{klasses[j]} += 1")
+            emit(3, "pos += 1")
 
-    # ------------------------------------------------------------------
-    emit(0, f"def _annfeed(records, {', '.join(f'{p}={p}' for p in params)}):")
-    for scalar, attr in (("fetch_cycle", "_fetch_cycle"),
-                        ("fetched", "_fetched_in_cycle"),
-                        ("last_line", "_last_fetch_line"),
-                        ("last_issue", "_last_issue"),
-                        ("issued_in_cycle", "_issued_in_cycle"),
-                        ("last_done", "_last_done")):
-        emit(1, f"{scalar} = C.{attr}")
-    for bucket in ("raw", "unit", "mem", "iq", "front"):
-        key = {"mem": "memport", "front": "frontend"}.get(bucket, bucket)
-        emit(1, f'st_{bucket} = ST["{key}"]')
-    for klass in classes:
-        emit(1, f"kc_{klass} = 0")
-    emit(1, "n_branches = 0")
-    emit(1, "n_mispredicts = 0")
-    emit(1, "n_loads = 0")
-    emit(1, "n_stores = 0")
-    emit(1, "pos = 0")
-    emit(1, "n = _len(records)")
-    emit(1, "try:")
-    emit(2, "while pos < n:")
-    emit(3, "index = records[pos][0]")
-    first_arm = True
-    for lead in order:
-        cond = "if" if first_arm else "elif"
-        first_arm = False
-        emit(3, f"{cond} index == {lead}:")
-        # re-indent arm bodies one level deeper than the emit_instr base
-        mark = len(lines)
-        for k in range(lead, next_leader[lead]):
-            emit_instr(k, first=(k == lead))
-        emit(3, "continue")
-        for i in range(mark, len(lines)):
-            lines[i] = "    " + lines[i]
-    emit(3, "else:")
-    emit(4, "return pos")
-    emit(1, "finally:")
-    for scalar, attr in (("fetch_cycle", "_fetch_cycle"),
-                        ("fetched", "_fetched_in_cycle"),
-                        ("last_line", "_last_fetch_line"),
-                        ("last_issue", "_last_issue"),
-                        ("issued_in_cycle", "_issued_in_cycle"),
-                        ("last_done", "_last_done")):
-        emit(2, f"C.{attr} = {scalar}")
-    for bucket in ("raw", "unit", "mem", "iq", "front"):
-        key = {"mem": "memport", "front": "frontend"}.get(bucket, bucket)
-        emit(2, f'ST["{key}"] = st_{bucket}')
-    emit(2, "_bc = SS.by_class")
-    for klass in classes:
-        emit(2, f"if kc_{klass}:")
-        emit(3, f'_bc["{klass}"] = _bc.get("{klass}", 0) + kc_{klass}')
-    emit(2, "SS.instructions += pos")
-    emit(2, "SS.branches += n_branches")
-    emit(2, "SS.mispredicts += n_mispredicts")
-    emit(2, "SS.loads += n_loads")
-    emit(2, "SS.stores += n_stores")
-    emit(2, "SS.cycles = last_done")
-
-    if needed_ranges:
-        params["_min"] = min
-        for n_range in needed_ranges:
-            params[f"_R{n_range}"] = range(n_range)
-        # ranges/min are referenced by the body; re-emit the signature
-        # line with the complete parameter list.
-        lines[0] = (f"def _annfeed(records, "
-                    f"{', '.join(f'{p}={p}' for p in params)}):")
-
-    source = "\n".join(lines) + "\n"
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = compile(source, f"<timing-annotation:{unit.uid}>", "exec")
-        _CODE_CACHE[source] = code
-    namespace = dict(params)
-    exec(code, namespace)
-    fn = namespace["_annfeed"]
-    fn._source = source  # debugging / tests
-    return fn
+    return _applier(core, list(dict.fromkeys(klasses)),
+                    "<timing-periodic>", body, R=ann.recs)

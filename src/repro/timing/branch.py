@@ -27,18 +27,23 @@ class Gshare:
     def update(self, pc: int, taken: bool) -> bool:
         """Predict, train, and update history; returns correctness."""
         self.lookups += 1
-        index = self._index(pc)
-        prediction = self.table[index] >= 2
-        if taken and self.table[index] < 3:
-            self.table[index] += 1
-        elif not taken and self.table[index] > 0:
-            self.table[index] -= 1
-        self.history = ((self.history << 1) | int(taken)) \
-            & self.history_mask
-        correct = prediction == taken
-        if not correct:
-            self.mispredicts += 1
-        return correct
+        table = self.table
+        index = ((pc >> 2) ^ self.history) & self.mask
+        counter = table[index]
+        if taken:
+            if counter < 3:
+                table[index] = counter + 1
+            self.history = ((self.history << 1) | 1) & self.history_mask
+            if counter >= 2:
+                return True
+        else:
+            if counter > 0:
+                table[index] = counter - 1
+            self.history = (self.history << 1) & self.history_mask
+            if counter < 2:
+                return True
+        self.mispredicts += 1
+        return False
 
 
 class BTB:

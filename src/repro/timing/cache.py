@@ -25,28 +25,24 @@ class Cache:
         self.prefetch_hits = 0
         self._prefetched = set()
 
-    def _locate(self, addr: int):
-        line = addr >> self.line_bits
-        return line % self.n_sets, line
-
     def access(self, addr: int) -> bool:
         """Access; returns hit?; fills on miss (LRU replace)."""
-        index, tag = self._locate(addr)
-        ways = self.sets[index]
+        tag = addr >> self.line_bits
+        ways = self.sets[tag % self.n_sets]
         if tag in ways:
             self.hits += 1
+            if ways[0] != tag:
+                ways.remove(tag)
+                ways.insert(0, tag)
             if tag in self._prefetched:
                 self.prefetch_hits += 1
                 self._prefetched.discard(tag)
-            ways.remove(tag)
-            ways.insert(0, tag)
             return True
         self.misses += 1
-        self._fill(index, tag)
+        self._fill(ways, tag)
         return False
 
-    def _fill(self, index: int, tag: int) -> None:
-        ways = self.sets[index]
+    def _fill(self, ways: list, tag: int) -> None:
         ways.insert(0, tag)
         if len(ways) > self.assoc:
             evicted = ways.pop()
@@ -54,10 +50,11 @@ class Cache:
 
     def prefetch(self, addr: int) -> None:
         """Install a line without counting an access."""
-        index, tag = self._locate(addr)
-        if tag in self.sets[index]:
+        tag = addr >> self.line_bits
+        ways = self.sets[tag % self.n_sets]
+        if tag in ways:
             return
-        self._fill(index, tag)
+        self._fill(ways, tag)
         self._prefetched.add(tag)
         self.prefetch_fills += 1
 
@@ -90,8 +87,9 @@ class TLB:
         ways = self.sets[index]
         if page in ways:
             self.hits += 1
-            ways.remove(page)
-            ways.insert(0, page)
+            if ways[0] != page:
+                ways.remove(page)
+                ways.insert(0, page)
             return True
         self.misses += 1
         ways.insert(0, page)
@@ -149,28 +147,26 @@ class MemoryHierarchy:
 
     def fetch_latency(self, pc: int) -> int:
         if self.l1i.access(pc):
-            return self.config.l1i.hit_latency
+            return self.l1i.hit_latency
         if self.l2.access(pc):
-            return self.config.l2.hit_latency
+            return self.l2.hit_latency
         return self.config.memory_latency
 
     def data_latency(self, pc: int, addr: int) -> int:
         """Latency of a data access at ``addr`` issued by instruction
         ``pc`` (TLB + cache hierarchy + prefetch training)."""
-        latency = 0
-        if not self.dtlb.access(addr):
-            if self.stlb.access(addr):
-                latency += self.config.stlb.hit_latency
-            else:
-                latency += self.config.page_walk_latency
+        if self.dtlb.access(addr):
+            latency = 0
+        elif self.stlb.access(addr):
+            latency = self.stlb.hit_latency
+        else:
+            latency = self.config.page_walk_latency
         if self.l1d.access(addr):
-            latency += self.config.l1d.hit_latency
-        elif self.l2.access(addr):
-            latency += self.config.l2.hit_latency
-            if self.prefetcher is not None:
-                self.prefetcher.observe(pc, addr, self.l1d, self.l2)
+            return latency + self.l1d.hit_latency
+        if self.l2.access(addr):
+            latency += self.l2.hit_latency
         else:
             latency += self.config.memory_latency
-            if self.prefetcher is not None:
-                self.prefetcher.observe(pc, addr, self.l1d, self.l2)
+        if self.prefetcher is not None:
+            self.prefetcher.observe(pc, addr, self.l1d, self.l2)
         return latency

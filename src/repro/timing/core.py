@@ -9,37 +9,48 @@ The model is dependence-driven: each retired host instruction is fed in
 program order and its fetch/issue/complete cycles are computed from the
 scoreboard, structural resources and memory hierarchy — the standard
 trace-driven formulation for in-order pipelines (no per-cycle loop, exact
-for in-order issue).
+for in-order issue).  The per-instruction update is stated once, in
+:mod:`repro.timing.annotate`, which generates the loop this core runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.timing.annotate import (
+    NUM_SCOREBOARD_REGS, UnitAnnotation, generic_loop, profile_entry,
+)
 from repro.timing.branch import BTB, Gshare
 from repro.timing.cache import MemoryHierarchy
 from repro.timing.config import TimingConfig
 
-#: register-id namespaces for the scoreboard
-FP_BASE = 64
-VEC_BASE = 96
-NUM_SCOREBOARD_REGS = 112
-
 
 @dataclass
 class TimingStats:
-    instructions: int = 0
     cycles: int = 0
-    branches: int = 0
     mispredicts: int = 0
-    loads: int = 0
-    stores: int = 0
     stall_cycles: Dict[str, int] = field(default_factory=dict)
     #: Instructions issued per execution-unit class (telemetry's
-    #: per-unit occupancy view).
+    #: per-unit occupancy view); the instruction, branch, load and store
+    #: counts derive from it.
     by_class: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def instructions(self) -> int:
+        return sum(self.by_class.values())
+
+    @property
+    def branches(self) -> int:
+        return self.by_class.get("branch", 0)
+
+    @property
+    def loads(self) -> int:
+        return self.by_class.get("load", 0)
+
+    @property
+    def stores(self) -> int:
+        return self.by_class.get("store", 0)
 
     @property
     def ipc(self) -> float:
@@ -51,7 +62,8 @@ class TimingStats:
 
 
 class InOrderCore:
-    """Feed instructions in program order via :meth:`feed`."""
+    """Feed instructions in program order via :meth:`feed` (one at a
+    time) or :meth:`feed_unit` (a unit's record batch)."""
 
     def __init__(self, config: Optional[TimingConfig] = None):
         self.config = config if config is not None else TimingConfig()
@@ -72,621 +84,48 @@ class InOrderCore:
             for klass, (count, _lat, _pipe) in cfg.units.items()}
         self._read_ports = [0] * cfg.mem_read_ports
         self._write_ports = [0] * cfg.mem_write_ports
-        self._iq = deque()
+        #: issue cycles of the last ``iq_size`` ops, a ring from
+        #: ``_iq_pos`` (zeros before it fills, which never bind)
+        self._iq = [0] * cfg.iq_size
+        self._iq_pos = 0
         self.stats = TimingStats()
         self._stall = {"raw": 0, "unit": 0, "memport": 0, "iq": 0,
                        "frontend": 0}
         self._last_done = 0
+        self._loop = generic_loop(cfg)
 
     # ------------------------------------------------------------------
 
     def feed(self, pc: int, klass: str, dst: Optional[int], srcs,
-             mem_addr: Optional[int] = None, branch=None,
-             latency_override: Optional[int] = None) -> int:
-        """Process one instruction; returns its completion cycle.
+             mem_addr: Optional[int] = None, branch=None) -> None:
+        """Process one instruction, as a one-record annotation.
 
         ``klass`` is an execution-unit class ('simple', 'complex', 'fp',
-        'fp_div', 'vector', 'load', 'store', 'branch'); ``branch`` is a
-        ``(taken, target_pc)`` pair for control transfers.
+        'fp_div', 'vector', 'load', 'store', 'branch'); ``branch`` is the
+        ``(taken, target_pc)`` pair of a branch-class instruction
+        (``None`` counts as not taken).
         """
-        cfg = self.config
-        stats = self.stats
-        stats.instructions += 1
-        stats.by_class[klass] = stats.by_class.get(klass, 0) + 1
-
-        # -- fetch -------------------------------------------------------
-        if self._fetched_in_cycle >= cfg.fetch_width:
-            self._fetch_cycle += 1
-            self._fetched_in_cycle = 0
-        line = pc >> 6
-        if line != self._last_fetch_line:
-            self._last_fetch_line = line
-            fetch_lat = self.mem.fetch_latency(pc)
-            if fetch_lat > cfg.l1i.hit_latency:
-                self._fetch_cycle += fetch_lat - cfg.l1i.hit_latency
-                self._fetched_in_cycle = 0
-                self._stall["frontend"] += fetch_lat - cfg.l1i.hit_latency
-        # IQ backpressure: can't fetch further than iq_size unissued ops.
-        if len(self._iq) >= cfg.iq_size:
-            blocker = self._iq.popleft()
-            if blocker > self._fetch_cycle:
-                self._stall["iq"] += blocker - self._fetch_cycle
-                self._fetch_cycle = blocker
-                self._fetched_in_cycle = 0
-        self._fetched_in_cycle += 1
-        iq_enter = self._fetch_cycle + cfg.decode_depth
-
-        # -- issue constraints --------------------------------------------
-        ready = iq_enter
-        raw_bound = 0
-        for src in srcs:
-            if src is not None:
-                raw_bound = max(raw_bound, self.reg_ready[src])
-        unit_klass = klass
-        if klass == "load" or klass == "store":
-            unit_klass = None
-        elif klass == "branch":
-            unit_klass = "simple"
-        unit_bound = 0
-        unit_list = None
-        unit_index = 0
-        if unit_klass is not None:
-            unit_list = self._units[unit_klass]
-            unit_index = min(range(len(unit_list)),
-                             key=unit_list.__getitem__)
-            unit_bound = unit_list[unit_index]
-        port_bound = 0
-        port_list = None
-        port_index = 0
-        if klass == "load":
-            port_list = self._read_ports
-        elif klass == "store":
-            port_list = self._write_ports
-        if port_list is not None:
-            port_index = min(range(len(port_list)),
-                             key=port_list.__getitem__)
-            port_bound = port_list[port_index]
-
-        issue = max(ready, raw_bound, unit_bound, port_bound,
-                    self._last_issue)
-        if issue == self._last_issue and \
-                self._issued_in_cycle >= cfg.issue_width:
-            issue += 1
-        # Stall attribution (binding constraint).
-        if raw_bound >= issue and raw_bound > ready:
-            self._stall["raw"] += raw_bound - ready
-        elif unit_bound >= issue and unit_bound > ready:
-            self._stall["unit"] += unit_bound - ready
-        elif port_bound >= issue and port_bound > ready:
-            self._stall["memport"] += port_bound - ready
-        if issue > self._last_issue:
-            self._issued_in_cycle = 1
-            self._last_issue = issue
-        else:
-            self._issued_in_cycle += 1
-        self._iq.append(issue)
-
-        # -- execution latency ----------------------------------------------
-        if latency_override is not None:
-            latency = latency_override
-        elif klass == "load":
-            stats.loads += 1
-            latency = self.mem.data_latency(pc, mem_addr or 0)
-        elif klass == "store":
-            stats.stores += 1
-            self.mem.data_latency(pc, mem_addr or 0)
-            latency = 1  # store buffer hides the rest
-        elif klass == "branch":
-            latency = 1
-        else:
-            _count, latency, pipelined = self.config.units[klass]
-            occupancy = 1 if pipelined else latency
-            unit_list[unit_index] = issue + occupancy
-        if klass == "load" or klass == "store":
-            port_list[port_index] = issue + 1
-        elif klass == "branch":
-            unit_list[unit_index] = issue + 1
-
-        done = issue + latency
-        if dst is not None:
-            self.reg_ready[dst] = done
-
-        # -- branches ---------------------------------------------------------
-        if branch is not None:
-            taken, target = branch
-            stats.branches += 1
-            direction_ok = self.gshare.update(pc, taken)
-            target_ok = True
-            if taken:
-                predicted = self.btb.lookup(pc)
-                target_ok = predicted == target
-                self.btb.update(pc, target)
-            if not direction_ok or not target_ok:
-                stats.mispredicts += 1
-                redirect = done + cfg.mispredict_penalty
-                if redirect > self._fetch_cycle:
-                    self._fetch_cycle = redirect
-                    self._fetched_in_cycle = 0
-
-        if done > self._last_done:
-            self._last_done = done
-        stats.cycles = self._last_done
-        return done
-
-    # ------------------------------------------------------------------
-    # Aggregate feed entry points.
-    #
-    # ``feed_unit`` and ``feed_synthetic_batch`` are hoisted-locals
-    # mirrors of :meth:`feed`: one Python call per *batch* instead of
-    # one per instruction, with the classification/mapping work read
-    # from precomputed tables and every piece of core state lifted into
-    # locals for the duration of the loop.  They perform exactly the
-    # same arithmetic and the same stateful updates (scoreboard, IQ,
-    # caches, predictors, stall attribution) in the same order, so the
-    # resulting reports are bit-identical to the per-instruction path —
-    # the differential suite in ``tests/test_timing_annotation.py``
-    # holds all three to identity.  Any semantic change to ``feed``
-    # must be replicated here (and vice versa).
-    # ------------------------------------------------------------------
+        taken, target = branch if branch is not None else (False, 0)
+        srcs = tuple(src for src in srcs if src is not None)
+        ann = UnitAnnotation(0, (profile_entry(pc, klass, dst, srcs,
+                                               target),), self)
+        info = None
+        if klass == "branch":
+            info = {"taken": taken}
+        elif klass in ("load", "store"):
+            info = {"mem_addr": mem_addr}
+        self._loop(self, ann, ((0, info),))
 
     def feed_unit(self, ann, records) -> None:
         """Feed one unit execution's trace records through the unit's
-        resolved annotation (:class:`~repro.timing.annotate.UnitAnnotation`).
+        annotation (:class:`~repro.timing.annotate.UnitAnnotation`).
 
         ``records`` is the executed ``(index, info)`` stream in program
         order; ``ann.recs[index]`` carries everything static about the
         instruction, ``info`` only the per-execution dynamics (memory
         address, branch direction).
         """
-        cfg = self.config
-        stats = self.stats
-        recs = ann.recs
-        # -- hoisted configuration ------------------------------------
-        fetch_width = cfg.fetch_width
-        decode_depth = cfg.decode_depth
-        iq_size = cfg.iq_size
-        issue_width = cfg.issue_width
-        mispredict_penalty = cfg.mispredict_penalty
-        l1i_hit = cfg.l1i.hit_latency
-        # -- hoisted resources ----------------------------------------
-        reg_ready = self.reg_ready
-        fetch_latency = self.mem.fetch_latency
-        data_latency = self.mem.data_latency
-        gshare_update = self.gshare.update
-        btb_lookup = self.btb.lookup
-        btb_update = self.btb.update
-        iq = self._iq
-        iq_append = iq.append
-        iq_popleft = iq.popleft
-        read_ports = self._read_ports
-        write_ports = self._write_ports
-        n_read = len(read_ports)
-        n_write = len(write_ports)
-        class_names = ann.class_names
-        kcounts = [0] * len(class_names)
-        # -- mutable scalars as locals --------------------------------
-        stall = self._stall
-        st_raw = stall["raw"]
-        st_unit = stall["unit"]
-        st_mem = stall["memport"]
-        st_iq = stall["iq"]
-        st_front = stall["frontend"]
-        fetch_cycle = self._fetch_cycle
-        fetched = self._fetched_in_cycle
-        last_line = self._last_fetch_line
-        last_issue = self._last_issue
-        issued_in_cycle = self._issued_in_cycle
-        last_done = self._last_done
-        fed = 0
-        n_branches = 0
-        n_mispredicts = 0
-        n_loads = 0
-        n_stores = 0
-        try:
-            for index, info in records:
-                pc, line, kind, ki, dst, srcs, ulist, ext = recs[index]
-                fed += 1
-                kcounts[ki] += 1
-
-                # -- fetch --------------------------------------------
-                if fetched >= fetch_width:
-                    fetch_cycle += 1
-                    fetched = 0
-                if line != last_line:
-                    last_line = line
-                    fetch_lat = fetch_latency(pc)
-                    if fetch_lat > l1i_hit:
-                        fetch_cycle += fetch_lat - l1i_hit
-                        fetched = 0
-                        st_front += fetch_lat - l1i_hit
-                if len(iq) >= iq_size:
-                    blocker = iq_popleft()
-                    if blocker > fetch_cycle:
-                        st_iq += blocker - fetch_cycle
-                        fetch_cycle = blocker
-                        fetched = 0
-                fetched += 1
-                ready = fetch_cycle + decode_depth
-
-                raw_bound = 0
-                if srcs is not None:
-                    for src in srcs:
-                        r = reg_ready[src]
-                        if r > raw_bound:
-                            raw_bound = r
-
-                # -- issue / latency, specialized per kind ------------
-                # Exec/branch records never bind a memory port and
-                # loads/stores never bind a unit scoreboard, so each
-                # arm carries only the comparisons that can fire (a
-                # zero bound can never exceed ``ready``); the shared
-                # arithmetic is ``feed``'s, line for line.
-                if kind == 0:                # exec class
-                    latency, occupancy, n_units = ext
-                    unit_index = 0
-                    if n_units == 1:
-                        unit_bound = ulist[0]
-                    elif n_units == 2:
-                        u0 = ulist[0]
-                        u1 = ulist[1]
-                        if u0 <= u1:
-                            unit_bound = u0
-                        else:
-                            unit_bound = u1
-                            unit_index = 1
-                    else:
-                        unit_index = min(range(n_units),
-                                         key=ulist.__getitem__)
-                        unit_bound = ulist[unit_index]
-                    issue = ready
-                    if raw_bound > issue:
-                        issue = raw_bound
-                    if unit_bound > issue:
-                        issue = unit_bound
-                    if last_issue > issue:
-                        issue = last_issue
-                    if issue == last_issue \
-                            and issued_in_cycle >= issue_width:
-                        issue += 1
-                    if raw_bound >= issue and raw_bound > ready:
-                        st_raw += raw_bound - ready
-                    elif unit_bound >= issue and unit_bound > ready:
-                        st_unit += unit_bound - ready
-                    if issue > last_issue:
-                        issued_in_cycle = 1
-                        last_issue = issue
-                    else:
-                        issued_in_cycle += 1
-                    iq_append(issue)
-                    ulist[unit_index] = issue + occupancy
-                    done = issue + latency
-                elif kind == 3:              # branch class
-                    n_units = len(ulist)
-                    unit_index = 0
-                    if n_units == 1:
-                        unit_bound = ulist[0]
-                    elif n_units == 2:
-                        u0 = ulist[0]
-                        u1 = ulist[1]
-                        if u0 <= u1:
-                            unit_bound = u0
-                        else:
-                            unit_bound = u1
-                            unit_index = 1
-                    else:
-                        unit_index = min(range(n_units),
-                                         key=ulist.__getitem__)
-                        unit_bound = ulist[unit_index]
-                    issue = ready
-                    if raw_bound > issue:
-                        issue = raw_bound
-                    if unit_bound > issue:
-                        issue = unit_bound
-                    if last_issue > issue:
-                        issue = last_issue
-                    if issue == last_issue \
-                            and issued_in_cycle >= issue_width:
-                        issue += 1
-                    if raw_bound >= issue and raw_bound > ready:
-                        st_raw += raw_bound - ready
-                    elif unit_bound >= issue and unit_bound > ready:
-                        st_unit += unit_bound - ready
-                    if issue > last_issue:
-                        issued_in_cycle = 1
-                        last_issue = issue
-                    else:
-                        issued_in_cycle += 1
-                    iq_append(issue)
-                    ulist[unit_index] = issue + 1
-                    done = issue + 1
-                    n_branches += 1
-                    taken = info["taken"] if info is not None else False
-                    direction_ok = gshare_update(pc, taken)
-                    target_ok = True
-                    if taken:
-                        target_ok = btb_lookup(pc) == ext
-                        btb_update(pc, ext)
-                    if not direction_ok or not target_ok:
-                        n_mispredicts += 1
-                        redirect = done + mispredict_penalty
-                        if redirect > fetch_cycle:
-                            fetch_cycle = redirect
-                            fetched = 0
-                else:                        # load / store
-                    if kind == 1:
-                        port_list = read_ports
-                        n_ports = n_read
-                    else:
-                        port_list = write_ports
-                        n_ports = n_write
-                    port_index = 0
-                    if n_ports == 1:
-                        port_bound = port_list[0]
-                    else:
-                        port_index = min(range(n_ports),
-                                         key=port_list.__getitem__)
-                        port_bound = port_list[port_index]
-                    issue = ready
-                    if raw_bound > issue:
-                        issue = raw_bound
-                    if port_bound > issue:
-                        issue = port_bound
-                    if last_issue > issue:
-                        issue = last_issue
-                    if issue == last_issue \
-                            and issued_in_cycle >= issue_width:
-                        issue += 1
-                    if raw_bound >= issue and raw_bound > ready:
-                        st_raw += raw_bound - ready
-                    elif port_bound >= issue and port_bound > ready:
-                        st_mem += port_bound - ready
-                    if issue > last_issue:
-                        issued_in_cycle = 1
-                        last_issue = issue
-                    else:
-                        issued_in_cycle += 1
-                    iq_append(issue)
-                    addr = info["mem_addr"] if info is not None else None
-                    if kind == 1:
-                        n_loads += 1
-                        done = issue + data_latency(pc, addr or 0)
-                    else:
-                        n_stores += 1
-                        data_latency(pc, addr or 0)
-                        done = issue + 1
-                    port_list[port_index] = issue + 1
-                if dst is not None:
-                    reg_ready[dst] = done
-                if done > last_done:
-                    last_done = done
-        finally:
-            self._fetch_cycle = fetch_cycle
-            self._fetched_in_cycle = fetched
-            self._last_fetch_line = last_line
-            self._last_issue = last_issue
-            self._issued_in_cycle = issued_in_cycle
-            self._last_done = last_done
-            stall["raw"] = st_raw
-            stall["unit"] = st_unit
-            stall["memport"] = st_mem
-            stall["iq"] = st_iq
-            stall["frontend"] = st_front
-            by_class = stats.by_class
-            for ki, count in enumerate(kcounts):
-                if count:
-                    name = class_names[ki]
-                    by_class[name] = by_class.get(name, 0) + count
-            stats.instructions += fed
-            stats.branches += n_branches
-            stats.mispredicts += n_mispredicts
-            stats.loads += n_loads
-            stats.stores += n_stores
-            stats.cycles = last_done
-
-    def feed_synthetic_batch(self, n: int, slots, pc_base: int,
-                             addr: int) -> int:
-        """Feed ``n`` instructions of a precomputed synthetic slot
-        cycle (the TOL overhead mix) in one call; returns the updated
-        rolling data address.
-
-        ``slots`` is the steady-state schedule table: entry ``i % len``
-        is ``(kind, dst, klass)`` with the class mapping and destination
-        pattern precomputed once (see ``TimingSession._tol_slots``);
-        every mix instruction reads ``(dst, 22)``, and register 22 is
-        never written by the mix, so its readiness is loop-invariant.
-        Per-class counts are closed-form over the slot cycle and merged
-        after the loop.  Exact mirror of feeding the mix one
-        instruction at a time through :meth:`feed`.
-        """
-        cfg = self.config
-        stats = self.stats
-        n_slots = len(slots)
-        fetch_width = cfg.fetch_width
-        decode_depth = cfg.decode_depth
-        iq_size = cfg.iq_size
-        issue_width = cfg.issue_width
-        mispredict_penalty = cfg.mispredict_penalty
-        l1i_hit = cfg.l1i.hit_latency
-        s_count, s_latency, s_pipelined = cfg.units["simple"]
-        s_occupancy = 1 if s_pipelined else s_latency
-        reg_ready = self.reg_ready
-        fetch_latency = self.mem.fetch_latency
-        data_latency = self.mem.data_latency
-        gshare_update = self.gshare.update
-        btb_lookup = self.btb.lookup
-        btb_update = self.btb.update
-        iq = self._iq
-        iq_append = iq.append
-        iq_popleft = iq.popleft
-        simple_units = self._units["simple"]
-        n_simple = len(simple_units)
-        read_ports = self._read_ports
-        write_ports = self._write_ports
-        n_read = len(read_ports)
-        n_write = len(write_ports)
-        # Register 22 is read by every mix instruction but written by
-        # none of them (destinations cycle over 20/21): loop-invariant.
-        r22 = reg_ready[22]
-        stall = self._stall
-        st_raw = stall["raw"]
-        st_unit = stall["unit"]
-        st_mem = stall["memport"]
-        st_iq = stall["iq"]
-        st_front = stall["frontend"]
-        fetch_cycle = self._fetch_cycle
-        fetched = self._fetched_in_cycle
-        last_line = self._last_fetch_line
-        last_issue = self._last_issue
-        issued_in_cycle = self._issued_in_cycle
-        last_done = self._last_done
-        fed = 0
-        n_branches = 0
-        n_mispredicts = 0
-        n_loads = 0
-        n_stores = 0
-        try:
-            for i in range(n):
-                kind, dst, _klass = slots[i % n_slots]
-                pc = pc_base + (i & 4095) * 4
-                line = pc >> 6
-                fed += 1
-
-                if fetched >= fetch_width:
-                    fetch_cycle += 1
-                    fetched = 0
-                if line != last_line:
-                    last_line = line
-                    fetch_lat = fetch_latency(pc)
-                    if fetch_lat > l1i_hit:
-                        fetch_cycle += fetch_lat - l1i_hit
-                        fetched = 0
-                        st_front += fetch_lat - l1i_hit
-                if len(iq) >= iq_size:
-                    blocker = iq_popleft()
-                    if blocker > fetch_cycle:
-                        st_iq += blocker - fetch_cycle
-                        fetch_cycle = blocker
-                        fetched = 0
-                fetched += 1
-                ready = fetch_cycle + decode_depth
-
-                raw_bound = reg_ready[dst]
-                if r22 > raw_bound:
-                    raw_bound = r22
-                unit_bound = 0
-                port_bound = 0
-                unit_index = 0
-                port_index = 0
-                port_list = None
-                if kind == 0 or kind == 3:   # simple exec or branch
-                    if n_simple == 1:
-                        unit_bound = simple_units[0]
-                    elif n_simple == 2:
-                        u0 = simple_units[0]
-                        u1 = simple_units[1]
-                        if u0 <= u1:
-                            unit_bound = u0
-                        else:
-                            unit_bound = u1
-                            unit_index = 1
-                    else:
-                        unit_index = min(range(n_simple),
-                                         key=simple_units.__getitem__)
-                        unit_bound = simple_units[unit_index]
-                else:                        # load / store
-                    if kind == 1:
-                        port_list = read_ports
-                        n_ports = n_read
-                    else:
-                        port_list = write_ports
-                        n_ports = n_write
-                    if n_ports == 1:
-                        port_bound = port_list[0]
-                    else:
-                        port_index = min(range(n_ports),
-                                         key=port_list.__getitem__)
-                        port_bound = port_list[port_index]
-
-                issue = ready
-                if raw_bound > issue:
-                    issue = raw_bound
-                if unit_bound > issue:
-                    issue = unit_bound
-                if port_bound > issue:
-                    issue = port_bound
-                if last_issue > issue:
-                    issue = last_issue
-                if issue == last_issue and issued_in_cycle >= issue_width:
-                    issue += 1
-                if raw_bound >= issue and raw_bound > ready:
-                    st_raw += raw_bound - ready
-                elif unit_bound >= issue and unit_bound > ready:
-                    st_unit += unit_bound - ready
-                elif port_bound >= issue and port_bound > ready:
-                    st_mem += port_bound - ready
-                if issue > last_issue:
-                    issued_in_cycle = 1
-                    last_issue = issue
-                else:
-                    issued_in_cycle += 1
-                iq_append(issue)
-
-                if kind == 0:                # simple
-                    simple_units[unit_index] = issue + s_occupancy
-                    done = issue + s_latency
-                elif kind == 1:              # load
-                    n_loads += 1
-                    addr = 0xE000_0000 + ((addr + 64) & 0x1FFF)
-                    done = issue + data_latency(pc, addr)
-                    port_list[port_index] = issue + 1
-                elif kind == 2:              # store
-                    n_stores += 1
-                    addr = 0xE000_0000 + ((addr + 64) & 0x1FFF)
-                    data_latency(pc, addr)
-                    port_list[port_index] = issue + 1
-                    done = issue + 1
-                else:                        # branch (always taken, +64)
-                    simple_units[unit_index] = issue + 1
-                    done = issue + 1
-                    n_branches += 1
-                    target = pc + 64
-                    direction_ok = gshare_update(pc, True)
-                    target_ok = btb_lookup(pc) == target
-                    btb_update(pc, target)
-                    if not direction_ok or not target_ok:
-                        n_mispredicts += 1
-                        redirect = done + mispredict_penalty
-                        if redirect > fetch_cycle:
-                            fetch_cycle = redirect
-                            fetched = 0
-                reg_ready[dst] = done
-                if done > last_done:
-                    last_done = done
-        finally:
-            self._fetch_cycle = fetch_cycle
-            self._fetched_in_cycle = fetched
-            self._last_fetch_line = last_line
-            self._last_issue = last_issue
-            self._issued_in_cycle = issued_in_cycle
-            self._last_done = last_done
-            stall["raw"] = st_raw
-            stall["unit"] = st_unit
-            stall["memport"] = st_mem
-            stall["iq"] = st_iq
-            stall["frontend"] = st_front
-            by_class = stats.by_class
-            for i, (_kind, _dst, klass) in enumerate(slots):
-                # Closed-form count of slot i over ``fed`` iterations.
-                count = (fed + n_slots - 1 - i) // n_slots
-                if count:
-                    by_class[klass] = by_class.get(klass, 0) + count
-            stats.instructions += fed
-            stats.branches += n_branches
-            stats.mispredicts += n_mispredicts
-            stats.loads += n_loads
-            stats.stores += n_stores
-            stats.cycles = last_done
-        return addr
+        self._loop(self, ann, records)
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,6 @@ def run_with_timing(program: GuestProgram,
                     include_tol_overhead: bool = True,
                     os: Optional[GuestOS] = None,
                     validate: bool = True,
-                    sample_filter=None,
                     annotate: Optional[bool] = None,
                     ) -> Tuple[RunResult, Controller, InOrderCore]:
     """Run a program with detailed timing simulation attached.
@@ -32,15 +31,14 @@ def run_with_timing(program: GuestProgram,
     overhead charges are (optionally) fed as synthetic instruction batches
     so the timing results reflect the whole dynamic host stream.
 
-    ``annotate`` selects the cycle-annotated delivery path (default: on
-    unless ``sample_filter`` is given); results are bit-identical either
-    way, only simulator wall-clock changes.
+    ``annotate`` selects batched delivery with hot units tiered up to
+    generated appliers (default: on) or one record per call; results are
+    bit-identical either way, only simulator wall-clock changes.
     """
     controller = Controller(program, config=tol_config, os=os,
                             validate=validate)
     core = InOrderCore(timing_config)
-    session = TimingSession(core, sample_filter=sample_filter,
-                            annotate=annotate)
+    session = TimingSession(core, annotate=annotate)
     tol = controller.codesigned.tol
     register_timing_collector(tol.telemetry, core, session=session)
     session.install(tol)

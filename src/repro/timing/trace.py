@@ -1,73 +1,40 @@
 """Adapter from executed host instructions to timing-model records.
 
 The host emulator's ``trace_sink`` delivers ``(unit, index, instr, info)``
-per executed instruction; this module classifies the instruction, maps its
-register operands into the unified scoreboard namespace and synthesizes a
-host PC (units are placed in a synthetic code-address space so the I-cache
-and branch predictors see a realistic stream).
+per executed instruction, and ``trace_sink_batch`` a unit execution's
+``(index, info)`` records at once.  Units are placed in a synthetic
+code-address space (:func:`~repro.timing.annotate.host_pc`) so the
+I-cache and branch predictors see a realistic stream.
 
-Two delivery modes exist:
-
-- **per-instruction** (:meth:`TimingSession.sink`): the original adapter
-  — one Python round trip into :meth:`InOrderCore.feed` per record.
-  Still the path for sampled sessions and units without a usable
-  annotation.
-
-- **annotated** (:meth:`TimingSession.sink_batch` with annotation
-  enabled, the default): each unit's static timing profile is computed
-  once (:mod:`repro.timing.annotate`), and whole record batches are
-  applied through :meth:`InOrderCore.feed_unit` in a single call —
-  bit-identical results, without the per-record classification or call
-  overhead.  ``timing.annotated.*`` telemetry counters expose the
-  fastpath/fallback split.
+Every record is fed through its unit's annotation
+(:mod:`repro.timing.annotate`), which carries the instruction's static
+facts; ``info`` carries only its per-execution dynamics.  ``annotate``
+selects the delivery: record batches with hot units tiered up to their
+generated appliers (the default), or one record per call.  Both compute
+the same step, so reports are identical; ``timing.annotated.*``
+telemetry counters expose the batched traffic.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.host.isa import HostInstr  # noqa: F401  (re-export for API compat)
-from repro.timing.annotate import (
-    _BASE, _REGFILES, _UNIT_CLASS, compile_applier, host_pc,
-    resolve_annotation,
+from repro.timing.annotate import (  # noqa: F401  (host_pc: re-export)
+    UnitAnnotation, compile_applier, compile_periodic, host_pc,
+    profile_entry, resolve_annotation,
 )
-from repro.timing.core import FP_BASE, VEC_BASE, InOrderCore  # noqa: F401
+from repro.timing.core import InOrderCore
 
-
-def _reg_classes(op: str) -> tuple:
-    return _REGFILES[op]
-
-
-def _map_reg(index: Optional[int], klass: str) -> Optional[int]:
-    if index is None:
-        return None
-    return _BASE[klass] + index
-
-
-_CONTROL = frozenset({"beqz", "bnez", "j", "exit", "exit_ind", "ibtc",
-                      "assert_z", "assert_nz"})
-
-#: fallback reasons surfaced through ``timing.annotated.fallback.*``
-FALLBACK_SAMPLING = "sampling"
-FALLBACK_UNANNOTATABLE = "unannotatable"
-FALLBACK_UNBATCHED = "unbatched"
+#: the per-execution dynamics of a TOL-mix branch (always taken)
+_TAKEN = {"taken": True}
 
 
 class TimingSession:
     """Streams executed host instructions into an :class:`InOrderCore`.
 
-    Attach via :meth:`install` (or manually:
-    ``host_emulator.trace_sink = session.sink`` plus
-    ``trace_sink_batch = session.sink_batch``).  Optionally, TOL overhead
-    charges can be fed as synthetic instruction batches so the timing
-    results include the software layer (``feed_tol_overhead``).
-
-    ``annotate`` (default: on, unless a ``sample_filter`` is given)
-    enables the cycle-annotated fast path: per-unit static profiles are
-    resolved against the core's configuration and record batches are fed
-    through ``InOrderCore.feed_unit``.  Cycle-for-cycle identical to the
-    per-instruction path by construction (DESIGN.md §10); only simulator
-    wall-clock changes.
+    Attach via :meth:`install`.  Optionally, TOL overhead charges are fed
+    as synthetic instruction batches so the timing results include the
+    software layer (:meth:`feed_tol_overhead`).
     """
 
     #: Synthetic TOL instruction mix: (class, has_mem).
@@ -77,37 +44,34 @@ class TimingSession:
         ("load", True), ("simple", False), ("store", True),
         ("simple", False),
     )
+    #: records after which the mix slot and the destination pattern of
+    #: :meth:`_grow_tol` both repeat
+    TOL_PERIOD = 30
 
     def __init__(self, core: Optional[InOrderCore] = None,
-                 sample_filter=None, annotate: Optional[bool] = None):
+                 annotate: Optional[bool] = None):
         self.core = core if core is not None else InOrderCore()
-        #: optional callable(instr_number) -> bool controlling whether the
-        #: instruction is simulated in detail (sampling support).
-        self.sample_filter = sample_filter
-        if annotate is None:
-            annotate = sample_filter is None
-        #: cycle-annotated batch mode (sampling forces per-record).
-        self.annotate = bool(annotate) and sample_filter is None
+        #: batched delivery with tier-up (default) or one record per call
+        self.annotate = annotate is None or bool(annotate)
         self.fed = 0
-        self.skipped = 0
-        self._seen = 0
         self._tol_pc = 0x7F00_0000
         self._tol_addr = 0xE000_0000
-        self._tol_slots = None
-        # Satellite of ISSUE 7: per-record attribute lookups hoisted out
-        # of the hot path once, at session construction.
-        self._feed = self.core.feed
+        #: the TOL mix as a synthetic annotation, sized to the longest
+        #: charge so far (at least one period); its records with the
+        #: mix's static dynamics, the positions of its memory accesses,
+        #: and its periodic applier (built on the first charge)
+        self._tol_ann = UnitAnnotation(-1, (), self.core)
+        self._tol_records = []
+        self._tol_mem = []
+        self._tol_applier = None
         self._feed_unit = self.core.feed_unit
-        #: uid -> resolved UnitAnnotation (False = unannotatable).
+        #: uid -> resolved UnitAnnotation
         self._annotations = {}
-        self._batch_reason = None
-        # -- annotated-mode accounting (timing.annotated.* telemetry) --
+        # -- batched-delivery accounting (timing.annotated.* telemetry) --
         self.annotated_units = 0
         self.compiled_units = 0
         self.fastpath_batches = 0
         self.fastpath_insns = 0
-        self.fallback_insns = 0
-        self.fallback_reasons = {}
 
     # ------------------------------------------------------------------
 
@@ -137,153 +101,94 @@ class TimingSession:
 
     # ------------------------------------------------------------------
 
-    def sink(self, unit, index: int, ins: HostInstr, info) -> None:
-        self._seen += 1
-        if self.sample_filter is not None \
-                and not self.sample_filter(self._seen):
-            self.skipped += 1
-            return
-        op = ins.op
-        klass = _UNIT_CLASS[op]
-        d_class, a_class, b_class, c_class = _REGFILES[op]
-        dst = _map_reg(ins.d, d_class)
-        srcs = (_map_reg(ins.a, a_class), _map_reg(ins.b, b_class),
-                _map_reg(ins.c, c_class))
-        mem_addr = None
-        branch = None
-        uid = unit.uid
-        if info is not None:
-            mem_addr = info.get("mem_addr")
-            if "taken" in info:
-                taken = info["taken"]
-                target = host_pc(uid, ins.target or 0) if taken \
-                    else host_pc(uid, index + 1)
-                branch = (taken, target)
-        if klass in ("branch",) and branch is None:
-            branch = (False, 0)
-        # Stores carry their value in b (or d); they have no destination.
-        if klass == "store":
-            dst = None
-        self._feed(host_pc(uid, index), klass, dst, srcs,
-                   mem_addr=mem_addr, branch=branch)
+    def sink(self, unit, index: int, ins, info) -> None:
+        """Feed one executed record through its unit's annotation."""
+        ann = self._annotations.get(unit.uid) \
+            or self._build_annotation(unit)
+        self._feed_unit(ann, ((index, info),))
         self.fed += 1
-        if self.annotate and self._batch_reason is None:
-            # Per-record delivery while annotation is on: someone fed us
-            # outside the batched path (visible as a fallback).
-            self.fallback_insns += 1
-            reasons = self.fallback_reasons
-            reasons[FALLBACK_UNBATCHED] = \
-                reasons.get(FALLBACK_UNBATCHED, 0) + 1
 
     def sink_batch(self, unit, records) -> None:
         """Batch form of :meth:`sink`: ``records`` is a list of
-        ``(index, info)`` pairs in execution order.  Semantically
-        identical to calling :meth:`sink` per record; with annotation
-        enabled the whole batch is applied through the unit's resolved
-        annotation in one core call."""
-        if self.annotate:
-            if self.sample_filter is None:
-                anns = self._annotations
-                uid = unit.uid
-                ann = anns.get(uid)
-                if ann is None and uid not in anns:
-                    ann = self._build_annotation(unit)
-                if ann:
-                    n = len(records)
-                    self._seen += n
-                    fn = ann.compiled
-                    if fn is not None:
-                        rem = fn(records)
-                        if rem is not None:
-                            # Non-leader entry (pause flush inside a
-                            # straight-line run): finish the batch on
-                            # the generic annotated loop — still exact.
-                            self._feed_unit(ann, records[rem:])
-                    else:
-                        self._feed_unit(ann, records)
-                        threshold = ann.compile_at
-                        if threshold is not None:
-                            fed = ann.fed_records = ann.fed_records + n
-                            if fed >= threshold:
-                                self._compile_annotation(unit, ann)
-                    self.fed += n
-                    self.fastpath_batches += 1
-                    self.fastpath_insns += n
-                    return
-                reason = FALLBACK_UNANNOTATABLE
-            else:
-                reason = FALLBACK_SAMPLING
-            n = len(records)
-            self.fallback_insns += n
-            reasons = self.fallback_reasons
-            reasons[reason] = reasons.get(reason, 0) + n
-            self._batch_reason = reason
-            try:
-                self._sink_records(unit, records)
-            finally:
-                self._batch_reason = None
+        ``(index, info)`` pairs in execution order, applied in one core
+        call (the unit's compiled applier once it is hot)."""
+        if not self.annotate:
+            instrs = unit.instrs
+            for index, info in records:
+                self.sink(unit, index, instrs[index], info)
             return
-        self._sink_records(unit, records)
-
-    def _sink_records(self, unit, records) -> None:
-        instrs = unit.instrs
-        sink = self.sink
-        for index, info in records:
-            sink(unit, index, instrs[index], info)
+        ann = self._annotations.get(unit.uid) \
+            or self._build_annotation(unit)
+        n = len(records)
+        fn = ann.compiled
+        if fn is not None:
+            rem = fn(records)
+            if rem is not None:
+                # Entry off a leader (a pause flush inside a run): finish
+                # the batch on the generic loop.
+                self._feed_unit(ann, records[rem:])
+        else:
+            self._feed_unit(ann, records)
+            if ann.compile_at is not None:
+                ann.fed_records += n
+                if ann.fed_records >= ann.compile_at:
+                    self._compile_annotation(unit, ann)
+        self.fed += n
+        self.fastpath_batches += 1
+        self.fastpath_insns += n
 
     def _compile_annotation(self, unit, ann) -> None:
-        """Tier a hot unit's annotation up to its generated applier
-        (``annotate.compile_applier``); a failed or refused compile
-        pins the unit to the generic loop for good."""
+        """Tier a hot unit up to its generated applier; a unit too large
+        to compile stays on the generic loop for good."""
         ann.compile_at = None
-        try:
-            fn = compile_applier(unit, self.core)
-        except Exception:
-            fn = None
-        ann.compiled = fn
-        if fn is not None:
+        ann.compiled = compile_applier(unit, self.core)
+        if ann.compiled is not None:
             self.compiled_units += 1
 
     def _build_annotation(self, unit):
-        """Resolve (and cache) a unit's annotation; ``False`` marks a
-        unit the profile cannot describe (it stays on the per-record
-        path — bailing is always safe)."""
-        try:
-            ann = resolve_annotation(unit, self.core)
-        except Exception:
-            ann = False
-        self._annotations[unit.uid] = ann
-        if ann:
-            self.annotated_units += 1
+        """Resolve and cache a unit's annotation."""
+        ann = self._annotations[unit.uid] = resolve_annotation(unit,
+                                                               self.core)
+        self.annotated_units += 1
         return ann
 
     # ------------------------------------------------------------------
 
-    def _build_tol_slots(self) -> tuple:
-        """Precompute the TOL mix's steady-state schedule table: one
-        ``(kind, dst, klass)`` entry per phase of the combined (mix x
-        destination-pattern) period, with the class mapping, kind code
-        and destination pattern folded in (every mix instruction reads
-        ``(dst, 22)``).  Computed once per session; after this, applying
-        a whole overhead charge is a single ``feed_synthetic_batch``
-        call."""
+    def _grow_tol(self, size: int) -> None:
+        """Extend the synthetic TOL annotation to ``size`` records.
+        Record ``i`` of a charge is mix slot ``i % len(TOL_MIX)`` at PC
+        slot ``i % 4096``; it writes ``20`` or ``21`` and reads that and
+        ``22``, and a branch is taken, 64 bytes ahead."""
         mix = self.TOL_MIX
-        n_mix = len(mix)
-        period = n_mix * 3  # lcm(len(mix), dst pattern period 3)
-        kinds = {"simple": 0, "load": 1, "store": 2, "branch": 3}
-        slots = []
-        for i in range(period):
-            klass, _has_mem = mix[i % n_mix]
+        profile = []
+        for i in range(self._tol_ann.size, size):
+            klass, has_mem = mix[i % len(mix)]
+            pc = self._tol_pc + (i & 4095) * 4
             dst = 20 if i % 3 == 0 else 21
-            slots.append((kinds[klass], dst, klass))
-        return tuple(slots)
+            profile.append(profile_entry(pc, klass, dst, (dst, 22), pc + 64))
+            self._tol_records.append((i, _TAKEN if klass == "branch"
+                                      else None))
+            if has_mem:
+                self._tol_mem.append(i)
+        self._tol_ann.extend(profile, self.core)
 
     def feed_tol_overhead(self, host_insns: int) -> None:
         """Feed ``host_insns`` synthetic TOL instructions (a fixed,
-        moderately serial mix over a small working set) as one batch."""
-        slots = self._tol_slots
-        if slots is None:
-            slots = self._tol_slots = self._build_tol_slots()
-        self._tol_addr = self.core.feed_synthetic_batch(
-            host_insns, slots, self._tol_pc, self._tol_addr)
+        moderately serial mix over a small working set) as one batch of
+        the synthetic TOL annotation, through its periodic applier."""
+        if self._tol_applier is None:
+            self._grow_tol(max(host_insns, self.TOL_PERIOD))
+            self._tol_applier = compile_periodic(
+                self._tol_ann, self.TOL_PERIOD, self.core)
+        elif self._tol_ann.size < host_insns:
+            self._grow_tol(host_insns)
+        records = self._tol_records[:host_insns]
+        addr = self._tol_addr
+        for i in self._tol_mem:
+            if i >= host_insns:
+                break
+            addr = 0xE000_0000 + ((addr + 64) & 0x1FFF)
+            records[i] = (i, {"mem_addr": addr})
+        self._tol_addr = addr
+        self._tol_applier(records)
         self.fed += host_insns

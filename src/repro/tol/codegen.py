@@ -97,12 +97,6 @@ class CodeGenerator:
             guest_bb_count=guest_bb_count,
             exit_indices=exit_indices, unrolled=unrolled,
         )
-        # Static cycle annotation: computed once per unit at translate
-        # time, consumed by the timing layer's batched fast path.
-        # (Function-level import: repro.timing pulls in the run helpers,
-        # which import the system controller and hence this package.)
-        from repro.timing.annotate import build_static_profile
-        unit._timing_profile = build_static_profile(unit)
         return unit
 
     # ------------------------------------------------------------------

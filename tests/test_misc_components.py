@@ -126,17 +126,6 @@ def test_timing_session_counts_all_instructions():
     assert stats.loads == 1
 
 
-def test_timing_session_sample_filter_skips():
-    memory = PagedMemory()
-    emu = HostEmulator(memory)
-    session = TimingSession(InOrderCore(),
-                            sample_filter=lambda n: n % 2 == 0)
-    emu.trace_sink = session.sink
-    emu.execute(_make_unit(), GuestState())
-    assert session.fed == 2
-    assert session.skipped == 2
-
-
 def test_feed_tol_overhead_mix():
     session = TimingSession(InOrderCore())
     session.feed_tol_overhead(100)

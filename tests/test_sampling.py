@@ -5,9 +5,11 @@ import pytest
 from repro.guest.assembler import Assembler, EAX, EBX, ECX, EDX, ESI, M
 from repro.guest.program import pack_u32s
 from repro.sampling.warmup import (
-    WarmupSimulator, collect_bb_frequencies, distribution_similarity,
+    SampleMeasurement, WarmupSimulator, collect_bb_frequencies,
+    distribution_similarity,
 )
 from repro.tol.config import TolConfig
+from repro.workloads import get_workload
 
 FAST = TolConfig(bbm_threshold=6, sbm_threshold=30)
 
@@ -57,6 +59,27 @@ def test_simulate_sample_runs_and_measures():
     assert sample.cpi > 0
     assert sample.detailed_instructions > 0
     assert sample.simulated_guest_insns <= 4200  # warmup + sample (+slack)
+
+
+def test_simulate_sample_pinned_measurements():
+    """Two 429.mcf samples pinned at values recorded when the sampler fed
+    its timing session one record at a time: batched annotated delivery
+    must not move a cycle of the measurement."""
+    sim = WarmupSimulator(get_workload("429.mcf").program(scale=0.5))
+    got = [sim.simulate_sample(start=start, length=20_000, warmup=20_000,
+                               scale=4.0)
+           for start in (40_000, 120_000)]
+    assert got == [
+        SampleMeasurement(start=40_000, length=20_000, warmup_length=20_000,
+                          scale_factor=4.0, cpi=1.082719342513157,
+                          detailed_instructions=69_355,
+                          simulated_guest_insns=40_008),
+        SampleMeasurement(start=120_000, length=20_000,
+                          warmup_length=20_000, scale_factor=4.0,
+                          cpi=1.081743594180329,
+                          detailed_instructions=69_351,
+                          simulated_guest_insns=40_001),
+    ]
 
 
 def test_downscaled_warmup_reaches_hotter_state():

@@ -12,9 +12,7 @@ from repro.timing.annotate import (
 )
 from repro.timing.core import InOrderCore
 from repro.timing.run import run_with_timing
-from repro.timing.trace import (
-    FALLBACK_SAMPLING, FALLBACK_UNANNOTATABLE, TimingSession,
-)
+from repro.timing.trace import TimingSession
 from repro.tol.config import TolConfig
 from repro.workloads import SyntheticSpec, generate, get_workload
 
@@ -213,7 +211,8 @@ def _feed_tol_per_instruction(session, host_insns):
     session.fed += host_insns
 
 
-@pytest.mark.parametrize("charges", [[7], [1000], [64, 128, 5, 977]])
+@pytest.mark.parametrize("charges", [[7], [1000], [64, 128, 5, 977],
+                                     [4097], [6384, 9000]])
 def test_tol_overhead_batch_matches_per_instruction(charges):
     batched = TimingSession(InOrderCore(), annotate=True)
     naive = TimingSession(InOrderCore(), annotate=True)
@@ -227,7 +226,7 @@ def test_tol_overhead_batch_matches_per_instruction(charges):
     assert batched.fed == naive.fed
 
 
-# -- annotation cache / fallback accounting -----------------------------------
+# -- annotation cache ---------------------------------------------------------
 
 
 def test_annotation_cache_dropped_on_unit_invalidation():
@@ -243,30 +242,3 @@ def test_annotation_cache_dropped_on_unit_invalidation():
     unit = next(u for u in tol.cache.units() if u.uid == uid)
     tol.cache.invalidate(unit)
     assert uid not in session._annotations
-
-
-def test_sampling_falls_back_and_counts_reason():
-    spec = SyntheticSpec(seed=3, hot_loops=1, trip_count=200, bb_size=6,
-                         branchy=True, mem_ops=1)
-    _, controller, core = run_with_timing(
-        generate(spec), tol_config=TolConfig(**FAST), validate=False,
-        sample_filter=lambda n: n % 2 == 0)
-    session = controller.codesigned.tol.host.trace_sink.__self__
-    assert not session.annotate
-    assert session.fastpath_insns == 0
-    assert session.skipped > 0
-
-
-def test_unannotatable_unit_counts_fallback_reason():
-    spec = SyntheticSpec(seed=3, hot_loops=1, trip_count=150, bb_size=6,
-                         branchy=True, mem_ops=1)
-    units = _translate_units(spec)
-    unit = max(units, key=lambda u: len(u.instrs))
-    core = InOrderCore()
-    session = TimingSession(core, annotate=True)
-    session._annotations[unit.uid] = False  # pre-marked unannotatable
-    records = _synth_records(build_static_profile(unit))
-    session.sink_batch(unit, records)
-    assert session.fallback_reasons[FALLBACK_UNANNOTATABLE] \
-        == len(records)
-    assert session.fed == len(records)
