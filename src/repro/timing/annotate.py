@@ -33,8 +33,8 @@ generated from it:
 Per-instruction ``InOrderCore.feed`` and the per-record trace sink are
 fed through the generic loop, so every path computes the same
 arithmetic by construction.  Configuration values are literals in every
-form, and each generated source is compiled once and memoized by its
-text.
+form, and each generated source is compiled once per process
+(:mod:`repro.pycode` memoizes code by source text).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from repro.host.isa import REGFILES, HostOp, op_unit_class
+from repro.pycode import define
 
 #: Scoreboard register-id namespaces: integer, FP and vector files.
 FP_BASE = 64
@@ -80,10 +81,6 @@ COMPILE_AT_BASE = 256
 #: units larger than this keep the generic loop (bounds generated-source
 #: size; covers every BBM/SBM unit in practice).
 _MAX_COMPILED_SIZE = 512
-
-#: source text -> code object (cross-session; cleared when full)
-_CODE_CACHE: dict = {}
-_CODE_CACHE_MAX = 1024
 
 
 def host_pc(unit_uid: int, index: int) -> int:
@@ -432,19 +429,6 @@ def _emit_leave(emit, ind: int) -> None:
     emit(ind, "SS.cycles = last_done")
 
 
-def _code(source: str, name: str):
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = _CODE_CACHE[source] = compile(source, name, "exec")
-    return code
-
-
-#: generic-loop source text -> function
-_LOOPS: dict = {}
-
-
 def generic_loop(cfg):
     """The generic loop for timing configuration ``cfg``:
     ``fn(core, ann, records)`` feeds the executed ``(index, info)``
@@ -467,13 +451,7 @@ def generic_loop(cfg):
     emit(3, "if count:")
     emit(4, "name = ann.class_names[ki]")
     emit(4, "SS.by_class[name] = SS.by_class.get(name, 0) + count")
-    source = emit.text()
-    fn = _LOOPS.get(source)
-    if fn is None:
-        namespace: dict = {}
-        exec(_code(source, "<timing-step>"), namespace)
-        fn = _LOOPS[source] = namespace["feed_unit"]
-    return fn
+    return define(emit.text(), "feed_unit", {}, "<timing-step>")
 
 
 def _exec_facts(kind, klass, cfg):
@@ -508,9 +486,7 @@ def _applier(core, classes, label, body, **extra):
         emit(2, f"if kc_{klass}:")
         emit(3, f'SS.by_class["{klass}"] = '
                 f'SS.by_class.get("{klass}", 0) + kc_{klass}')
-    namespace = {"C": core, **extra}
-    exec(_code(emit.text(), label), namespace)
-    return namespace["_applier"]
+    return define(emit.text(), "_applier", {"C": core, **extra}, label)
 
 
 def _emit_counts(emit, ind: int, klasses) -> None:

@@ -56,7 +56,7 @@ class Frontend:
         raise NotImplementedError
 
     def decode_compiled(self, memory: PagedMemory, pc: int):
-        """Decode at ``pc`` and closure-compile the IR expansion (cached).
+        """Decode at ``pc`` and make the IR expansion's closure (cached).
 
         Returns ``(decoded, fn)`` where ``fn`` is the compiled closure from
         :func:`repro.tol.ir_eval.compile_ops`, or ``None`` when the op list

@@ -7,8 +7,9 @@ for instructions excluded from translations (complex string operations) and
 after speculation failures (paper §V-B1).
 
 The hot loop uses a closure-compiled fast path: the IR expansion of each
-decode address is compiled once (:func:`repro.tol.ir_eval.compile_ops`) and
-cached, so steady-state interpretation executes one specialized Python
+decode address becomes a closure (:func:`repro.tol.ir_eval.compile_ops`,
+an instance of a shape compiled once per process) and is cached, so
+steady-state interpretation executes one specialized Python
 closure per guest instruction instead of re-walking the op list.  IR-op
 accounting (``ir_ops_evaluated``, per-step ``ir_ops``) is identical on both
 paths — the fast path changes simulator wall-clock speed, never simulated

@@ -13,6 +13,9 @@ Plus the satellite fixes: REP string-op chunking and the
 ``validate_min_icount_gap`` epoch knob.
 """
 
+import math
+import struct
+
 import pytest
 
 from repro.guest.assembler import Assembler, EAX, EBX, ECX, EDI, EDX, ESI
@@ -23,7 +26,7 @@ from repro.system.controller import run_codesigned
 from repro.tol.config import TolConfig
 from repro.tol.decoder import GisaFrontend
 from repro.tol.interp import END, OK, SYSCALL, Interpreter
-from repro.tol.ir import ZF, Const, GReg, IRInstr
+from repro.tol.ir import CF, ZF, Const, FTmp, GFReg, GReg, IRInstr
 from repro.tol.ir_eval import (
     EXIT, FALLTHROUGH, IRAssertFailure, compile_ops, eval_ops,
 )
@@ -170,6 +173,56 @@ def test_compile_ops_covers_superblock_control_ops():
     state = GuestState()
     assert fn(state, memory) == (EXIT, 0x700)
     assert state.gpr[1] != 99
+
+
+def _fpr_bits(state):
+    return [struct.pack("<d", value) for value in state.fpr]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0],
+                         ids=["nan", "inf", "-inf", "-0.0"])
+def test_compile_ops_non_finite_and_signed_zero_constants(value):
+    """Constants are parameters of the closure's shape, so every float
+    compiles, and the closure's results match eval_ops bit for bit."""
+    ops = [
+        IRInstr("fmov", dst=GFReg(0), srcs=(Const(value),)),
+        IRInstr("fadd", dst=GFReg(1), srcs=(GFReg(1), Const(value))),
+        IRInstr("fmul", dst=FTmp(7), srcs=(Const(value), Const(-1.0))),
+        IRInstr("fmov", dst=GFReg(2), srcs=(FTmp(7),)),
+        IRInstr("fcmpun", dst=ZF, srcs=(GFReg(0), Const(value))),
+        IRInstr("fcmplt", dst=CF, srcs=(Const(value), GFReg(3))),
+    ]
+    fn = compile_ops(ops)
+    assert fn is not None
+    state = GuestState()
+    state.fpr[1], state.fpr[3] = 2.5, -1.0
+    ref_state = state.copy()
+    memory = PagedMemory()
+    assert fn(state, memory) == eval_ops(ops, ref_state, memory)
+    assert _fpr_bits(state) == _fpr_bits(ref_state)
+    assert state.flags == ref_state.flags
+    assert struct.pack("<d", state.fpr[0]) == struct.pack("<d", value)
+
+
+def test_int_and_float_constants_share_a_shape():
+    """``Const(1)`` and ``Const(1.0)`` are one shape; each closure keeps
+    its own constant."""
+    def ops(one):
+        return [IRInstr("fadd", dst=FTmp(0), srcs=(GFReg(1), Const(one))),
+                IRInstr("fmov", dst=GFReg(0), srcs=(FTmp(0),))]
+
+    by_int, by_float = compile_ops(ops(1)), compile_ops(ops(1.0))
+    assert by_int.__code__ is by_float.__code__
+    for fn, one in ((by_int, 1), (by_float, 1.0)):
+        assert [type(cell.cell_contents) for cell in fn.__closure__] \
+            == [type(one)]
+        state = GuestState()
+        state.fpr[1] = 0.5
+        ref_state = state.copy()
+        memory = PagedMemory()
+        assert fn(state, memory) == eval_ops(ops(one), ref_state, memory)
+        assert _fpr_bits(state) == _fpr_bits(ref_state)
+        assert state.fpr[0] == 1.5
 
 
 # -- interpreter: fastpath on vs off ------------------------------------------
