@@ -410,6 +410,7 @@ def test_direct_tier_full_system_identity():
     host_on, host_off = tol_on.host, tol_off.host
     assert host_on.host_insns_total == host_off.host_insns_total
     assert host_on.host_insns_committed == host_off.host_insns_committed
+    assert host_on.host_committed_by_mode == host_off.host_committed_by_mode
     assert host_on.host_insns_wasted == host_off.host_insns_wasted
     assert host_on.guest_retired_total == host_off.guest_retired_total
     assert host_on.ibtc.hits == host_off.ibtc.hits
@@ -421,6 +422,31 @@ def test_direct_tier_full_system_identity():
     assert host_on.direct_entries > 0
     assert host_on.direct_insns > 0
     assert host_off.direct_entries == 0
+
+
+@pytest.mark.parametrize("name", ["462.libquantum", "429.mcf",
+                                  "470.lbm"])
+def test_programs_at_first_entry_keep_per_mode_accounting(name):
+    """Clusters at the first entry (``direct_promote_threshold=1``)
+    against the reference loop: Fig. 5's numerator, the host
+    instructions committed per mode, and the guest instructions retired
+    per mode must match.  A program call whose commits all retire zero
+    guest instructions still commits host instructions."""
+    from repro.workloads import get_workload
+
+    def run(config):
+        result, controller = run_codesigned(
+            get_workload(name).program(scale=0.02),
+            config=TolConfig(**config))
+        return result, controller.codesigned.tol.host
+
+    result_on, host_on = run(dict(direct_promote_threshold=1))
+    result_off, host_off = run(dict(host_fastpath=False,
+                                    direct_promote_threshold=10**9))
+    assert result_on.guest_icount == result_off.guest_icount
+    assert host_on.host_committed_by_mode == host_off.host_committed_by_mode
+    assert host_on.guest_retired_by_mode == host_off.guest_retired_by_mode
+    assert host_on.direct_entries > 0
 
 
 def test_direct_tier_traced_timing_identity():
