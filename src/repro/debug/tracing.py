@@ -121,7 +121,6 @@ def tol_stats_dump(tol: Tol) -> Dict[str, object]:
         "ibtc_misses": c["host.ibtc.misses"],
         "host_insns_committed": c["host.insns.committed"],
         "host_insns_wasted": c["host.insns.wasted"],
-        "host_fastpath_segments": c["host.fastpath.segments"],
         "incidents": c["resilience.incidents"],
         "incident_kinds": sorted(set(tol.incidents.kinds())),
         "watchdog_fires": c["tol.watchdog_fires"],

@@ -2,15 +2,17 @@
 
 Each candidate runs through the reference interpretive path first (a
 program that crashes or never exits there is *invalid*, not
-interesting), then through a matrix of co-designed legs — interpretive,
-fastpath, direct tier, in strict and recover modes, each validating
-against the authoritative x86 component, each with the invariant
-sanitizer hot — and optionally an annotated-timing leg whose cycle
-report must be bit-identical to the per-instruction timing path.
+interesting), then through three co-designed legs — the reference loops
+(IM op-list interpretation, host steps), and generated code in strict
+and in recover mode, each validating against the authoritative x86
+component, each with the invariant sanitizer hot — and optionally an
+annotated-timing leg whose cycle report must be bit-identical to the
+per-instruction timing path.
 
 Anything that raises, records a divergence-class incident, disagrees
-with the other legs on retirement counts, or breaks the timing
-identity is a finding.  A mutant that exhausts the event budget or only
+with the other legs on retirement or host accounting (guest and host
+instructions per mode, host instructions committed and wasted), or
+breaks the timing identity is a finding.  A mutant that exhausts the event budget or only
 trips the livelock watchdog is classified ``runaway`` and skipped — it
 must never hang a worker or abort the campaign.
 """
@@ -27,17 +29,12 @@ from repro.guest.syscalls import GuestOS
 from repro.tol.config import TolConfig
 
 #: Leg matrix: (name, TolConfig overrides).  The interpretive strict leg
-#: is the in-stack reference; the others cross every tier with both
-#: recovery modes.
+#: is the in-stack reference; the generated legs run both recovery modes.
 DEFAULT_LEGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("interp_strict", {"interp_fastpath": False, "host_fastpath": False,
-                       "direct_enable": False, "recovery_mode": "strict"}),
-    ("fastpath_strict", {"direct_enable": False,
-                         "recovery_mode": "strict"}),
-    ("direct_strict", {"recovery_mode": "strict"}),
-    ("fastpath_recover", {"direct_enable": False,
-                          "recovery_mode": "recover"}),
-    ("direct_recover", {"recovery_mode": "recover"}),
+                       "recovery_mode": "strict"}),
+    ("generated_strict", {"recovery_mode": "strict"}),
+    ("generated_recover", {"recovery_mode": "recover"}),
 )
 
 #: Incident kinds that constitute a divergence finding.  Deliberately
@@ -119,7 +116,7 @@ def evaluate_candidate(program: GuestProgram,
         return FuzzOutcome(classification="invalid")
 
     edges: set = set()
-    retirements: Dict[str, int] = {}
+    accounts: Dict[str, Dict[str, object]] = {}
     controllers: Dict[str, object] = {}
 
     base = TolConfig().with_overrides(base_overrides or {})
@@ -140,7 +137,7 @@ def evaluate_candidate(program: GuestProgram,
         finding_kind: Optional[str] = None
         try:
             result = controller.run(max_events=max_events)
-            retirements[leg_name] = result.guest_icount
+            accounts[leg_name] = _account(result, tol)
         except SanitizerError as exc:
             error = f"SanitizerError: {exc}"
             finding_kind = "sanitizer"
@@ -177,19 +174,21 @@ def evaluate_candidate(program: GuestProgram,
                 finding_kind=finding_kind, finding_leg=leg_name,
                 signature=sig, error=error, bundle_path=path)
 
-    # Cross-leg retirement identity: every clean leg must agree.
-    counts = sorted(set(retirements.values()))
-    if len(counts) > 1:
-        worst = max(retirements, key=lambda k: abs(
-            retirements[k] - retirements[next(iter(retirements))]))
+    # Cross-leg identity: every clean leg must agree with the first on
+    # retirement and host accounting.
+    first = next(iter(accounts.values()), None)
+    worst = next((leg for leg, account in accounts.items()
+                  if account != first), None)
+    if worst is not None:
         controller = controllers[worst]
         tol = controller.codesigned.tol
         tol.incidents.record(
-            "state_divergence", retirements[worst],
-            detail={"retirements": dict(sorted(retirements.items())),
-                    "check": "cross_leg_retirement"},
-            suspects=(), actions=("cross-leg retirement mismatch",))
-        err = f"cross-leg retirement mismatch: {retirements}"
+            "state_divergence", accounts[worst]["guest_icount"],
+            detail={"accounts": dict(sorted(accounts.items())),
+                    "check": "cross_leg_accounting"},
+            suspects=(), actions=("cross-leg accounting mismatch",))
+        err = (f"cross-leg accounting mismatch in {worst}: "
+               f"{accounts[worst]} vs {first}")
         sig = _signature_for("divergence", worst, tol, err)
         path = _write_finding_bundle(repro_dir, controller,
                                      "fuzz_divergence", err)
@@ -205,6 +204,19 @@ def evaluate_candidate(program: GuestProgram,
             return outcome
 
     return FuzzOutcome(classification="ok", edges=sorted(edges))
+
+
+def _account(result, tol) -> Dict[str, object]:
+    """What every clean leg must agree on: guest instructions retired,
+    per mode, and host instructions committed (per mode) and wasted."""
+    host = tol.host
+    return {"guest_icount": result.guest_icount,
+            "guest_retired_by_mode": dict(sorted(
+                host.guest_retired_by_mode.items())),
+            "host_committed_by_mode": dict(sorted(
+                host.host_committed_by_mode.items())),
+            "host_committed": host.host_insns_committed,
+            "host_wasted": host.host_insns_wasted}
 
 
 def _collect_edges(edges: set, tol) -> None:

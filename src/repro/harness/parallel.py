@@ -773,7 +773,6 @@ DIGEST_COUNTERS = (
     "cache.hits",
     "cache.misses",
     "host.insns.committed",
-    "host.fastpath.insns",
     "resilience.incidents",
     "controller.validations",
     "controller.recoveries",

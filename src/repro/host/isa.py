@@ -27,6 +27,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.costs import IBTC_HIT_INLINE
 from repro.guest import semantics as sem
 
 NUM_IREGS = 64
@@ -106,10 +107,10 @@ def op_unit_class(op: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Op semantics, stated once.  The host emulator's per-instruction steps
-# and straight-line segments, the direct tier's programs and the IR
-# evaluator (eval_ops, compile_ops, constant folding) are all generated
-# from these rows; control ops live in the emulator and the direct tier.
+# Op semantics, stated once.  The host emulator's reference loop and
+# generated programs and the IR evaluator (eval_ops, compile_ops,
+# constant folding) are all generated from these rows; the control ops
+# follow below the memory template.
 # ---------------------------------------------------------------------------
 
 #: Value ops: op -> (register files, result expression).  ``files`` names
@@ -234,8 +235,8 @@ REGFILES.update((op, _WIDTH_FILE[width] + "iii" if op in HostOp.LOAD
                  else "ii" + _WIDTH_FILE[width] + "i")
                 for op, (width, _) in MEMORY_OPS.items())
 
-#: The names the memory template reads, bound to the emulator state
-#: ``EMU``.  All of it is identity-stable for the emulator's lifetime
+#: The names the memory and control templates read, bound to the
+#: emulator state ``EMU``.  All of it is identity-stable for the emulator's lifetime
 #: (register files and alias table are restored and cleared in place,
 #: memories install pages in place), so generated code may bind it once.
 #: ``AT.store_conflicts`` is looked up per call: fault injection wraps it.
@@ -250,7 +251,8 @@ BINDINGS = {
     "TMR": "EMU.tol_memory.read_u32", "TMW": "EMU.tol_memory.write_u32",
     "TMRF": "EMU.tol_memory.read_f64", "TMWF": "EMU.tol_memory.write_f64",
     "TMRV": "EMU.tol_memory.read_vec", "TMWV": "EMU.tol_memory.write_vec",
-    "IBTCL": "EMU.ibtc.lookup",
+    "IBTCL": "EMU.ibtc.lookup", "FLUSH": "EMU._flush_trace",
+    "STEPS": "EMU._steps",
     # Guest-memory internals for the inlined u32 access (the page dict
     # is only mutated in place; the dirty set only added to/cleared).
     "GP": "EMU.memory._pages", "DIRTYA": "EMU.memory.dirty.add",
@@ -297,25 +299,28 @@ def names_in(lines):
     return sorted(BINDINGS.keys() & set(words))
 
 
-def memory_lines(op, d, a, b, imm, seq, undo, charge=None):
+def memory_lines(op, d, a, b, imm, seq):
     """Source lines of load/store ``op`` over BINDINGS, ``_SUI``/
     ``_SPI`` and ``_FS`` (raised on an alias-table conflict or
-    overflow), with the effective address left in ``_a``.
+    overflow), with the effective address left in ``_a``, inside the
+    frame of :func:`host_factory`.
 
-    The operands are texts: literals for a program generated per unit,
-    ``ins.d``-style reads for a step generated per op.  The hooks:
-    ``undo(entry)`` gives the lines that log a guest store's old value;
-    ``charge`` names the counter a checking store adds its serial
-    alias-table search to (one host instruction per occupied entry,
-    charged inside the store's region), or None to leave it out.
-    TOL-area addresses (spill slots) bypass the undo log; u32 accesses
-    inside one present page skip the memory's methods."""
+    The operands are texts: literals and parameters in a program,
+    ``ins.d``-style reads in the reference loop.  A guest store under a
+    live checkpoint (``_ck``) logs the old value in the undo log; a
+    checking store under serial alias-table search charges one host
+    instruction per occupied entry to ``executed``, inside the store's
+    region.  TOL-area addresses (spill slots) bypass the undo log; u32
+    accesses inside one present page skip the memory's methods."""
     width, alias = MEMORY_OPS[op]
     out = [f"_a = (I[{a}] + {imm}) & 0xFFFFFFFF" if imm
            else f"_a = I[{a}] & 0xFFFFFFFF"]
 
     def put(depth, *lines):
         out.extend("    " * depth + line for line in lines)
+
+    def undo(entry):
+        return ["if _ck is not None:", f"    UNDO.append({entry})"]
 
     def probe(depth, fast, slow):
         put(depth, "_pg = GP.get(_a >> 12)", "_o = _a & 4095",
@@ -328,10 +333,9 @@ def memory_lines(op, d, a, b, imm, seq, undo, charge=None):
     if op in HostOp.STORE:
         value = reg.format(b)
         if alias:
-            if charge:
-                put(0, "if EMU.alias_serial_search:")
-                put(1, "_c = len(ATE)", f"{charge} += _c",
-                    "EMU.alias_search_insns += _c")
+            put(0, "if EMU.alias_serial_search:")
+            put(1, "_c = len(ATE)", "executed += _c",
+                "EMU.alias_search_insns += _c")
             put(0, f"if AT.store_conflicts(_a, {alias}, {seq}):")
             put(1, "raise _FS")
         put(0, f"if _a < {TOL_AREA_BASE:#x}:")
@@ -360,6 +364,204 @@ def memory_lines(op, d, a, b, imm, seq, undo, charge=None):
         put(1, "raise _FS")
         put(0, f"{reg.format(d)} = _v")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Control ops, stated once.  Both host execution forms are rendered from
+# these templates: the reference loop, one generic function that steps
+# through any unit reading each instruction's fields, and the generated
+# program of one unit (or a cluster of chained units), with its operands
+# folded in.  The templates run inside the frame of :func:`host_factory`,
+# whose locals hold the dispatch's accounting:
+#
+#   executed    host instructions executed in this dispatch
+#   _rb         ``executed`` where the open region began
+#   GRT, _g0    guest instructions retired, now and at entry
+#   _ug, _uh    guest/host instructions committed into unit ``U``
+#   _hc, _de    host instructions committed; extra program entries
+#   _ck, _ckpc  the open region's checkpoint (saved registers), restart PC
+#   _k, _x, _y  how control leaves: 0 chain to unit ``_x``; 1 TOL exit to
+#               ``_x`` from exit index ``_y`` (None: a pause); 2 IBTC
+#               miss; 3 page fault (``_y`` the address); 4 assert fail;
+#               5 alias-table fail (``_x`` the restart PC)
+#
+# Operands come as texts: ``ins.a``-style reads in the reference loop,
+# literals and factory parameters in a program.  A condition that only
+# the reference loop cannot know statically (a profiled exit) is a text
+# tested at run time; a program passes True or False.  The hooks of a
+# form (see :class:`ControlHooks`) say how it records trace entries,
+# jumps inside the unit and follows a chain link.
+# ---------------------------------------------------------------------------
+
+FUEL_ERROR = ('f"fuel exhausted in unit {U.uid} (entry {U.entry_pc:#x}): '
+              'likely a translation bug (infinite loop)"')
+FELL_OFF_ERROR = 'f"fell off the end of unit {U.uid} (entry {U.entry_pc:#x})"'
+
+
+def indent(lines, depth=1):
+    return ["    " * depth + line for line in lines]
+
+
+def leave(kind, a, b):
+    """Leave the dispatch loop for the frame's epilogue."""
+    return [f"_k, _x, _y = {kind}, {a}, {b}", "break"]
+
+
+class ControlHooks:
+    """How one execution form renders the control templates.  The
+    defaults are the reference loop's: it cannot know which register
+    files a unit writes or whether it stores, so a checkpoint saves
+    every register and commits always clear the undo log and the alias
+    table."""
+
+    traced = False
+    has_store = has_spec = True
+    save = "(I[:], F[:], V[:])"
+    restore = ("I[:], F[:], V[:] = _ck",)
+
+    def record(self, info):
+        """Lines appending the current instruction's trace entry."""
+        return []
+
+    def goto(self, target):
+        """Lines continuing at instruction ``target`` of this unit."""
+        raise NotImplementedError
+
+    def chain(self, unit):
+        """Lines continuing in unit ``unit`` (a chain or an IBTC hit)."""
+        return leave(0, unit, None)
+
+
+def commit_lines(guest_insns, h):
+    """Commit the open region: it retires ``guest_insns``."""
+    return (["del UNDO[:]"] * h.has_store + ["del ATE[:]"] * h.has_spec
+            + ["_ck = None", "_r = executed - _rb", "_rb = executed",
+               f"_ug += {guest_insns}", f"GRT += {guest_insns}",
+               "_uh += _r", "_hc += _r"])
+
+
+def control_lines(op, o, h):
+    """Source lines of control op ``op`` with operand texts ``o`` (``a``,
+    ``target``, ``index``, ``guest_pc``, ``next_pc``, ``guest_insns``,
+    ``meta``, ``profile``) under hooks ``h``.  The op's own host
+    instruction is already charged to ``executed``."""
+    if op in ("beqz", "bnez"):
+        test = f"I[{o['a']}] {'==' if op == 'beqz' else '!='} 0"
+        taken = h.record("{'taken': _tk}")
+        if taken:
+            taken.insert(0, f"_tk = {test}")
+            test = "_tk"
+        return taken + [f"if {test}:", *indent(h.goto(o["target"]))]
+    if op == "j":
+        return h.record("{'taken': True}") + h.goto(o["target"])
+    if op in ("assert_z", "assert_nz"):
+        fails = "!=" if op == "assert_z" else "=="
+        return [f"if I[{o['a']}] {fails} 0:", "    raise _FA",
+                *h.record("None")]
+    if op == "chkpt":
+        # The previous region committed: returning here is clean.
+        return ["if PAUSE is not None and GRT >= PAUSE:",
+                *indent(leave(1, o["guest_pc"], None)),
+                f"_ck = {h.save}", f"_ckpc = {o['guest_pc']}",
+                *["del UNDO[:]"] * h.has_store, *h.record("None")]
+    if op == "commit":
+        return commit_lines(o["guest_insns"], h) + h.record("None")
+    # exit / exit_ind / ibtc: charge the inline profiling and IBTC
+    # lookup sequences, commit, then chain or leave.
+    target = o["next_pc"] if op == "exit" else "_pc"
+    out = [] if op == "exit" else [f"_pc = I[{o['a']}] & 0xFFFFFFFF"]
+    profile = o["profile"]
+    if profile is not False:
+        seq = ["executed += EMU.profile_inline_cost",
+               f"_int = PH is not None and PH(U, {target})"]
+        out += seq if profile is True else [
+            "_int = False", f"if {profile}:", *indent(seq)]
+    if op == "ibtc":
+        out.append(f"executed += {IBTC_HIT_INLINE}")
+    out += commit_lines(o["guest_insns"], h) + h.record("{'taken': True}")
+    unless = "" if profile is False else " and not _int"
+    if op == "exit":
+        out += [f"_lnk = {o['meta']}.get('link')",
+                f"if _lnk is not None{unless}:", *indent(h.chain("_lnk"))]
+        return out + leave(1, target, o["index"])
+    if op == "ibtc":
+        if profile is not False:
+            out += ["if _int:", *indent(leave(1, "_pc", o["index"]))]
+        out += ["_t = IBTCL(_pc)", "if _t is not None:",
+                *indent(h.chain("_t"))]
+        return out + leave(2, "_pc", o["index"])
+    return out + leave(1, "_pc", o["index"])
+
+
+def rollback_lines(h):
+    """Restore the open region's checkpoint: replay the undo log, clear
+    the alias table, restore the saved registers and charge the region
+    as wasted work."""
+    return [
+        "if EMU.undo_check is not None:", "    EMU.undo_check(U)",
+        "if _ck is None:",
+        "    raise _HEE('rollback without active checkpoint')",
+        "for _kind, _ra, _ro in reversed(UNDO):",
+        "    if _kind == 'u32':", "        MW(_ra, _ro)",
+        "    elif _kind == 'f64':", "        MWF(_ra, _ro)",
+        "    else:", "        MWV(_ra, _ro)",
+        "del UNDO[:]", "del ATE[:]", *h.restore,
+        "_r = executed - _rb", "_rb = executed",
+        "U.host_insns_wasted += _r", "EMU.host_insns_wasted += _r"]
+
+
+#: Emulator state read once per call: it may change between calls (the
+#: TOL sets the pause point per dispatch and wires the hooks and the
+#: unit log after construction).
+_PER_CALL = {"PAUSE": "EMU.pause_retired_at", "PH": "EMU.profile_hook",
+             "ULOG": "EMU.unit_log"}
+
+
+def host_factory(name, args, params, prologue, body, h):
+    """Source of the factory ``_mk(EMU, *params)`` returning host
+    function ``name(EMU, executed, fuel<args>)``.  The function runs
+    ``prologue`` and then ``body`` (one iteration of its dispatch loop)
+    until the body leaves; a page fault, failed assert or alias-table
+    conflict rolls the open region back, and every path out -- returns
+    and exceptions alike -- writes the accounting back to the emulator
+    and the unit in one epilogue.  It returns ``(kind, a, b, executed,
+    unit)``: the leave kind and operands, and the unit control is in."""
+    lines = [
+        "_rb = executed - EMU._region_insns",
+        "_g0 = GRT = EMU.guest_retired_total",
+        "_hc = _ug = _uh = _de = 0", "_ck = None", "_ckpc = _ip = 0",
+        *prologue, *["TRB = []"] * h.traced,
+        "try:", "    while True:", *indent(body, 2),
+        "except (_PF, _FA, _FS) as _e:", *indent(rollback_lines(h)),
+        "    if isinstance(_e, _PF):", "        _k, _x, _y = 3, _ckpc, _e.addr",
+        "    elif isinstance(_e, _FA):", "        U.assert_failures += 1",
+        "        _k, _x, _y = 4, _ckpc, None",
+        "    else:", "        U.spec_failures += 1",
+        "        _k, _x, _y = 5, _ckpc, None",
+        "finally:",
+        "    EMU._region_insns = executed - _rb",
+        "    EMU.guest_retired_total = GRT",
+        "    EMU.host_insns_committed += _hc", "    EMU.direct_entries += _de",
+        "    U.guest_insns_retired += _ug", "    U.host_insns_committed += _uh",
+        # A commit's region holds at least the committing op, so ``_hc``
+        # is nonzero exactly when one happened (the per-mode keys appear
+        # at the first commit, even one retiring no guest instruction).
+        "    if _hc:", "        _m = U.mode",
+        "        _d = EMU.guest_retired_by_mode",
+        "        _d[_m] = _d.get(_m, 0) + GRT - _g0",
+        "        _d = EMU.host_committed_by_mode",
+        "        _d[_m] = _d.get(_m, 0) + _hc",
+        *["    FLUSH(U, TRB)"] * h.traced,
+        "return _k, _x, _y, executed, U"]
+    words = set("\n".join(lines).translate(_NOT_NAME).split())
+    bound = names_in(lines)
+    binds = "".join(f", {n}={n}" for n in bound)
+    return "\n".join(
+        [f"def _mk({', '.join(['EMU', *params])}):"]
+        + [f"    {n} = {BINDINGS[n]}" for n in bound]
+        + [f"    def {name}(EMU, executed, fuel{args}{binds}):"]
+        + [f"        {n} = {e}" for n, e in _PER_CALL.items() if n in words]
+        + indent(lines, 2) + [f"    return {name}", ""])
 
 
 @dataclass

@@ -33,20 +33,21 @@ _CODES: dict = {}
 _LOCK = threading.Lock()
 
 
-def _compiled(source: str, filename: str, shape_globals=None):
-    """The memoized code of ``source``; with ``shape_globals``, the
-    factory ``_mk`` that ``source`` defines in a copy of them."""
+def _compiled(key, write, filename: str, shape_globals=None):
+    """The memoized code of the source ``write()`` returns; with
+    ``shape_globals``, the factory ``_mk`` that source defines in a copy
+    of them.  ``write`` is called only when ``key`` is not memoized."""
     with _LOCK:
-        entry = _CODES.pop(source, None)
+        entry = _CODES.pop(key, None)
         if entry is None:
             if len(_CODES) >= CAPACITY:
                 del _CODES[next(iter(_CODES))]
-            entry = compile(source, filename, "exec")
+            entry = compile(write(), filename, "exec")
             if shape_globals is not None:
                 namespace = dict(shape_globals)
                 exec(entry, namespace)
                 entry = namespace["_mk"]
-        _CODES[source] = entry
+        _CODES[key] = entry
     return entry
 
 
@@ -54,8 +55,16 @@ def define(source: str, name: str, namespace: dict,
            filename: str = "<generated>"):
     """Run ``source`` in ``namespace`` and return what it binds to
     ``name``.  ``source`` is compiled only when it is not memoized."""
-    exec(_compiled(source, filename), namespace)
+    exec(_compiled(source, lambda: source, filename), namespace)
     return namespace[name]
+
+
+def shape(key, write, namespace: dict, filename: str):
+    """The factory ``_mk`` of the shape whose structure is ``key`` (any
+    hashable other than a string): ``write()`` gives the factory's
+    source, and is called only when no factory is memoized under
+    ``key``.  The factory's globals are a copy of ``namespace``."""
+    return _compiled(key, write, filename, namespace)
 
 
 class Shape:
@@ -89,4 +98,5 @@ class Shape:
                   f"    def {signature}:\n"
                   + "".join(f"        {line}\n" for line in lines)
                   + f"    return {name}\n")
-        return _compiled(source, filename, namespace)(*self.values)
+        return _compiled(source, lambda: source, filename,
+                         namespace)(*self.values)

@@ -183,9 +183,8 @@ class FaultInjector:
             detail = {"op_before": before, "op_after": ins.op}
         else:
             detail = self._bitflip(ins)
-        # Drop any compiled fastpath (and the static timing profile) so
+        # Drop any generated program (and the static timing profile) so
         # the corruption takes effect.
-        unit.__dict__.pop("_fastprog", None)
         unit.__dict__.pop("_directprog", None)
         unit.__dict__.pop("_directprog_traced", None)
         unit.__dict__.pop("_timing_profile", None)

@@ -25,7 +25,6 @@ TIER_ROWS = (
     ("jobs.cache.hits", "code-cache hits"),
     ("jobs.cache.misses", "code-cache misses"),
     ("jobs.host.insns.committed", "host insns committed"),
-    ("jobs.host.fastpath.insns", "host fastpath insns"),
     ("jobs.controller.validations", "validations"),
     ("jobs.controller.recoveries", "recoveries"),
     ("jobs.resilience.incidents", "incidents"),

@@ -93,10 +93,18 @@ def config_to_dict(config: TolConfig) -> Dict[str, Any]:
     return out
 
 
+#: Config fields that older bundles may name but that no longer exist;
+#: loading drops them (``direct_enable``: every translated unit now runs
+#: as a generated program unless ``host_fastpath`` is off).
+RETIRED_CONFIG_FIELDS = frozenset({"direct_enable"})
+
+
 def config_from_dict(d: Dict[str, Any]) -> TolConfig:
     defaults = TolConfig()
     kwargs = {}
     for name, value in d.items():
+        if name in RETIRED_CONFIG_FIELDS:
+            continue
         if isinstance(getattr(defaults, name, None), tuple):
             value = tuple(value)
         kwargs[name] = value

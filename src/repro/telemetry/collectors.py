@@ -84,10 +84,6 @@ def register_tol_collectors(telemetry, tol) -> None:
         reg.set_counter("host.guest_retired", host.guest_retired_total)
         reg.set_counter("host.ibtc.hits", host.ibtc.hits)
         reg.set_counter("host.ibtc.misses", host.ibtc.misses)
-        reg.set_counter("host.fastpath.segments", host.fast_segments)
-        reg.set_counter("host.fastpath.insns", host.fast_segment_insns)
-        reg.set_counter("host.slowpath.insns",
-                        host.host_insns_total - host.fast_segment_insns)
         reg.set_counter("host.direct.entries", host.direct_entries)
         reg.set_counter("host.direct.insns", host.direct_insns)
         reg.set_counter("tol.direct_promotions", stats.direct_promotions)

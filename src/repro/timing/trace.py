@@ -76,14 +76,14 @@ class TimingSession:
     # ------------------------------------------------------------------
 
     def install(self, tol) -> None:
-        """Wire this session into a TOL instance: trace sinks, batched
-        delivery when annotating, and annotation-cache invalidation
-        chained onto the code cache's ``on_remove`` hook (which already
-        keeps the IBTC consistent)."""
+        """Wire this session into a TOL instance: trace sinks (the host
+        hands its buffered records to the batch sink, which feeds them
+        one per call unless annotating), and annotation-cache
+        invalidation chained onto the code cache's ``on_remove`` hook
+        (which already keeps the IBTC consistent)."""
         host = tol.host
         host.trace_sink = self.sink
         host.trace_sink_batch = self.sink_batch
-        host.trace_batching = self.annotate
         cache = tol.cache
         prev = cache.on_remove
         inv = self.invalidate_unit

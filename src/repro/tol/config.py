@@ -84,26 +84,25 @@ class TolConfig:
     #: of re-walking the op list (simulator wall-clock only; simulated
     #: costs and results are identical either way).
     interp_fastpath: bool = True
-    #: Closure-compile straight-line register-op runs of translated code
-    #: units (same contract: wall-clock only; under a timing trace the
-    #: per-instruction records are delivered after each segment).
+    #: Run translated units as generated programs (``repro.tol.direct``),
+    #: each compiled at the unit's first entry; False keeps every unit on
+    #: the host's reference loop, one step per host instruction (the
+    #: fuzz oracle's reference leg).  Same contract: wall-clock only.
     host_fastpath: bool = True
 
-    # -- direct (IR-less) translation tier ------------------------------------
-    #: Compile units that stay hot past ``direct_promote_threshold``
-    #: entries straight to generated Python (no per-instruction host
-    #: emulation).  Same contract again: wall-clock only — every
-    #: simulated quantity is bit-identical with the tier off.
-    direct_enable: bool = True
-    #: Unit entries (dispatches + chain/IBTC hops) before direct
-    #: promotion; only non-BBM units at quarantine level 0 qualify.
+    # -- generated programs ---------------------------------------------------
+    #: Unit entries (dispatches + chain/IBTC hops) at which a unit is
+    #: promoted: its program is rebuilt as a cluster with the same-mode
+    #: units its chains reach.  Every unit already runs its own program
+    #: from its first entry, whatever its mode or quarantine rung.
     direct_promote_threshold: int = 200
-    #: Times one entry PC may be direct-promoted across invalidations
-    #: (quarantine/eviction churn guard).
+    #: Promotions one entry PC may make across invalidations
+    #: (quarantine/eviction churn guard); a unit refused by this cap
+    #: keeps its own program, never the reference loop.
     direct_max_repromotions: int = 8
-    #: Units per direct-tier program: promotion follows existing chain
-    #: links breadth-first and compiles up to this many same-mode units
-    #: into one function, so a hot loop spanning a few superblocks runs
+    #: Units per cluster program: promotion follows existing chain links
+    #: breadth-first and compiles up to this many same-mode units into
+    #: one function, so a hot loop spanning a few superblocks runs
     #: without driver round-trips.  1 disables clustering.
     direct_cluster_max: int = 4
 

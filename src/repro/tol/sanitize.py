@@ -22,10 +22,12 @@ Invariant families
 ``quarantine``       the per-PC ladder is monotone: an entry's level
                      never decreases and never exceeds
                      ``interpret_only``.
-``undo_log``         the host's checkpoint/undo log is balanced: empty
-                     when a new checkpoint is taken, fully drained after
-                     a rollback or commit, and never covering the
-                     TOL-private memory area.
+``undo_log``         the host's undo log and alias table are drained
+                     whenever a dispatch returns (a checkpoint is a
+                     local of the code that took it, so none outlives
+                     a return), and the undo log never covers the
+                     TOL-private memory area when a rollback replays
+                     it.
 
 A violation records a ``sanitizer_violation`` incident (so recover-mode
 runs degrade gracefully and the fuzzer's triage sees a signature) and,
@@ -99,43 +101,25 @@ class TolSanitizer:
         quarantine.escalate = checked
 
     def _wrap_host(self, host) -> None:
-        orig_take = host._take_checkpoint
-        orig_rollback = host._rollback
-        orig_commit = host._commit_region
+        """Check the host's region state where both execution forms pass
+        -- every return from ``_run`` -- and, through the host's
+        ``undo_check`` hook, before every rollback replays the undo
+        log."""
+        run = host._run
 
-        def checked_take(guest_pc):
-            if host._undo:
-                self._fail("undo_log", {
-                    "pending_entries": len(host._undo),
-                    "guest_pc": guest_pc,
-                }, site="take_checkpoint")
-            return orig_take(guest_pc)
-
-        def checked_rollback(unit):
-            self._check_undo_entries(host, unit)
-            restart = orig_rollback(unit)
-            if host._undo or host._checkpoint is not None \
-                    or host._region_insns:
+        def checked_run(unit):
+            event = run(unit)
+            if host._undo or host.alias_table.entries:
                 self._fail("undo_log", {
                     "undo_entries": len(host._undo),
-                    "checkpoint_live": host._checkpoint is not None,
-                    "region_insns": host._region_insns,
-                }, site="rollback")
+                    "alias_entries": len(host.alias_table.entries),
+                    "unit_pc": event.unit.entry_pc,
+                }, site="run")
             self.checks_run += 1
-            return restart
+            return event
 
-        def checked_commit(unit, guest_insns):
-            orig_commit(unit, guest_insns)
-            if host._undo or host._checkpoint is not None:
-                self._fail("undo_log", {
-                    "undo_entries": len(host._undo),
-                    "checkpoint_live": host._checkpoint is not None,
-                }, site="commit")
-            self.checks_run += 1
-
-        host._take_checkpoint = checked_take
-        host._rollback = checked_rollback
-        host._commit_region = checked_commit
+        host._run = checked_run
+        host.undo_check = lambda unit: self._check_undo_entries(host, unit)
 
     def _check_undo_entries(self, host, unit) -> None:
         from repro.tol.regalloc import TOL_AREA_BASE

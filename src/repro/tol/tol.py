@@ -70,9 +70,9 @@ class TolStats:
     exit_arms: Dict[str, int] = field(default_factory=dict)
     #: Translation shapes, keyed ``bb`` or ``sb:<units>u:<insn bucket>``.
     sb_shapes: Dict[str, int] = field(default_factory=dict)
-    #: Direct-tier promotion outcomes, keyed promoted / promoted_cluster
-    #: / rejected_bbm / rejected_quarantined / rejected_cap /
-    #: rejected_uncompilable.
+    #: Program outcomes, keyed compiled (a unit's own program, at its
+    #: first entry) / promoted / promoted_cluster / rejected_cap (at the
+    #: promotion threshold) / rejected_uncompilable.
     direct_tier: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, table: str, key: str) -> None:
@@ -93,18 +93,17 @@ class Tol:
         self.host = HostEmulator(
             memory,
             alias_table_size=self.config.alias_table_size,
-            ibtc_size=self.config.ibtc_size,
-            fastpath=self.config.host_fastpath)
+            ibtc_size=self.config.ibtc_size)
         self.host.profile_hook = self._profile_hook
         self.host.alias_serial_search = self.config.alias_serial_search
-        # Direct (IR-less) tier: the host consults the hook once per
-        # unit that crosses the entry threshold — including units only
-        # ever entered through chains/IBTC hops, which TOL dispatch
-        # never sees.
-        self.host.direct_enable = self.config.direct_enable
-        self.host.direct_promote_threshold = \
-            self.config.direct_promote_threshold
-        self.host.direct_promote_hook = self._direct_promote_unit
+        # Generated programs: the host consults the hook at every unit's
+        # first entry and at its promotion threshold -- including units
+        # only ever entered through chains/IBTC hops, which TOL dispatch
+        # never sees.  Without it every unit runs on the reference loop.
+        if self.config.host_fastpath:
+            self.host.direct_promote_threshold = \
+                self.config.direct_promote_threshold
+            self.host.direct_promote_hook = self._direct_promote_unit
         if self.config.profiling_hw_assist:
             self.host.profile_inline_cost = 0
         self.interp = Interpreter(self.frontend, state, memory,
@@ -327,45 +326,41 @@ class Tol:
         return self.cache.lookup(pc)
 
     def _direct_promote_unit(self, unit: CodeUnit) -> None:
-        """Direct-tier promotion policy (host callback, consulted once
-        per unit past the entry threshold).  Always stamps
-        ``unit._directprog`` so rejection is remembered.  BBM units stay
-        on the IR path (their profiled exits drive SBM promotion), any
-        quarantine rung blocks the tier, and per-PC re-promotions are
-        capped so invalidation churn cannot thrash the compiler."""
+        """Program policy (host callback).  At a unit's first entry it
+        compiles the unit's own program -- whatever its mode or
+        quarantine rung: the ladder acts through translation, never
+        through the execution form.  Once the unit has been entered
+        ``direct_promote_threshold`` times it is *promoted*: its program
+        is rebuilt as a cluster with the same-mode units its chains
+        reach, at most ``direct_max_repromotions`` times per entry PC so
+        invalidation churn cannot thrash the compiler.  A refused
+        promotion keeps the unit's own program."""
+        host = self.host
+        if host.trace_sink is not None:
+            unit._directprog_traced = compile_direct(unit, host,
+                                                     traced=True)
+            return
+        prog = unit.__dict__.get("_directprog")
         pc = unit.entry_pc
-        if unit.mode == UNIT_MODE_BBM:
-            self.stats.bump("direct_tier", "rejected_bbm")
-            unit._directprog = None
-            return
-        if self.quarantine.level(pc) > 0:
-            self.stats.bump("direct_tier", "rejected_quarantined")
-            unit._directprog = None
-            return
-        if (self.profiler.direct_promotions[pc]
-                >= self.config.direct_max_repromotions):
-            self.stats.bump("direct_tier", "rejected_cap")
-            unit._directprog = None
-            return
-        members = self._direct_cluster_members(unit)
-        prog = compile_direct(unit, self.host, cluster=members)
-        clustered = prog is not None and len(members) > 1
-        if prog is None and len(members) > 1:
-            # A member may be individually ineligible (oversize, odd
-            # op); the entry unit alone can still make the tier.
-            prog = compile_direct(unit, self.host)
-        unit._directprog = prog
+        if unit.exec_count >= self.config.direct_promote_threshold:
+            unit._promoted = True
+            if (self.profiler.direct_promotions[pc]
+                    >= self.config.direct_max_repromotions):
+                self.stats.bump("direct_tier", "rejected_cap")
+            else:
+                members = self._direct_cluster_members(unit)
+                clustered = len(members) > 1 and compile_direct(
+                    unit, host, cluster=members)
+                prog = clustered or prog
+                self.stats.bump("direct_tier", "promoted_cluster"
+                                if clustered else "promoted")
+                self.profiler.record_direct_promotion(pc)
+                self.stats.direct_promotions += 1
         if prog is None:
-            self.stats.bump("direct_tier", "rejected_uncompilable")
-            return
-        self.stats.bump("direct_tier",
-                        "promoted_cluster" if clustered else "promoted")
-        # Compile the traced variant eagerly: a timing session may
-        # attach its sink after the unit was promoted.
-        unit._directprog_traced = compile_direct(unit, self.host,
-                                                 traced=True)
-        self.profiler.record_direct_promotion(pc)
-        self.stats.direct_promotions += 1
+            prog = compile_direct(unit, host)
+            self.stats.bump("direct_tier", "compiled" if prog is not None
+                            else "rejected_uncompilable")
+        unit._directprog = prog
 
     def _direct_cluster_members(self, unit: CodeUnit) -> List[CodeUnit]:
         """The unit plus the same-mode units its chain links reach
@@ -387,8 +382,7 @@ class Tol:
                     continue
                 link = ins.meta.get("link")
                 if (link is None or link.uid in seen
-                        or link.mode != unit.mode
-                        or self.quarantine.level(link.entry_pc) > 0):
+                        or link.mode != unit.mode):
                     continue
                 seen.add(link.uid)
                 members.append(link)

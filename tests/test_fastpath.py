@@ -7,7 +7,8 @@ Three layers are covered:
   instruction by instruction on cloned state/memory;
 - the IM interpreter with ``fastpath`` on vs off, in lockstep and in
   aggregate accounting (``ir_ops_evaluated`` == sum of per-step ``ir_ops``);
-- the host emulator's threaded segments, via full-system counter identity.
+- the host emulator's generated programs vs its reference loop, via
+  full-system counter identity.
 
 Plus the satellite fixes: REP string-op chunking and the
 ``validate_min_icount_gap`` epoch knob.
@@ -396,7 +397,7 @@ def test_direct_tier_full_system_identity():
     def run(direct):
         program = get_workload("429.mcf").program(scale=0.1)
         result, controller = run_codesigned(
-            program, config=TolConfig(direct_enable=direct, **base))
+            program, config=TolConfig(host_fastpath=direct, **base))
         return result, controller.codesigned.tol
 
     result_on, tol_on = run(True)
@@ -466,7 +467,7 @@ def test_direct_tier_traced_timing_identity():
     def run(direct):
         result, controller, core = run_with_timing(
             generate(spec),
-            tol_config=TolConfig(direct_enable=direct, **base),
+            tol_config=TolConfig(host_fastpath=direct, **base),
             include_tol_overhead=True, validate=False)
         assert result.exit_code == 0
         return result, controller.codesigned.tol, core
@@ -525,10 +526,10 @@ def test_validate_min_icount_gap_amortizes_validation():
 
 
 def test_host_fastpath_traced_timing_identity():
-    """Compiled segments now stay active while a trace sink is attached,
-    delivering each segment's records after it executes.  The timing
-    simulation must be cycle-identical to the slow traced path, and the
-    fast run must actually compile segments."""
+    """Generated programs stay active while a trace sink is attached,
+    delivering their buffered records at unit boundaries.  The timing
+    simulation must be cycle-identical to the reference traced path,
+    and the fast run must actually run traced programs."""
     from repro.timing.run import run_with_timing
 
     spec = SyntheticSpec(seed=5, hot_loops=2, trip_count=400, bb_size=6,
@@ -551,8 +552,8 @@ def test_host_fastpath_traced_timing_identity():
     assert tol_fast.host.host_insns_total == tol_slow.host.host_insns_total
     # Cycle-level identity: the record stream the core saw is the same.
     assert core_fast.report() == core_slow.report()
-    # The traced fast run really used compiled segments.
-    assert any(getattr(u, "_fastprog", None) is not None
+    # The traced fast run really ran generated programs.
+    assert any(getattr(u, "_directprog_traced", None) is not None
                for u in tol_fast.cache.units())
-    assert all(getattr(u, "_fastprog", None) is None
+    assert all(getattr(u, "_directprog_traced", None) is None
                for u in tol_slow.cache.units())

@@ -123,6 +123,73 @@ def _syscall_spinner(trips=1500):
     return asm.program()
 
 
+def test_clean_candidate_runs_three_legs():
+    outcome = evaluate_candidate(_small_program())
+    assert outcome.classification == "ok"
+    from repro.fuzz.oracle import DEFAULT_LEGS
+    assert [name for name, _ in DEFAULT_LEGS] == [
+        "interp_strict", "generated_strict", "generated_recover"]
+
+
+def test_per_mode_host_charge_mismatch_names_the_leg(monkeypatch):
+    """A clean candidate whose recover leg charges one extra host
+    instruction to a mode is a divergence finding naming that leg:
+    the cross-leg check covers host accounting, not only retirement."""
+    from repro.tol.tol import Tol
+    init = Tol.__init__
+
+    def perturbed(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.config.recovery_mode != "recover":
+            return
+        host = self.host
+        run = host._run
+
+        def run_and_miscount(unit):
+            event = run(unit)
+            by_mode = host.host_committed_by_mode
+            by_mode[unit.mode] = by_mode.get(unit.mode, 0) + 1
+            return event
+        host._run = run_and_miscount
+
+    monkeypatch.setattr(Tol, "__init__", perturbed)
+    outcome = evaluate_candidate(_small_program())
+    assert outcome.classification == "finding"
+    assert outcome.finding_kind == "divergence"
+    assert outcome.finding_leg == "generated_recover"
+    assert "host_committed_by_mode" in outcome.error
+
+
+def test_sanitizer_checks_every_return_from_a_dispatch(monkeypatch):
+    """With ``sanitize=True`` the host's region state is checked where
+    both execution forms pass, so a generated program that leaves an
+    undo entry behind raises SanitizerError in strict mode; with it
+    off nothing is wrapped."""
+    import repro.tol.tol as tol_module
+    from repro.system.controller import Controller
+    from repro.tol.sanitize import SanitizerError
+
+    plain = Controller(_small_program(), config=TolConfig())
+    host = plain.codesigned.tol.host
+    assert "_run" not in host.__dict__ and host.undo_check is None
+    compile_direct = tol_module.compile_direct
+
+    def leaky(unit, emu, traced=False, cluster=None):
+        prog = compile_direct(unit, emu, traced=traced, cluster=cluster)
+
+        def run(emu_, executed, fuel):
+            result = prog(emu_, executed, fuel)
+            emu_._undo.append(("u32", 0x1000, 0))
+            return result
+        return run
+
+    monkeypatch.setattr(tol_module, "compile_direct", leaky)
+    controller = Controller(_small_program(), config=TolConfig(
+        sanitize=True, recovery_mode="strict"))
+    with pytest.raises(SanitizerError, match="undo_log"):
+        controller.run()
+
+
 def test_event_budget_blowout_classifies_runaway():
     """The livelock kernel under a tiny event budget is 'runaway' — not
     a crash, not a finding, and it must not hang the evaluation."""

@@ -333,11 +333,11 @@ def test_vector_ops():
     assert memory.read_vec(0x7010) == [11, 12, 13, 14]
 
 
-@pytest.mark.parametrize("writer", ["step", "segment", "direct"])
+@pytest.mark.parametrize("writer", ["step", "direct"])
 def test_vector_write_rolls_back(writer):
     """A vector register written inside a region that then fails an
-    assert gets its pre-region lanes back: written by a step (``vld``),
-    by a compiled segment (``vadd32``) or inside a direct-tier program.
+    assert gets its pre-region lanes back: written by the reference
+    loop (``vld``) or inside a generated program (``vld``, ``vadd32``).
     A first region commits its write, so the rollback must restore the
     second checkpoint's lanes, not the entry state's."""
     from repro.tol.direct import compile_direct
@@ -349,7 +349,6 @@ def test_vector_write_rolls_back(writer):
     state.vr[1] = [100, 200, 300, 400]
     write = {
         "step": [H("li", d=16, imm=0x7000), H("vld", d=1, a=16, imm=0)],
-        "segment": [H("vadd32", d=1, a=1, b=2)],
         "direct": [H("li", d=16, imm=0x7000), H("vld", d=1, a=16, imm=0),
                    H("vadd32", d=1, a=1, b=2)],
     }[writer]
@@ -365,7 +364,6 @@ def test_vector_write_rolls_back(writer):
         ext(0x9999),
     ])
     if writer == "direct":
-        emu.direct_enable = True
         unit._directprog = compile_direct(unit, emu)
         assert unit._directprog is not None
     event = emu.execute(unit, state)
@@ -374,8 +372,6 @@ def test_vector_write_rolls_back(writer):
     assert state.vr[0] == [1, 2, 3, 4]
     assert state.vr[1] == [5, 5, 5, 5]            # first region committed
     assert emu.vregs[1] == [1, 2, 3, 4]
-    if writer == "segment":
-        assert emu.fast_segments > 0
     if writer == "direct":
         assert emu.direct_entries == 1
 

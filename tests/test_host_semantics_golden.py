@@ -5,18 +5,19 @@ table in ``repro.host.isa`` replaced the hand-written handlers, segment
 templates and IR evaluator entries; every execution form generated from
 the table must reproduce them exactly:
 
-- each value op as a ``chkpt; <op>; exit`` unit, with the host fast
-  path off and on (written register, floats as IEEE-754 bits; exit
-  kind, ``next_pc``, ``fault_addr``, ``host_insns``, committed/wasted);
+- each value op as a ``chkpt; <op>; exit`` unit, on the host's
+  reference loop and as a generated program (written register, floats
+  as IEEE-754 bits; exit kind, ``next_pc``, ``fault_addr``,
+  ``host_insns``, committed/wasted);
 - loads, stores and speculative ops at in-page, page-straddling,
   missing-page and TOL-area addresses, with and without a checkpoint,
   plus rollback after stores and alias-table conflicts/overflow
   (memory bytes, dirty pages, alias-table entries, exception types);
 - each IR value op through ``eval_ops``, ``compile_ops`` and
   ``constfold`` on the same operand sets;
-- the 31 figure kernels at scale 0.02 with both fast paths off (direct
-  tier off), with the defaults but the direct tier off, and with the
-  defaults, against one set of absolute counters.
+- the 31 figure kernels at scale 0.02 with both fast paths off, with
+  the defaults but no cluster programs, and with the defaults, against
+  one set of absolute counters.
 
 Per-op cases are pinned as a digest of their canonical JSON so that a
 mismatch names the op.  Serial alias-table search is left out on
@@ -38,6 +39,7 @@ from repro.tol.ir import (
     Const, FTmp, GFReg, GReg, GVReg, IRInstr, Tmp, VTmp,
 )
 from repro.tol.ir_eval import compile_ops, eval_ops
+from repro.tol.direct import compile_direct
 from repro.tol.opt.passes import const_fold
 
 INT_EDGES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
@@ -126,6 +128,16 @@ def _execute(emu, unit):
             emu.host_insns_committed, emu.host_insns_wasted]
 
 
+def _host(memory, fastpath, **kwargs):
+    """A bare host emulator; with ``fastpath`` every unit runs as its
+    generated program."""
+    emu = HostEmulator(memory, **kwargs)
+    if fastpath:
+        emu.direct_promote_hook = lambda unit: setattr(
+            unit, "_directprog", compile_direct(unit, emu))
+    return emu
+
+
 def _regs(emu, file):
     return {"i": emu.iregs, "f": emu.fregs, "v": emu.vregs}[file]
 
@@ -144,8 +156,7 @@ def _value_cases(op, fastpath):
         combos = [c + (v,) for c in combos for v in pool]
     cases = []
     for combo in combos:
-        emu = HostEmulator(PagedMemory(demand_zero=False),
-                           fastpath=fastpath)
+        emu = _host(PagedMemory(demand_zero=False), fastpath)
         fields = {"d": _SLOTS[files[0]][0]} if files else {}
         for slot, kind, value in zip((1, 2), srcs, combo):
             if kind == "n":
@@ -219,8 +230,7 @@ def _memory_state(emu):
 
 def _run_memory(body, fastpath, chkpt=True, alias_table_size=32,
                 regs=None):
-    emu = HostEmulator(_memory(), fastpath=fastpath,
-                       alias_table_size=alias_table_size)
+    emu = _host(_memory(), fastpath, alias_table_size=alias_table_size)
     emu.iregs[22] = 0xDEADBEEF
     emu.fregs[22] = -1.5
     emu.vregs[14] = [1, 2, 3, 0xFFFFFFFF]
@@ -370,9 +380,8 @@ def test_ir_value_op_golden(op):
 # ---------------------------------------------------------------------------
 
 KERNEL_CONFIGS = {
-    "reference": dict(interp_fastpath=False, host_fastpath=False,
-                      direct_enable=False),
-    "fastpath": dict(direct_enable=False),
+    "reference": dict(interp_fastpath=False, host_fastpath=False),
+    "fastpath": dict(direct_cluster_max=1),
     "default": {},
 }
 

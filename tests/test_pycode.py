@@ -10,11 +10,12 @@ from repro import pycode
 from repro.guest.assembler import EAX, EBX, M, Assembler
 from repro.guest.memory import PagedMemory
 from repro.guest.state import GuestState
-from repro.host.emulator import EXIT_TOL, HostEmulator, _compile_unit
+from repro.host.emulator import EXIT_TOL, HostEmulator
 from repro.host.isa import CodeUnit, HostInstr as H
 from repro.system.controller import run_codesigned
 from repro.tol.config import TolConfig
 from repro.tol.decoder import GisaFrontend
+from repro.tol.direct import compile_direct
 from repro.tol.ir import Const, GReg, IRInstr
 from repro.tol.ir_eval import compile_ops, eval_ops
 from repro.workloads import SyntheticSpec, generate
@@ -73,29 +74,33 @@ def test_decode_addresses_differing_in_literals_share_one_shape():
                                           program.label_addr("disp24")}
 
 
-def _unit(uid, body):
-    instrs = [H("chkpt", meta={"guest_pc": 0x1000}), *body,
-              H("exit", meta={"next_pc": 0x2000, "guest_insns": 1})]
-    return CodeUnit(uid=uid, mode="BBM", entry_pc=0x1000, instrs=instrs)
+def _unit(uid, body, pc=0x1000):
+    instrs = [H("chkpt", meta={"guest_pc": pc}), *body,
+              H("exit", meta={"next_pc": pc + 0x1000, "guest_insns": 1})]
+    return CodeUnit(uid=uid, mode="BBM", entry_pc=pc, instrs=instrs)
 
 
-def test_segments_differing_in_immediates_share_one_shape():
+def test_programs_differing_in_immediates_share_one_shape():
     def body(add, load):
         return [H("addi32", d=1, a=1, imm=add), H("li", d=2, imm=load),
                 H("lif", d=1, imm=load)]
 
-    units = [_unit(1, body(5, 0x1234)), _unit(2, body(-3, 77))]
-    segs = [_compile_unit(unit)[1][1] for unit in units]
-    assert segs[0] is not segs[1]
-    assert segs[0].__code__ is segs[1].__code__
-    for unit, (add, load) in zip(units, ((5, 0x1234), (-3, 77))):
+    cases = ((5, 0x1234, 0x1000), (-3, 77, 0x5000))
+    units = [_unit(k, body(add, load), pc)
+             for k, (add, load, pc) in enumerate(cases)]
+    for unit, (add, load, pc) in zip(units, cases):
         emu, state = HostEmulator(PagedMemory()), GuestState()
+        unit._directprog = compile_direct(unit, emu)
         state.set("EAX", 10)
-        assert emu.execute(unit, state).kind == EXIT_TOL
-        assert emu.fast_segments == 1
+        event = emu.execute(unit, state)
+        assert (event.kind, event.next_pc) == (EXIT_TOL, pc + 0x1000)
+        assert emu.direct_entries == 1
         assert state.get("EAX") == (10 + add) & 0xFFFFFFFF
         assert state.get("ECX") == load
         assert state.fpr[0] == float(load)
+    progs = [unit._directprog for unit in units]
+    assert progs[0] is not progs[1]
+    assert progs[0].__code__ is progs[1].__code__
 
 
 def test_rerunning_a_kernel_adds_no_code(monkeypatch):
@@ -103,13 +108,16 @@ def test_rerunning_a_kernel_adds_no_code(monkeypatch):
     program = generate(SyntheticSpec(seed=23, hot_loops=2, trip_count=80,
                                      bb_size=5, fp_ops=1, mem_ops=1,
                                      branchy=True))
-    config = TolConfig(bbm_threshold=3, sbm_threshold=8, direct_enable=True,
+    config = TolConfig(bbm_threshold=3, sbm_threshold=8,
                        direct_promote_threshold=4)
     first, _ = run_codesigned(program, config=config)
     sources = set(pycode._CODES)
-    # IM closures, segments and direct-tier programs were all made.
-    for kind in ("def _ir_compiled(", "def _seg(", "def _direct("):
-        assert any(kind in source for source in sources), kind
+    # IM closures and programs (found by their structural keys) were
+    # both made.
+    assert any("def _ir_compiled(" in key for key in sources
+               if isinstance(key, str))
+    assert any(key[0] == "direct" for key in sources
+               if isinstance(key, tuple))
     second, _ = run_codesigned(program, config=config)
     assert set(pycode._CODES) == sources
     assert second.guest_icount == first.guest_icount

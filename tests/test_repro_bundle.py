@@ -114,6 +114,29 @@ def test_incident_run_emits_replayable_bundle(tmp_path):
     assert outcome.incident_signature == signature
 
 
+def test_bundle_naming_a_retired_config_field_loads_and_replays(tmp_path):
+    """Bundles written before every unit ran as a generated program name
+    ``direct_enable`` in their config: loading drops it, and the bundle
+    still replays.  Overrides keep rejecting the unknown name."""
+    from repro.snapshot.bundle import BUNDLE_SCHEMA_VERSION, KIND_BUNDLE
+    from repro.tol.config import TolConfig
+
+    controller = _faulted_controller("recover")
+    controller.run(repro_dir=tmp_path)
+    path = controller.last_bundle_path
+    payload = load_artifact(path, KIND_BUNDLE, BUNDLE_SCHEMA_VERSION)
+    payload["config"]["direct_enable"] = True
+    write_artifact(path, KIND_BUNDLE, BUNDLE_SCHEMA_VERSION, payload)
+
+    bundle = load_bundle(path)
+    assert not hasattr(bundle.config, "direct_enable")
+    outcome, _ = replay_bundle(bundle)
+    assert outcome.reproduced
+    assert outcome.incident_signature == bundle.incident_signature
+    with pytest.raises(ValueError):
+        TolConfig().with_overrides({"direct_enable": "true"})
+
+
 def test_strict_exception_emits_bundle_and_reraises(tmp_path):
     controller = _faulted_controller("strict")
     with pytest.raises(Exception):

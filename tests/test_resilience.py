@@ -161,11 +161,12 @@ def test_strict_mode_raises_on_first_divergence():
 
 
 def test_direct_tier_fault_recovers_and_demotes_below_tier():
-    """A fault firing inside a direct-tier program is caught like any
+    """A fault firing inside a generated program is caught like any
     translation fault: recover mode resyncs from the authoritative
-    component, the quarantine ladder demotes the entry PC below the
-    direct tier (no re-promotion), and the final state stays
-    bit-identical to a clean reference run."""
+    component, the quarantine ladder escalates the entry PC and drops
+    its translations, so no unit there still carries the sabotaged
+    program, and the final state stays bit-identical to a clean
+    reference run."""
     from dataclasses import replace
 
     program = build_campaign_program()
@@ -176,6 +177,7 @@ def test_direct_tier_fault_recovers_and_demotes_below_tier():
     controller = Controller(program, config=config)
     tol = controller.codesigned.tol
     fired = {}
+    sabotaged = []
     hook = tol.host.direct_promote_hook
 
     def sabotaging_hook(unit):
@@ -195,6 +197,7 @@ def test_direct_tier_fault_recovers_and_demotes_below_tier():
             return result
 
         unit._directprog = faulty
+        sabotaged.append(faulty)
 
     tol.host.direct_promote_hook = sabotaging_hook
     result = controller.run()
@@ -203,12 +206,12 @@ def test_direct_tier_fault_recovers_and_demotes_below_tier():
     pc = fired["pc"]
     assert controller.recoveries >= 1
     assert result.incidents >= 1
-    # The ladder demoted the faulting PC below the direct tier...
+    # The ladder escalated the faulting PC...
     assert tol.quarantine.level(pc) > 0
-    # ...and no cached translation of it carries a direct program.
+    # ...and no unit at it still carries the sabotaged program.
     for unit in tol.cache.units():
         if unit.entry_pc == pc:
-            assert unit.__dict__.get("_directprog") is None
+            assert unit.__dict__.get("_directprog") not in sabotaged
     # The campaign's bit-identical final-state contract still holds.
     assert not controller.codesigned.state.diff(ref.state)
     assert not controller.x86.state.diff(ref.state)
