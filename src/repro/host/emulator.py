@@ -25,18 +25,14 @@ from repro import costs
 from repro.guest.memory import PagedMemory, PageFault
 from repro.guest.state import GuestState
 from repro.host.isa import (
-    BINDINGS, FELL_OFF_ERROR, FUEL_ERROR, CodeUnit, ControlHooks,
-    GUEST_FLAG_HOME, GUEST_FPR_HOME, GUEST_GPR_HOME, GUEST_VR_HOME,
-    HOST_VALUE_OPS, MEMORY_OPS, NUM_FREGS, NUM_IREGS, NUM_VREGS, OP_NS,
-    control_lines, host_factory, indent, memory_lines, names_in,
-    value_stmt,
+    BINDINGS, FELL_OFF_ERROR, FUEL_ERROR, TRACE_BATCH_CAP, CodeUnit,
+    ControlHooks, GUEST_FLAG_HOME, GUEST_FPR_HOME, GUEST_GPR_HOME,
+    GUEST_VR_HOME, HOST_VALUE_OPS, MEMORY_OPS, NUM_FREGS, NUM_IREGS,
+    NUM_VREGS, OP_NS, control_lines, host_factory, indent, memory_lines,
+    names_in, value_stmt,
 )
 from repro.host.isa import TOL_AREA_BASE  # noqa: F401 (re-export)
 from repro.pycode import define
-
-#: Max buffered trace records before a mid-unit flush (bounds memory on
-#: long-running loops; batch boundaries never change timing results).
-_TRACE_BATCH_CAP = 8192
 
 EXIT_TOL = "tol_exit"
 EXIT_ASSERT = "assert_fail"
@@ -348,7 +344,7 @@ class _Reference(ControlHooks):
         return [f"TRB.append((_ip, {info}))"] if self.traced else []
 
     def goto(self, target):
-        return [f"if len(TRB) > {_TRACE_BATCH_CAP}:",
+        return [f"if len(TRB) > {TRACE_BATCH_CAP}:",
                 "    FLUSH(U, TRB)"] * self.traced + [
             f"_ip = {target}", "continue"]
 

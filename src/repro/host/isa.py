@@ -376,22 +376,26 @@ def memory_lines(op, d, a, b, imm, seq):
 #
 #   executed    host instructions executed in this dispatch
 #   _rb         ``executed`` where the open region began
-#   GRT, _g0    guest instructions retired, now and at entry
-#   _ug, _uh    guest/host instructions committed into unit ``U``
-#   _hc, _de    host instructions committed; extra program entries
+#   GRT, _hc    guest instructions retired; host instructions committed
+#   _g0         ``GRT`` at entry; ``_gu``, ``_hu`` at entry to unit ``U``
 #   _ck, _ckpc  the open region's checkpoint (saved registers), restart PC
-#   _k, _x, _y  how control leaves: 0 chain to unit ``_x``; 1 TOL exit to
-#               ``_x`` from exit index ``_y`` (None: a pause); 2 IBTC
-#               miss; 3 page fault (``_y`` the address); 4 assert fail;
-#               5 alias-table fail (``_x`` the restart PC)
+#   _de         program entries made without the driver
+#   _k, _x, _y  how control leaves the dispatch loop: 0 chain to unit
+#               ``_x``; 1 TOL exit to ``_x`` from exit index ``_y`` (None:
+#               a pause); 2 IBTC miss; 3 page fault (``_y`` the address);
+#               4 assert fail; 5 alias-table fail (``_x`` the restart PC)
 #
 # Operands come as texts: ``ins.a``-style reads in the reference loop,
 # literals and factory parameters in a program.  A condition that only
 # the reference loop cannot know statically (a profiled exit) is a text
 # tested at run time; a program passes True or False.  The hooks of a
-# form (see :class:`ControlHooks`) say how it records trace entries,
-# jumps inside the unit and follows a chain link.
+# form (see :class:`ControlHooks`) say how it records trace entries and
+# jumps inside the unit, and whether it enters a chained unit itself.
 # ---------------------------------------------------------------------------
+
+#: Max buffered trace records before a mid-unit flush (bounds memory on
+#: long-running loops; batch boundaries never change timing results).
+TRACE_BATCH_CAP = 8192
 
 FUEL_ERROR = ('f"fuel exhausted in unit {U.uid} (entry {U.entry_pc:#x}): '
               'likely a translation bug (infinite loop)"')
@@ -418,6 +422,8 @@ class ControlHooks:
     has_store = has_spec = True
     save = "(I[:], F[:], V[:])"
     restore = ("I[:], F[:], V[:] = _ck",)
+    #: lines the factory runs once per instance, before the function
+    setup = ()
 
     def record(self, info):
         """Lines appending the current instruction's trace entry."""
@@ -428,16 +434,21 @@ class ControlHooks:
         raise NotImplementedError
 
     def chain(self, unit):
-        """Lines continuing in unit ``unit`` (a chain or an IBTC hit)."""
+        """Lines following the current exit's chain link ``unit``."""
         return leave(0, unit, None)
+
+    def reenter(self):
+        """Lines run when the dispatch loop leaves with a chain (``_k``
+        0) to unit ``_x``: ``break`` to return it to the driver, or
+        enter it and fall through to dispatch it."""
+        return ["break"]
 
 
 def commit_lines(guest_insns, h):
     """Commit the open region: it retires ``guest_insns``."""
     return (["del UNDO[:]"] * h.has_store + ["del ATE[:]"] * h.has_spec
-            + ["_ck = None", "_r = executed - _rb", "_rb = executed",
-               f"_ug += {guest_insns}", f"GRT += {guest_insns}",
-               "_uh += _r", "_hc += _r"])
+            + ["_ck = None", "_hc += executed - _rb", "_rb = executed",
+               f"GRT += {guest_insns}"])
 
 
 def control_lines(op, o, h):
@@ -488,7 +499,7 @@ def control_lines(op, o, h):
         if profile is not False:
             out += ["if _int:", *indent(leave(1, "_pc", o["index"]))]
         out += ["_t = IBTCL(_pc)", "if _t is not None:",
-                *indent(h.chain("_t"))]
+                *indent(leave(0, "_t", None))]
         return out + leave(2, "_pc", o["index"])
     return out + leave(1, "_pc", o["index"])
 
@@ -510,6 +521,15 @@ def rollback_lines(h):
         "U.host_insns_wasted += _r", "EMU.host_insns_wasted += _r"]
 
 
+def enter_lines(h):
+    """Enter unit ``U`` without the driver: the per-entry bookkeeping
+    the driver would do."""
+    return ["U.exec_count += 1", "_de += 1",
+            "if ULOG is not None:", "    ULOG.append(U)",
+            *[f"if len(TRB) > {TRACE_BATCH_CAP}:",
+              "    FLUSH(U, TRB)"] * h.traced]
+
+
 #: Emulator state read once per call: it may change between calls (the
 #: TOL sets the pause point per dispatch and wires the hooks and the
 #: unit log after construction).
@@ -528,10 +548,11 @@ def host_factory(name, args, params, prologue, body, h):
     unit)``: the leave kind and operands, and the unit control is in."""
     lines = [
         "_rb = executed - EMU._region_insns",
-        "_g0 = GRT = EMU.guest_retired_total",
-        "_hc = _ug = _uh = _de = 0", "_ck = None", "_ckpc = _ip = 0",
+        "_g0 = _gu = GRT = EMU.guest_retired_total",
+        "_hc = _hu = _de = 0", "_ck = None", "_ckpc = _ip = 0",
         *prologue, *["TRB = []"] * h.traced,
-        "try:", "    while True:", *indent(body, 2),
+        "try:", "    while True:", "        while True:", *indent(body, 3),
+        "        if _k:", "            break", *indent(h.reenter(), 2),
         "except (_PF, _FA, _FS) as _e:", *indent(rollback_lines(h)),
         "    if isinstance(_e, _PF):", "        _k, _x, _y = 3, _ckpc, _e.addr",
         "    elif isinstance(_e, _FA):", "        U.assert_failures += 1",
@@ -542,7 +563,8 @@ def host_factory(name, args, params, prologue, body, h):
         "    EMU._region_insns = executed - _rb",
         "    EMU.guest_retired_total = GRT",
         "    EMU.host_insns_committed += _hc", "    EMU.direct_entries += _de",
-        "    U.guest_insns_retired += _ug", "    U.host_insns_committed += _uh",
+        "    U.guest_insns_retired += GRT - _gu",
+        "    U.host_insns_committed += _hc - _hu",
         # A commit's region holds at least the committing op, so ``_hc``
         # is nonzero exactly when one happened (the per-mode keys appear
         # at the first commit, even one retiring no guest instruction).
@@ -558,7 +580,7 @@ def host_factory(name, args, params, prologue, body, h):
     binds = "".join(f", {n}={n}" for n in bound)
     return "\n".join(
         [f"def _mk({', '.join(['EMU', *params])}):"]
-        + [f"    {n} = {BINDINGS[n]}" for n in bound]
+        + [f"    {n} = {BINDINGS[n]}" for n in bound] + indent(h.setup)
         + [f"    def {name}(EMU, executed, fuel{args}{binds}):"]
         + [f"        {n} = {e}" for n, e in _PER_CALL.items() if n in words]
         + indent(lines, 2) + [f"    return {name}", ""])

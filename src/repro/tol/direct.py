@@ -34,82 +34,93 @@ on the reference loop.
 
 from __future__ import annotations
 
+import ast
+
 from repro.guest.memory import PageFault
-from repro.host.emulator import (
-    _TRACE_BATCH_CAP, AssertFail, HostEmulationError, SpecFail,
-)
+from repro.host.emulator import AssertFail, HostEmulationError, SpecFail
 from repro.host.isa import (
     FELL_OFF_ERROR, FUEL_ERROR, HOST_VALUE_OPS, MEMORY_OPS, OP_NS,
-    REGFILES, ControlHooks, HostOp, control_lines, evaluator,
-    host_factory, indent, memory_lines, value_stmt,
+    REGFILES, TRACE_BATCH_CAP, ControlHooks, HostOp, control_lines,
+    enter_lines, evaluator, host_factory, indent, memory_lines,
+    value_stmt,
 )
 from repro.pycode import shape
-
-
-class _Bail(Exception):
-    """Unit not compilable (it stays on the reference loop)."""
 
 
 #: Hard cap on unit size (generated source grows linearly with it).
 _MAX_INSTRS = 10_000
 
 _BRANCH_OPS = ("beqz", "bnez", "j")
-_EXITS = ("exit", "exit_ind", "ibtc")
 #: Ops that end an arm (control never falls through them).
-_TERMINATORS = frozenset({"j", *_EXITS})
-_CONTROL = frozenset({*_BRANCH_OPS, "assert_z", "assert_nz", "chkpt",
-                      "commit", *_EXITS})
+_TERMINATORS = frozenset({"j", "exit", "exit_ind", "ibtc"})
 _SPEC_OPS = frozenset(op for op, (_, size) in MEMORY_OPS.items() if size)
 #: li/lif: the parameter is the folded value.
 _FOLD = {"li": evaluator("li"), "lif": evaluator("lif")}
-#: Control op -> the meta values that are parameters of its program.
-_META_PARAMS = {"chkpt": ("guest_pc",), "commit": ("guest_insns",),
-                "exit": ("next_pc", "guest_insns"),
-                "exit_ind": ("guest_insns",), "ibtc": ("guest_insns",)}
+#: op -> where its parameters come from: 0 none, 1 the immediate, 2 the
+#: folded immediate, 3 a memory op's (nonzero) immediate and sequence
+#: number, or the meta keys of a control op.
+_PARAMS = {op: ("n" in files) + (op in _FOLD)
+           for op, (files, _) in HOST_VALUE_OPS.items()}
+_PARAMS.update(dict.fromkeys(MEMORY_OPS, 3))
+_PARAMS.update(dict.fromkeys(("beqz", "bnez", "j", "assert_z",
+                              "assert_nz"), ()))
+_PARAMS.update(chkpt=("guest_pc",), commit=("guest_insns",),
+               exit=("next_pc", "guest_insns"), exit_ind=("guest_insns",),
+               ibtc=("guest_insns",))
 
 _NAMESPACE = dict(OP_NS, _FA=AssertFail, _FS=SpecFail, _PF=PageFault,
                   _HEE=HostEmulationError)
 
 
-def _structure(ins):
-    """What of ``ins`` the program's source depends on."""
+def _describe(ins):
+    """``(structure, values)``: what of ``ins`` the program's source
+    depends on, and the parameters it contributes, in a fixed order.
+    Raises KeyError or TypeError for an op or operand the generator
+    cannot take."""
     op = ins.op
-    flag = (bool(ins.meta.get("profile")) if op in _EXITS
-            else bool(ins.imm) if op in MEMORY_OPS else None)
-    return op, ins.d, ins.a, ins.b, ins.target, flag
-
-
-def _values(ins):
-    """The parameters ``ins`` contributes, in a fixed order."""
-    op, meta = ins.op, ins.meta
-    if op in MEMORY_OPS:
-        return ((ins.imm,) * bool(ins.imm)
+    how = _PARAMS[op]
+    if how == 0:
+        return (op, ins.d, ins.a, ins.b), ()
+    if how == 1:
+        return (op, ins.d, ins.a), (ins.imm,)
+    if how == 2:
+        return (op, ins.d), (_FOLD[op](ins.imm),)
+    meta = ins.meta
+    if how == 3:
+        imm = ins.imm
+        return ((op, ins.d, ins.a, ins.b, bool(imm)),
+                (imm,) * bool(imm)
                 + ((meta["seq"],) if op in _SPEC_OPS else ()))
-    if op in _CONTROL:
-        values = tuple(meta[key] for key in _META_PARAMS.get(op, ()))
-        return values + (meta,) if op == "exit" else values
-    row = HOST_VALUE_OPS.get(op)
-    if row is None:
-        raise _Bail
-    if "n" not in row[0]:
-        return ()
-    fold = _FOLD.get(op)
-    try:
-        return (fold(ins.imm) if fold else ins.imm,)
-    except TypeError:
-        raise _Bail from None
+    values = tuple(meta[key] for key in how)
+    return ((op, ins.a, ins.target, bool(meta.get("profile"))),
+            values + (meta,) if op == "exit" else values)
+
+
+def _linked(ins, units):
+    """Which member an exit's chain link names now, or None."""
+    link = ins.meta.get("link")
+    return next((k for k, unit in enumerate(units) if unit is link), None)
 
 
 class _Program(ControlHooks):
     """Writes the source of one program: ``units[0]`` is the entry unit,
-    the rest are cluster members; ``names[u][j]`` are the parameters of
-    instruction ``j`` of member ``u``."""
+    the rest are cluster members.  Instruction ``j`` of member ``u`` has
+    parameters ``names[u][j]``; its arm, if it leads one, is labelled
+    ``base[u] + j``."""
 
-    def __init__(self, units, traced, names):
+    def __init__(self, units, traced):
         self.units = units
         self.traced = traced
-        self.names = names
-        self.cluster = len(units) > 1
+        self.names, self.base, count = [], [0], 0
+        for unit in units:
+            self.names.append([])
+            self.base.append(self.base[-1] + len(unit.instrs))
+            for ins in unit.instrs:
+                n = len(_describe(ins)[1])
+                self.names[-1].append([f"K{count + k}" for k in range(n)])
+                count += n
+        self.params = [*(f"K{k}" for k in range(count)),
+                       *(f"_CU{k}" for k in range(len(units)))]
         ops = {ins.op for unit in units for ins in unit.instrs}
         self.has_store = bool(ops & HostOp.STORE)
         self.has_spec = bool(ops & _SPEC_OPS)
@@ -119,10 +130,13 @@ class _Program(ControlHooks):
         # checkpointed (= current) value.
         saves = sorted({(REGFILES[ins.op][0], ins.d)
                         for unit in units for ins in unit.instrs
-                        if ins.d is not None and ins.op not in HostOp.STORE})
+                        if ins.d is not None and (
+                            ins.op in HOST_VALUE_OPS
+                            or ins.op in HostOp.LOAD)})
         refs = [f"{file.upper()}[{reg}]" for file, reg in saves]
         self.save = f"({', '.join(refs)},)" if refs else "()"
-        self.restore = [f"{ref} = _ck[{k}]" for k, ref in enumerate(refs)]
+        self.restore = [f"{', '.join(refs)}, = _ck"] * bool(refs)
+        self.setup = []
         self.charges = 0     # value ops not yet added to ``executed``
         self.pending = []    # their trace entries, none yet appended
 
@@ -138,30 +152,33 @@ class _Program(ControlHooks):
 
     def goto(self, target):
         back = self.traced and target <= self.index
-        return self._cap() * back + [f"_ip = {target}", "continue"]
+        return [f"if len(TRB) > {TRACE_BATCH_CAP}:",
+                "    FLUSH(U, TRB)"] * back + [
+            f"_ip = {self.base[self.member] + target}", "continue"]
 
     def chain(self, unit):
+        k = _linked(self.ins, self.units)
+        if k is None:
+            return ControlHooks.chain(self, unit)
+        return [f"if {unit} is _CU{k}:", *indent(self._enter(k)),
+                "    continue", *ControlHooks.chain(self, unit)]
+
+    def reenter(self):
         out = []
-        if self.cluster:
-            for k in range(len(self.units)):
-                out += [f"{'elif' if k else 'if'} {unit} is _CU{k}:",
-                        *indent(self._enter(k))]
-        else:
-            out += [f"if {unit} is U:", *indent(self._enter(None))]
-        return out + ControlHooks.chain(self, unit)
+        for k in range(len(self.units)):
+            out += [f"{'elif' if k else 'if'} _x is _CU{k}:",
+                    *indent(self._enter(k, None))]
+        return out + ["else:", "    break"]
 
-    def _cap(self):
-        return [f"if len(TRB) > {_TRACE_BATCH_CAP}:", "    FLUSH(U, TRB)"]
-
-    def _enter(self, k):
-        """An entry the driver would make: into member ``k``, or into
-        this unit again (``k`` None)."""
-        out = [] if k is None else [
-            "U.guest_insns_retired += _ug", "U.host_insns_committed += _uh",
-            "_ug = _uh = 0", f"U = _CU{k}", f"_un = {k}"]
-        return out + ["U.exec_count += 1", "_de += 1",
-                      "if ULOG is not None:", "    ULOG.append(U)",
-                      *self._cap() * self.traced, "_ip = 0", "continue"]
+    def _enter(self, k, member=True):
+        """Enter member ``k`` from the current member (from any, with
+        ``member`` None)."""
+        move = k != self.member if member else len(self.units) > 1
+        return ["U.guest_insns_retired += GRT - _gu",
+                "U.host_insns_committed += _hc - _hu",
+                *["FLUSH(U, TRB)"] * self.traced,
+                f"_gu, _hu, U = GRT, _hc, _CU{k}"] * move + [
+            *enter_lines(self), f"_ip = {self.base[k]}"]
 
     # -- emission ------------------------------------------------------------
 
@@ -176,49 +193,50 @@ class _Program(ControlHooks):
             self.pending = []
         return out
 
-    def source(self, params):
+    def source(self):
         body = ["if executed >= fuel:", f"    raise _HEE({FUEL_ERROR})"]
+        arms = []
         for u, unit in enumerate(self.units):
+            self.member = u
             size = len(unit.instrs)
             leaders = sorted({0} | {ins.target for ins in unit.instrs
                                     if ins.target is not None})
-            arms = []
             for n, start in enumerate(leaders):
                 end = leaders[n + 1] if n + 1 < len(leaders) else size
-                arm = self._arm(u, unit, start, end, size)
-                arms += ([f"{'elif' if n else 'if'} _ip == {start}:",
-                          *indent(arm)] if len(leaders) > 1 else arm)
-            body += ([f"{'elif' if u else 'if'} _un == {u}:", *indent(arms)]
-                     if self.cluster else arms)
-        prologue = ["U = _CU0", *["_un = 0"] * self.cluster]
-        return host_factory("_direct", "", params, prologue, body, self)
+                arms.append((self.base[u] + start,
+                             self._arm(unit, start, end, size)))
+        if len(arms) == 1:
+            body += arms[0][1]
+        for n, (label, arm) in enumerate(arms if len(arms) > 1 else ()):
+            body += [f"{'elif' if n else 'if'} _ip == {label}:", *indent(arm)]
+        return host_factory("_direct", "", self.params, ["U = _CU0"], body,
+                            self)
 
-    def _arm(self, u, unit, start, end, size):
+    def _arm(self, unit, start, end, size):
         out = []
         for j in range(start, end):
-            ins = unit.instrs[j]
-            self.index = j
-            out += self._op(ins, self.names[u][j])
-            if ins.op in _TERMINATORS:
+            self.index, self.ins = j, unit.instrs[j]
+            out += self._op(self.ins, self.names[self.member][j])
+            if self.ins.op in _TERMINATORS:
                 return out  # anything up to the next leader is unreachable
         out += self._flush()
         if end < size:
-            return out + [f"_ip = {end}", "continue"]
+            return out + [f"_ip = {self.base[self.member] + end}", "continue"]
         return out + [f"raise _HEE({FELL_OFF_ERROR})"]
 
     def _op(self, ins, names):
         op = ins.op
-        if op in MEMORY_OPS:
+        how = _PARAMS[op]
+        if how == 3:
             imm = names[0] if ins.imm else None
             seq = names[-1] if op in _SPEC_OPS else None
             return self._flush(1) + memory_lines(
                 op, ins.d, ins.a, ins.b, imm, seq) + self.record(
                     "{'mem_addr': _a}")
-        if op in _CONTROL:
-            meta = dict(zip(_META_PARAMS.get(op, ()), names))
+        if isinstance(how, tuple):
             return self._flush(1) + control_lines(op, dict(
-                meta, a=ins.a, target=ins.target, index=self.index,
-                meta=names[-1] if op == "exit" else None,
+                zip(how, names), a=ins.a, target=ins.target,
+                index=self.index, meta=names[-1] if op == "exit" else None,
                 profile=bool(ins.meta.get("profile"))), self)
         self.charges += 1
         self.record("None")
@@ -227,7 +245,26 @@ class _Program(ControlHooks):
         if op in _FOLD:
             return [f"{HOST_VALUE_OPS[op][0][0].upper()}[{ins.d}] = {names[0]}"]
         stmt = value_stmt(op, ins.d, ins.a, ins.b, names[0] if names else None)
+        if names:
+            stmt = ast.unparse(_Hoist(self.setup).visit(ast.parse(stmt)))
         return [stmt] if stmt else []
+
+
+class _Hoist(ast.NodeTransformer):
+    """Replace each subexpression that reads only parameters (``K3 & 31``)
+    by a name the factory computes once per instance, into ``setup``."""
+
+    def __init__(self, setup):
+        self.setup = setup
+
+    def visit_BinOp(self, node):
+        if all(isinstance(n, (ast.BinOp, ast.Constant, ast.operator))
+               or isinstance(n, ast.Name) and n.id[0] == "K"
+               for n in ast.walk(node) if not isinstance(n, ast.Load)):
+            name = f"H{len(self.setup)}"
+            self.setup.append(f"{name} = {ast.unparse(node)}")
+            return ast.Name(name, ast.Load())
+        return self.generic_visit(node)
 
 
 def compile_direct(unit, emu, traced=False, cluster=None):
@@ -240,29 +277,29 @@ def compile_direct(unit, emu, traced=False, cluster=None):
     records the reference loop would deliver and hand them to the sink
     at unit boundaries."""
     units = [unit] + [u for u in cluster or () if u is not unit]
-    names, values, count = [], [], 0
+    structure, values = [], []
     try:
         for member in units:
-            if not 0 < len(member.instrs) <= _MAX_INSTRS:
-                raise _Bail
             size = len(member.instrs)
-            per = []
+            if not 0 < size <= _MAX_INSTRS:
+                return None
             for ins in member.instrs:
-                if ins.target is not None and (
-                        ins.op not in _BRANCH_OPS
-                        or not 0 <= ins.target < size):
-                    raise _Bail
-                given = _values(ins)
-                per.append([f"K{count + k}" for k in range(len(given))])
+                target = ins.target
+                if target is not None and (ins.op not in _BRANCH_OPS
+                                           or not 0 <= target < size):
+                    return None
+                shape_of, given = _describe(ins)
+                if ins.op == "exit":
+                    shape_of += (_linked(ins, units),)
+                structure.append(shape_of)
                 values += given
-                count += len(given)
-            names.append(per)
-    except (_Bail, KeyError):
+            structure.append(None)  # end of a member
+    except (KeyError, TypeError):
         return None
-    key = ("direct", traced, tuple(tuple(_structure(ins) for ins in u.instrs)
-                                   for u in units))
-    params = [*(f"K{k}" for k in range(count)),
-              *(f"_CU{k}" for k in range(len(units)))]
-    make = shape(key, lambda: _Program(units, traced, names).source(params),
-                 _NAMESPACE, f"<direct:{unit.mode}@{unit.entry_pc:#x}>")
-    return make(emu, *values, *units)
+    make = shape(("direct", traced, *structure),
+                 lambda: _Program(units, traced).source(), _NAMESPACE,
+                 f"<direct:{unit.mode}@{unit.entry_pc:#x}>")
+    try:
+        return make(emu, *values, *units)
+    except TypeError:  # a parameter its op cannot take
+        return None

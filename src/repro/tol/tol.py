@@ -348,10 +348,11 @@ class Tol:
                     >= self.config.direct_max_repromotions):
                 self.stats.bump("direct_tier", "rejected_cap")
             else:
+                # Rebuilt even alone: the program now knows its chains.
                 members = self._direct_cluster_members(unit)
                 clustered = len(members) > 1 and compile_direct(
                     unit, host, cluster=members)
-                prog = clustered or prog
+                prog = clustered or compile_direct(unit, host) or prog
                 self.stats.bump("direct_tier", "promoted_cluster"
                                 if clustered else "promoted")
                 self.profiler.record_direct_promotion(pc)
