@@ -107,14 +107,16 @@ def compare(steps: int = STEPS):
 
 # -- generated programs vs the reference loop ---------------------------------
 
-#: Generated programs must run >=3.5x the reference loop's guest KIPS.
-#: The bar was set when this form replaced ">=3x ``compiled_kips``"
-#: (guest KIPS inside direct-tier programs over the IM fast path's):
-#: 3 x the median ``compiled_kips`` over the median reference-loop KIPS,
-#: rounded up to 0.1x, in seven interleaved rounds on the code of that
-#: time (2-vCPU x86-64 VM, CPython 3.11), so it is at least as strict.
-DIRECT_SPEEDUP_BAR = 3.5
-DIRECT_ROUNDS = 7
+#: Generated programs must run >=3.0x the reference loop's guest KIPS.
+#: The bar restates ">=3x ``compiled_kips``" (guest KIPS inside the
+#: promoted direct-tier programs over the IM fast path's): 3 x the
+#: median ``compiled_kips`` over the median guest KIPS of the reference
+#: loop it divides by, in interleaved rounds, rounded up to 0.1x (2.93
+#: and 2.95 in two 9-round runs, 2-vCPU x86-64 VM, CPython 3.11).  The
+#: step loop this reference loop replaced was slower: against it the
+#: same conversion reads 3.8.
+DIRECT_SPEEDUP_BAR = 3.0
+DIRECT_ROUNDS = 9
 
 
 def measure_tol_kips(generated: bool, steps: int = STEPS,

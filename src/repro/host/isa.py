@@ -422,8 +422,6 @@ class ControlHooks:
     has_store = has_spec = True
     save = "(I[:], F[:], V[:])"
     restore = ("I[:], F[:], V[:] = _ck",)
-    #: lines the factory runs once per instance, before the function
-    setup = ()
 
     def record(self, info):
         """Lines appending the current instruction's trace entry."""
@@ -580,7 +578,7 @@ def host_factory(name, args, params, prologue, body, h):
     binds = "".join(f", {n}={n}" for n in bound)
     return "\n".join(
         [f"def _mk({', '.join(['EMU', *params])}):"]
-        + [f"    {n} = {BINDINGS[n]}" for n in bound] + indent(h.setup)
+        + [f"    {n} = {BINDINGS[n]}" for n in bound]
         + [f"    def {name}(EMU, executed, fuel{args}{binds}):"]
         + [f"        {n} = {e}" for n, e in _PER_CALL.items() if n in words]
         + indent(lines, 2) + [f"    return {name}", ""])

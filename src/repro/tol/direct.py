@@ -34,8 +34,6 @@ on the reference loop.
 
 from __future__ import annotations
 
-import ast
-
 from repro.guest.memory import PageFault
 from repro.host.emulator import AssertFail, HostEmulationError, SpecFail
 from repro.host.isa import (
@@ -136,7 +134,6 @@ class _Program(ControlHooks):
         refs = [f"{file.upper()}[{reg}]" for file, reg in saves]
         self.save = f"({', '.join(refs)},)" if refs else "()"
         self.restore = [f"{', '.join(refs)}, = _ck"] * bool(refs)
-        self.setup = []
         self.charges = 0     # value ops not yet added to ``executed``
         self.pending = []    # their trace entries, none yet appended
 
@@ -245,26 +242,7 @@ class _Program(ControlHooks):
         if op in _FOLD:
             return [f"{HOST_VALUE_OPS[op][0][0].upper()}[{ins.d}] = {names[0]}"]
         stmt = value_stmt(op, ins.d, ins.a, ins.b, names[0] if names else None)
-        if names:
-            stmt = ast.unparse(_Hoist(self.setup).visit(ast.parse(stmt)))
         return [stmt] if stmt else []
-
-
-class _Hoist(ast.NodeTransformer):
-    """Replace each subexpression that reads only parameters (``K3 & 31``)
-    by a name the factory computes once per instance, into ``setup``."""
-
-    def __init__(self, setup):
-        self.setup = setup
-
-    def visit_BinOp(self, node):
-        if all(isinstance(n, (ast.BinOp, ast.Constant, ast.operator))
-               or isinstance(n, ast.Name) and n.id[0] == "K"
-               for n in ast.walk(node) if not isinstance(n, ast.Load)):
-            name = f"H{len(self.setup)}"
-            self.setup.append(f"{name} = {ast.unparse(node)}")
-            return ast.Name(name, ast.Load())
-        return self.generic_visit(node)
 
 
 def compile_direct(unit, emu, traced=False, cluster=None):
