@@ -519,13 +519,11 @@ def rollback_lines(h):
         "U.host_insns_wasted += _r", "EMU.host_insns_wasted += _r"]
 
 
-def enter_lines(h):
+def enter_lines():
     """Enter unit ``U`` without the driver: the per-entry bookkeeping
     the driver would do."""
     return ["U.exec_count += 1", "_de += 1",
-            "if ULOG is not None:", "    ULOG.append(U)",
-            *[f"if len(TRB) > {TRACE_BATCH_CAP}:",
-              "    FLUSH(U, TRB)"] * h.traced]
+            "if ULOG is not None:", "    ULOG.append(U)"]
 
 
 #: Emulator state read once per call: it may change between calls (the

@@ -170,12 +170,14 @@ class _Program(ControlHooks):
     def _enter(self, k, member=True):
         """Enter member ``k`` from the current member (from any, with
         ``member`` None)."""
+        # A traced program hands over the records of the execution that
+        # ended, as a return to the driver would.
         move = k != self.member if member else len(self.units) > 1
-        return ["U.guest_insns_retired += GRT - _gu",
-                "U.host_insns_committed += _hc - _hu",
-                *["FLUSH(U, TRB)"] * self.traced,
-                f"_gu, _hu, U = GRT, _hc, _CU{k}"] * move + [
-            *enter_lines(self), f"_ip = {self.base[k]}"]
+        return ["FLUSH(U, TRB)"] * self.traced + [
+            "U.guest_insns_retired += GRT - _gu",
+            "U.host_insns_committed += _hc - _hu",
+            f"_gu, _hu, U = GRT, _hc, _CU{k}"] * move + [
+            *enter_lines(), f"_ip = {self.base[k]}"]
 
     # -- emission ------------------------------------------------------------
 
