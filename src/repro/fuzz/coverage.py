@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 #: Counter namespaces that constitute TOL-path coverage.  ``cov.*`` are
-#: the dedicated cheap path counters (exit arms, shapes, direct-tier
+#: the dedicated cheap path counters (exit arms, shapes, program
 #: outcomes, quarantine edges, sanitizer checks); the others capture
 #: mode mix and incident kinds.
 COVERAGE_NAMESPACES = (

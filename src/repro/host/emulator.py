@@ -202,9 +202,11 @@ class HostEmulator:
         #: resilience layer uses it to implicate translations after a
         #: divergence.
         self.unit_log: Optional[deque] = None
-        # Region state between dispatches (a pause leaves the checkpoint
-        # op of the next region counted here).
-        self._undo: List[tuple] = []  # ("u32"/"f64"/"vec", addr, old value)
+        #: Undo log: ``(kind, addr, old value)`` per guest store under a
+        #: live checkpoint; empty between dispatches.
+        self._undo: List[tuple] = []
+        #: Host instructions of the open region between dispatches (a
+        #: pause leaves the next region's checkpoint op counted here).
         self._region_insns = 0
         #: TOL-private data area (spill slots); not part of guest memory.
         self.tol_memory = PagedMemory(demand_zero=True)

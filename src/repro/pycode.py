@@ -2,18 +2,20 @@
 
 Every Python source the simulator generates is compiled here: the IM
 closures (:func:`repro.tol.ir_eval.compile_ops`), the host emulator's
-steps and segments, the direct tier's programs and the timing loops and
-appliers.  Code objects are memoized by source text in one bounded,
-process-wide table, so a source that recurs -- in another run, another
-unit or another decode address -- is compiled once.
+steps and reference loop, the translated units' programs
+(:mod:`repro.tol.direct`) and the timing loops and appliers.  Code
+objects are memoized in one bounded, process-wide table, so a source
+that recurs -- in another run, another unit or another decode address
+-- is compiled once.
 
-The IM closures and the host segments are written as *shapes* so that
+The IM closures and the host programs are written as *shapes* so that
 they recur: temps are renumbered from 0 in first-use order and every
 literal is a parameter of a factory ``_mk(K0, K1, ...)`` that returns
 the closure.  The table keeps a shape's factory, so two decode
-addresses (or segments) that differ only in literals share one factory
+addresses (or units) that differ only in literals share one factory
 and one code object, and making the closure is a call instead of a
-compile.
+compile.  A program's shape is found by a structural key before its
+source is written (:func:`shape`); an IM closure's by its source.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ import threading
 
 #: Code objects kept, least recently used evicted first.  The 31 Fig. 4-7
 #: kernels at their figure scales (SPEC 0.5, Physicsbench 1.0), run in
-#: one process, produce 832 distinct sources: 159 IM shapes, 424 segment
-#: shapes, 248 direct-tier programs and the step makers.  The bound is
-#: about 2.5x that, for the timing forms and the configurations the
+#: one process, leave 414 entries: 159 IM shapes, 252 program shapes, the
+#: step makers and the two reference loops.  The bound is about 5x that,
+#: for traced programs, the timing forms and the configurations the
 #: figures do not run.
 CAPACITY = 2048
 
-#: source text -> its code object, or, for a shape, its factory
+#: source text (or a shape's structural key) -> its code object, or, for
+#: a shape, its factory
 _CODES: dict = {}
 _LOCK = threading.Lock()
 

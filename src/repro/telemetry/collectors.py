@@ -14,12 +14,12 @@ Instrument namespace:
                    chaining, promotion, watchdog, overhead categories
 ``cache.*``        code cache: hits/misses/insertions/evictions/flushes
 ``host.*``         host emulator: committed/wasted instructions, IBTC,
-                   fastpath vs slow-path segment split
+                   generated-program entries and instructions
 ``mode.retired.*`` dynamic guest instructions per execution mode
 ``resilience.*``   incidents, quarantine ladder, armed/fired faults
 ``cov.*``          TOL-path coverage edges for the fuzzer: unit-exit
-                   arms, translation shapes, direct-tier
-                   promotion/demotion outcomes, quarantine ladder
+                   arms, translation shapes, generated-program
+                   outcomes and strips, quarantine ladder
                    transitions, sanitizer checks
 ``controller.*``   synchronization protocol: syscalls, data requests,
                    validations, recoveries, checkpoints

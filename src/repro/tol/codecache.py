@@ -38,8 +38,8 @@ class CodeCache:
         #: still executes them from the translator's hand-back; they are
         #: simply never cached).
         self.oversize_rejections = 0
-        #: Direct-tier programs dropped from removed units (demotion
-        #: events of the direct tier — coverage-map signal).
+        #: Generated programs dropped from removed units (coverage-map
+        #: signal).
         self.direct_strips = 0
         #: Called with each unit removed from the cache (invalidate,
         #: invalidate_pc and flush), so dependent dispatch structures —
@@ -98,10 +98,10 @@ class CodeCache:
         return flushed
 
     def _strip_direct(self, unit: CodeUnit) -> None:
-        """Drop a removed unit's direct-tier programs.  A removed unit
-        can still be referenced (it may be mid-execution), but its entry
-        PC may have been quarantined — if a fresh translation ever
-        re-promotes, it must recompile against its own instructions."""
+        """Drop a removed unit's generated programs.  A removed unit can
+        still be referenced (it may be mid-execution), but its entry PC
+        may have been quarantined: if it is ever entered again, it must
+        recompile against its own instructions."""
         if unit.__dict__.pop("_directprog", None) is not None:
             self.direct_strips += 1
         unit.__dict__.pop("_directprog_traced", None)

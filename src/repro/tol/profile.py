@@ -19,7 +19,7 @@ class Profiler:
         self.bb_counts: Counter = Counter()
         #: edge_counts[bb_entry_pc][successor_pc] = executions
         self.edge_counts: Dict[int, Counter] = defaultdict(Counter)
-        #: direct-tier promotions per entry PC (caps re-promotion churn
+        #: program promotions per entry PC (caps re-promotion churn
         #: after invalidations).
         self.direct_promotions: Counter = Counter()
 
@@ -47,10 +47,10 @@ class Profiler:
         successor, hits = edges.most_common(1)[0]
         return successor, hits / sum(edges.values())
 
-    # -- direct-tier promotion tracking -----------------------------------------
+    # -- program promotion tracking ---------------------------------------------
 
     def record_direct_promotion(self, entry_pc: int) -> int:
-        """Count one direct-tier promotion; returns the new count."""
+        """Count one program promotion; returns the new count."""
         self.direct_promotions[entry_pc] += 1
         return self.direct_promotions[entry_pc]
 
