@@ -370,7 +370,7 @@ class Tol:
         body ping-ponging between two superblocks is the common case —
         then execute entirely inside one generated function.  Links
         are only followed, never created: a unit with no chains yet
-        compiles alone, exactly as before."""
+        compiles alone."""
         members = [unit]
         limit = self.config.direct_cluster_max
         if limit <= 1:
