@@ -164,15 +164,15 @@ class _Program(ControlHooks):
         out = []
         for k in range(len(self.units)):
             out += [f"{'elif' if k else 'if'} _x is _CU{k}:",
-                    *indent(self._enter(k, None))]
+                    *indent(self._enter(k, known=False))]
         return out + ["else:", "    break"]
 
-    def _enter(self, k, member=True):
-        """Enter member ``k`` from the current member (from any, with
-        ``member`` None)."""
-        # A traced program hands over the records of the execution that
-        # ended, as a return to the driver would.
-        move = k != self.member if member else len(self.units) > 1
+    def _enter(self, k, known=True):
+        """Enter member ``k``: from the current member, or (``known``
+        False, after the dispatch loop) from any.  A traced program first
+        hands over the records of the execution that ended, as a return
+        to the driver would."""
+        move = k != self.member if known else len(self.units) > 1
         return ["FLUSH(U, TRB)"] * self.traced + [
             "U.guest_insns_retired += GRT - _gu",
             "U.host_insns_committed += _hc - _hu",
@@ -279,7 +279,4 @@ def compile_direct(unit, emu, traced=False, cluster=None):
     make = shape(("direct", traced, *structure),
                  lambda: _Program(units, traced).source(), _NAMESPACE,
                  f"<direct:{unit.mode}@{unit.entry_pc:#x}>")
-    try:
-        return make(emu, *values, *units)
-    except TypeError:  # a parameter its op cannot take
-        return None
+    return make(emu, *values, *units)
