@@ -143,7 +143,9 @@ def compare(smoke: bool = False) -> dict:
 
     off_rate = median_rate(results["off"])
     traced_rate = median_rate(results["counters"])
-    overhead = max(0.0, (off_rate - traced_rate) / off_rate)
+    # Signed: a traced median above the untraced one reads negative, so
+    # the recorded number shows the noise instead of hiding it as 0.0.
+    overhead = (off_rate - traced_rate) / off_rate
     return {
         "host": host_snapshot(),
         "jobs_per_trial": len(jobs),

@@ -50,7 +50,10 @@ LOAD_SCALES = (0.05, 0.1)
 LOAD_SUBMISSIONS = 48
 
 CHAOS_WORKLOADS = ("429.mcf", "462.libquantum", "continuous")
-CHAOS_SCALE = 0.3
+#: Each chaos job runs 1.5-2.5 s with checkpoints, several kill periods,
+#: so the killer lands mid-job (at 0.3 the jobs took about 0.35 s and
+#: most finished before the first kill).
+CHAOS_SCALE = 3.0
 CHAOS_KILL_PERIOD_S = 0.6
 
 

@@ -983,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--validate", action="store_true",
                          help="enable authoritative state validation")
     sweep_p.add_argument("--timeout", type=float, default=None,
-                         help="per-task timeout in seconds")
+                         help="per-attempt timeout in seconds")
     sweep_p.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a TolConfig field (repeatable)")
     sweep_p.add_argument("--figures", action="store_true",

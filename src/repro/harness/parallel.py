@@ -8,17 +8,21 @@ independent runs.  :func:`sweep` is the one fan-out point they all share:
 - jobs are declarative :class:`SweepJob` records (a registered task name
   plus picklable keyword arguments), so they cross process boundaries and
   hash cleanly;
-- execution fans out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (``n_jobs``, default ``os.cpu_count()``); ``n_jobs=1`` runs inline with
-  the exact same task functions, so parallelism changes wall-clock only;
+- execution fans out over ``n_jobs`` worker shards (default
+  ``os.cpu_count()``), the supervised worker processes of
+  :mod:`repro.serve.supervisor` that ``darco serve`` runs on too;
+  ``n_jobs=1`` runs first attempts inline with the exact same task
+  functions, so parallelism changes wall-clock only;
 - results are memoized in an on-disk cache (``.repro_cache/`` by default)
   keyed by a content hash of the task name, its arguments (configs are
   serialized field by field) and a fingerprint of the whole ``src/repro``
   source tree — any source or config change invalidates cleanly, and an
   unchanged run is an instant replay;
 - robustness is per task: a worker exception, crash or timeout degrades
-  that one job to an error record (after one isolated retry) without
-  killing the sweep.
+  that one job to an error record (after the retries its
+  :class:`~repro.harness.retry.RetryPolicy` allows) without killing the
+  sweep; a hung attempt is killed at its own deadline and charges no
+  other job.
 
 Results come back as :class:`SweepResult` records in job order; cached
 values are plain pickled dataclasses (``KernelMetrics`` et al.) that
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import io
 import json
 import os
@@ -37,10 +42,6 @@ import time
 import traceback
 from collections import Counter, deque
 from contextlib import redirect_stderr
-from concurrent.futures import (
-    ProcessPoolExecutor, TimeoutError as FuturesTimeout, as_completed,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional
@@ -60,7 +61,7 @@ _MISS = object()
 
 #: Structured counters for exceptions the sweep machinery absorbs
 #: (``sweep.errors.*`` namespace).  Expected, narrow error classes —
-#: cache corruption, worker teardown — are handled in place; anything
+#: cache corruption, worker death — are handled in place; anything
 #: *outside* those classes is still absorbed where crashing would kill
 #: an unrelated thousand-run campaign, but lands in
 #: ``sweep.errors.swallowed`` with its summary in
@@ -342,8 +343,8 @@ def _worker(task: str, params: Dict[str, Any]):
     """
     start = time.perf_counter()
     captured = io.StringIO()
-    trace_wire = params.pop("_trace", None) if isinstance(params, dict) \
-        else None
+    trace_wire = params.pop("_trace", None)
+    resume = bool((params.get("_checkpoint") or {}).get("resume"))
     ctx = writer = None
     if trace_wire is not None:
         try:
@@ -353,27 +354,18 @@ def _worker(task: str, params: Dict[str, Any]):
                 writer = tracectx.SpanFileWriter(
                     trace_wire.get("dir", tracectx.DEFAULT_TRACE_DIR),
                     "worker")
+                start_us = tracectx.epoch_us()
+                # Flushed before execution, so an attempt killed mid-run
+                # (SIGKILL, deadline) still leaves its start on the
+                # timeline; the closing "attempt" span below only exists
+                # for attempts that survive.
+                writer.instant("attempt_start", "worker", ctx=ctx,
+                               ts_us=start_us, task=task, resume=resume)
                 tracectx.activate(ctx)
             else:
                 ctx = None
         except Exception:
             ctx = writer = None  # tracing must never fail a job
-    start_us = None
-    if ctx is not None:
-        from repro.telemetry.tracectx import epoch_us
-        start_us = epoch_us()
-        try:
-            # Flushed before execution, so an attempt killed mid-run
-            # (SIGKILL, deadline) still leaves its start on the
-            # timeline; the closing "attempt" span below only exists
-            # for attempts that survive.
-            resume = bool((params.get("_checkpoint") or {})
-                          .get("resume")) \
-                if isinstance(params, dict) else False
-            writer.instant("attempt_start", "worker", ctx=ctx,
-                           ts_us=start_us, task=task, resume=resume)
-        except Exception:
-            pass
     try:
         with redirect_stderr(captured):
             value = _execute(task, params)
@@ -384,14 +376,10 @@ def _worker(task: str, params: Dict[str, Any]):
                   captured.getvalue()[-STDERR_TAIL_CHARS:])
     if ctx is not None:
         try:
-            from repro.telemetry import tracectx
-            from repro.telemetry.tracectx import epoch_us
             tracers = tracectx.deactivate()
-            resume = bool((params.get("_checkpoint") or {}).get("resume")) \
-                if isinstance(params, dict) else False
             writer.complete(
-                "attempt", "worker", start_us, epoch_us(), ctx=ctx,
-                task=task, status=result[0], resume=resume)
+                "attempt", "worker", start_us, tracectx.epoch_us(),
+                ctx=ctx, task=task, status=result[0], resume=resume)
             for tracer in tracers:
                 writer.tracer_events(tracer, ctx=ctx)
         except Exception:
@@ -470,50 +458,115 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-def _terminate(executor: ProcessPoolExecutor) -> None:
-    for proc in list(getattr(executor, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except OSError:
-            pass
-    executor.shutdown(wait=False, cancel_futures=True)
+def attempt_params(job: SweepJob, key: str, attempt: int, checkpoint_dir,
+                   checkpoint_every: int = 1,
+                   resume: bool = False) -> Dict[str, Any]:
+    """Execution params for attempt ``attempt`` (1-based) of ``job``, in
+    sweep and serve alike.  With a ``checkpoint_dir``, checkpointable
+    tasks get a ``_checkpoint`` spec under ``<dir>/<key16>/``; it rides
+    outside the cache key.  Every attempt after the first resumes from
+    the last checkpoint; a first attempt resumes only if ``resume``."""
+    if checkpoint_dir is None or job.task not in _CHECKPOINTABLE:
+        return job.params
+    return {**job.params, "_checkpoint": {
+        "dir": str(Path(checkpoint_dir) / key[:16]),
+        "every": int(checkpoint_every),
+        "resume": bool(resume) or attempt > 1,
+    }}
 
 
-def _run_inline(job: SweepJob, params: Dict[str, Any]) -> SweepResult:
-    status, payload, duration, stderr_tail = _worker(job.task, params)
+def _attempt_result(job: SweepJob, attempt: int, status: str, payload: Any,
+                    duration: float, stderr_tail: str) -> SweepResult:
+    """One attempt's :func:`_worker` record as a :class:`SweepResult`."""
     if status == "ok":
-        return SweepResult(job=job, value=payload, attempts=1,
+        return SweepResult(job=job, value=payload, attempts=attempt,
                            duration_s=duration)
-    return SweepResult(job=job, error=payload, attempts=1,
+    return SweepResult(job=job, error=payload, attempts=attempt,
                        duration_s=duration, stderr_tail=stderr_tail)
 
 
-def _run_isolated(job: SweepJob, params: Dict[str, Any],
-                  timeout: Optional[float]) -> SweepResult:
-    """Run one job in its own single-worker pool: a crash or hang is
-    contained to this job, and a hung worker is terminated."""
-    executor = ProcessPoolExecutor(max_workers=1)
-    start = time.perf_counter()
+def _run_on_shards(jobs: List[SweepJob], keys: List[str], queue: list,
+                   workers: int, timeout: Optional[float],
+                   params: Callable, settle: Callable) -> None:
+    """Run attempts on ``workers`` shards until ``queue`` and the pool
+    drain.
+
+    ``queue`` is a heap of ``(due, index, attempt)`` triples, ``due`` on
+    the :func:`time.monotonic` clock; ``settle(index, result)`` takes
+    each finished attempt and pushes the job's retry onto ``queue``.
+    One synchronous loop, no threads: it waits on the shard pipes and
+    wakes at the nearest attempt deadline or retry due time.  An overdue
+    attempt is killed by the check the serve reaper runs
+    (:meth:`~repro.serve.supervisor.Shard.kill_if_overdue`), and its
+    shard respawns for the next attempt.
+    """
+    from multiprocessing.connection import wait
+
+    from repro.serve.supervisor import Shard
+    shards = [Shard(i) for i in range(workers)]
+    running: Dict[Any, tuple] = {}   # pipe -> (shard, index, attempt, t0)
     try:
-        future = executor.submit(_worker, job.task, params)
-        try:
-            status, payload, duration, stderr_tail = \
-                future.result(timeout=timeout)
-        except FuturesTimeout:
-            return SweepResult(
-                job=job, attempts=1, duration_s=time.perf_counter() - start,
-                error=f"timed out after {timeout:.1f}s")
-        except BrokenProcessPool:
-            return SweepResult(
-                job=job, attempts=1, duration_s=time.perf_counter() - start,
-                error="worker process died (crash during task)")
-        if status == "ok":
-            return SweepResult(job=job, value=payload, attempts=1,
-                               duration_s=duration)
-        return SweepResult(job=job, error=payload, attempts=1,
-                           duration_s=duration, stderr_tail=stderr_tail)
+        while queue or running:
+            busy = [entry[0] for entry in running.values()]
+            idle = [shard for shard in shards if shard not in busy]
+            while idle and queue and queue[0][0] <= time.monotonic():
+                _due, index, attempt = heapq.heappop(queue)
+                shard = idle.pop()
+                if not shard.alive:
+                    shard.reap()
+                    shard.spawn()
+                try:
+                    shard.send_job(keys[index], jobs[index].task,
+                                   params(index, attempt), timeout)
+                except OSError:
+                    pass  # a dead worker: its EOF is charged below
+                except Exception:
+                    # Params the pipe cannot carry fail this attempt;
+                    # the worker never saw them and stays idle.
+                    shard.abort_dispatch()
+                    idle.append(shard)
+                    settle(index, SweepResult(
+                        job=jobs[index], attempts=attempt,
+                        error=traceback.format_exc()))
+                    continue
+                running[shard.conn] = (shard, index, attempt,
+                                       time.monotonic())
+            wakes = [entry[0].deadline for entry in running.values()
+                     if entry[0].deadline is not None]
+            if idle and queue:
+                wakes.append(queue[0][0])
+            for conn in wait(list(running), max(
+                    0.0, min(wakes) - time.monotonic()) if wakes else None):
+                shard, index, attempt, started = running[conn]
+                try:
+                    frame = shard.recv()
+                except Exception:
+                    # Workers turn task exceptions into records, so a
+                    # frame this process cannot unpickle is unexpected.
+                    _record_swallowed(f"pool.result:{jobs[index].label}")
+                    frame = ("done", None, "error",
+                             traceback.format_exc(), 0.0, "")
+                if frame is not None and frame[0] == "ready":
+                    continue
+                del running[conn]
+                if frame is None:
+                    reason = shard.take_crash_context()[1]
+                    shard.reap()
+                    frame = (None, None, "error",
+                             f"timed out after {timeout}s"
+                             if reason == "deadline" else
+                             "worker process died (crash during task)",
+                             time.monotonic() - started, "")
+                else:
+                    shard.note_job_done()
+                settle(index, _attempt_result(jobs[index], attempt,
+                                              *frame[2:]))
+            now = time.monotonic()
+            for shard, *_ in running.values():
+                shard.kill_if_overdue(now)
     finally:
-        _terminate(executor)
+        for shard in shards:
+            shard.stop()
 
 
 def sweep(jobs: Iterable[SweepJob],
@@ -528,23 +581,24 @@ def sweep(jobs: Iterable[SweepJob],
           checkpoint_dir=None,
           checkpoint_every: int = 1,
           resume: bool = False) -> List[SweepResult]:
-    """Run ``jobs``, fanning out over processes, memoizing on disk.
+    """Run ``jobs``, fanning out over worker shards, memoizing on disk.
 
-    ``n_jobs``:   worker processes (default ``os.cpu_count()``); ``1``
-                  runs inline in this process (identical results).
+    ``n_jobs``:   worker shards (default ``os.cpu_count()``); ``1`` runs
+                  first attempts inline in this process (identical
+                  results) and retries on a one-shard pool.
     ``use_cache``/``cache_dir``/``cache``: persistent result cache; pass
                   ``use_cache=False`` to both skip lookups and not write.
     ``retry``:    a :class:`~repro.harness.retry.RetryPolicy` governing
                   re-runs of failed/crashed/timed-out jobs (attempt
-                  budget + backoff/jitter between attempts), each
-                  attempt in its own isolated worker.  Default:
-                  :data:`~repro.harness.retry.SWEEP_DEFAULT` (one
-                  immediate retry — the historical behaviour).
+                  budget + backoff/jitter between attempts); a retry
+                  requeues on the pool once its backoff has passed.
+                  Default: :data:`~repro.harness.retry.SWEEP_DEFAULT`
+                  (one immediate retry — the historical behaviour).
     ``retries``:  legacy integer shorthand for ``retry`` (N extra
                   attempts, no backoff); ignored when ``retry`` is set.
-    ``timeout``:  per-attempt seconds; enforced strictly on isolated
-                  attempts and as a pool-wide deadline on the shared
-                  pool.  Defaults to ``retry.deadline_s`` when unset.
+    ``timeout``:  per-attempt seconds, the same for every attempt on a
+                  shard: an attempt past it is killed and charged to
+                  its own job only.  Defaults to ``retry.deadline_s``.
     ``progress``: callable ``(result, done_count, total)`` invoked as
                   each job resolves (cache hits first).
     ``checkpoint_dir``: when set, checkpointable tasks write periodic
@@ -589,22 +643,24 @@ def sweep(jobs: Iterable[SweepJob],
         if progress is not None:
             progress(result, done, total)
 
-    # Checkpoint plumbing: injected AFTER cache keys are computed, so the
-    # key hashes the logical job only (where resume points live on disk
-    # never changes a job's identity).
-    exec_params: List[Dict[str, Any]] = [job.params for job in jobs]
-    if checkpoint_dir is not None:
-        base = Path(checkpoint_dir)
-        for index, job in enumerate(jobs):
-            if job.task in _CHECKPOINTABLE:
-                exec_params[index] = {
-                    **job.params,
-                    "_checkpoint": {
-                        "dir": str(base / keys[index][:16]),
-                        "every": int(checkpoint_every),
-                        "resume": bool(resume),
-                    },
-                }
+    def params(index: int, attempt: int) -> Dict[str, Any]:
+        return attempt_params(jobs[index], keys[index], attempt,
+                              checkpoint_dir, checkpoint_every, resume)
+
+    # Attempts waiting for a shard: a heap of (due, index, attempt).
+    queue: list = []
+
+    def settle(index: int, result: SweepResult) -> None:
+        """Keep a finished attempt, or queue the retry the policy
+        allows after its backoff (jitter seeded by the job key, so the
+        schedule is reproducible per job and decorrelated across
+        jobs)."""
+        if result.ok or not policy.allows(result.attempts):
+            resolve(index, result)
+            return
+        due = time.monotonic() + policy.delay(result.attempts,
+                                              seed=keys[index])
+        heapq.heappush(queue, (due, index, result.attempts + 1))
 
     pending: List[int] = []
     for index, job in enumerate(jobs):
@@ -619,104 +675,16 @@ def sweep(jobs: Iterable[SweepJob],
     if n_jobs is None:
         n_jobs = os.cpu_count() or 1
     n_jobs = max(1, int(n_jobs))
-
-    failed: List[int] = []
-    if pending and n_jobs == 1:
+    if n_jobs == 1:
         for index in pending:
-            result = _run_inline(jobs[index], exec_params[index])
-            if result.ok:
-                resolve(index, result)
-            else:
-                failed.append(index)
-                results[index] = result
-    elif pending:
-        executor = ProcessPoolExecutor(max_workers=min(n_jobs,
-                                                       len(pending)))
-        future_map = {}
-        try:
-            for index in pending:
-                job = jobs[index]
-                future_map[executor.submit(_worker, job.task,
-                                           exec_params[index])] = index
-            # Shared-pool deadline: generous upper bound so one hung
-            # worker cannot stall the sweep forever (strict per-task
-            # timeouts are applied on the isolated retry attempts).
-            deadline = None
-            if timeout is not None:
-                waves = -(-len(pending) // n_jobs)  # ceil division
-                deadline = timeout * (waves + 1)
-            try:
-                for future in as_completed(future_map, timeout=deadline):
-                    index = future_map.pop(future)
-                    job = jobs[index]
-                    try:
-                        status, payload, duration, stderr_tail = \
-                            future.result()
-                    except BrokenProcessPool:
-                        failed.append(index)
-                        results[index] = SweepResult(
-                            job=job, attempts=1,
-                            error="worker process died "
-                                  "(crash during task)")
-                        continue
-                    except Exception:
-                        # Workers convert task exceptions to records, so
-                        # anything raised *here* (result unpickling, pool
-                        # teardown) is unexpected: count it, and surface
-                        # it as this job's error record.
-                        _record_swallowed(f"pool.result:{job.label}")
-                        failed.append(index)
-                        results[index] = SweepResult(
-                            job=job, attempts=1,
-                            error=traceback.format_exc())
-                        continue
-                    if status == "ok":
-                        resolve(index, SweepResult(
-                            job=job, value=payload, attempts=1,
-                            duration_s=duration))
-                    else:
-                        failed.append(index)
-                        results[index] = SweepResult(
-                            job=job, error=payload, attempts=1,
-                            duration_s=duration, stderr_tail=stderr_tail)
-            except FuturesTimeout:
-                for future, index in future_map.items():
-                    failed.append(index)
-                    results[index] = SweepResult(
-                        job=jobs[index], attempts=1,
-                        error=f"shared pool deadline exceeded "
-                              f"({deadline:.1f}s)")
-        finally:
-            _terminate(executor)
-
-    # Isolated retries under the policy: one bad workload degrades to
-    # an error record after its attempt budget, with backoff + jitter
-    # between attempts (jitter seeded by the job key, so the schedule
-    # is reproducible per job and decorrelated across jobs).
-    # Checkpointable tasks retry with resume forced on, so a retried
-    # crash or timeout continues from its last checkpoint instead of
-    # repaying the whole run.
-    for index in failed:
-        job = jobs[index]
-        retry_params = exec_params[index]
-        ck = retry_params.get("_checkpoint")
-        if ck is not None:
-            retry_params = {**retry_params,
-                            "_checkpoint": {**ck, "resume": True}}
-        result = results[index]
-        failures = result.attempts if result else 1
-        while result is not None and policy.allows(result.attempts):
-            delay = policy.delay(failures, seed=keys[index])
-            if delay > 0:
-                time.sleep(delay)
-            attempt = _run_isolated(job, retry_params, timeout)
-            attempt.attempts = result.attempts + 1
-            result = attempt
-            if attempt.ok:
-                break
-            failures += 1
-        resolve(index, result)
-
+            settle(index, _attempt_result(
+                jobs[index], 1, *_worker(jobs[index].task,
+                                         params(index, 1))))
+    else:
+        queue.extend((0.0, index, 1) for index in pending)
+    if queue:
+        _run_on_shards(jobs, keys, queue, min(n_jobs, len(queue)),
+                       timeout, params, settle)
     return results
 
 

@@ -1,11 +1,11 @@
 """Shared retry policy: bounded attempts, exponential backoff, jitter.
 
-The sweep runner grew a hard-coded "one isolated retry" in PR 2; the
-serve worker pool needs the same decision — *is this failure worth
-another attempt, and how long do we wait first?* — for job retries,
-worker respawns and client retry-after hints.  :class:`RetryPolicy`
-centralizes that decision so both layers (``darco sweep`` and
-``darco serve``) degrade the same way.
+``darco sweep`` and ``darco serve`` run worker attempts on the same
+shards (:mod:`repro.serve.supervisor`) and make the same decision —
+*is this failure worth another attempt, and how long do we wait
+first?* — for job retries, worker respawns and client retry-after
+hints.  :class:`RetryPolicy` states that decision once, so both layers
+degrade the same way.
 
 Backoff is exponential with full-range jitter::
 
@@ -37,9 +37,9 @@ class RetryPolicy:
         lands uniformly in ``[0.5d, d]``), decorrelating simultaneous
         retriers (thundering-herd control for the worker pool).
     ``deadline_s``
-        Per-attempt wall-clock budget; ``None`` = unbounded.  The sweep
-        runner maps its ``timeout`` here; the serve reaper enforces it
-        by killing the worker.
+        Per-attempt wall-clock budget; ``None`` = unbounded.  ``sweep``
+        uses it when no ``timeout`` is given; every attempt on a shard,
+        first or retry, is held to its deadline by killing the worker.
     """
 
     max_attempts: int = 2
@@ -92,5 +92,5 @@ class RetryPolicy:
         return max(floor_s, min(cap_s, estimate))
 
 
-#: The sweep runner's historical behaviour: one isolated retry, no wait.
+#: The sweep runner's historical behaviour: one immediate retry.
 SWEEP_DEFAULT = RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0)

@@ -15,11 +15,12 @@ Layers:
   status / fetch / healthz / metrics / watch / shutdown) with
   HTTP-flavoured status codes (202 accepted, 429 shed, ...);
 - :mod:`repro.serve.supervisor` — one supervised worker process per
-  shard: crash/SIGKILL detection, respawn with exponential backoff +
-  jitter, per-job deadline kills;
+  shard: crash/SIGKILL detection and per-attempt deadline kills (the
+  worker pool ``darco sweep`` runs on as well);
 - :mod:`repro.serve.service` — the asyncio front end: admission
   control, a bounded queue with explicit load shedding, coalescing,
-  degradation tiers, the reaper, and the job table;
+  degradation tiers, shard respawn with exponential backoff + jitter,
+  the reaper, and the job table;
 - :mod:`repro.serve.client` — the small blocking client used by
   ``darco submit`` / ``status`` / ``fetch`` and the benchmarks;
 - :mod:`repro.serve.flightrec` — the per-job flight recorder: a

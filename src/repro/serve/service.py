@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.harness.parallel import (
-    _CHECKPOINTABLE, _MISS, _TASKS, ResultCache, SweepJob,
+    _MISS, _TASKS, ResultCache, SweepJob, attempt_params,
     code_fingerprint, serialize_params, telemetry_digest,
 )
 from repro.harness.retry import RetryPolicy
@@ -704,20 +704,11 @@ class ServeService:
                 "dir": str(self.config.trace_dir)}
 
     def _exec_params(self, entry: JobEntry) -> Dict[str, Any]:
-        """Execution params for this attempt: checkpoint plumbing rides
-        outside job identity, exactly like the sweep runner's."""
-        params = entry.job.params
-        if (self.config.checkpoint_dir is not None
-                and entry.job.task in _CHECKPOINTABLE):
-            params = {**params, "_checkpoint": {
-                "dir": str(Path(self.config.checkpoint_dir)
-                           / entry.key[:16]),
-                "every": int(self.config.checkpoint_every),
-                # First attempt starts clean; a retry after a kill or
-                # deadline resumes from the last checkpoint.
-                "resume": entry.attempts > 1,
-            }}
-        return params
+        """Execution params for this attempt: a retry after a kill or
+        deadline resumes from the last checkpoint, as in the sweep."""
+        return attempt_params(entry.job, entry.key, entry.attempts,
+                              self.config.checkpoint_dir,
+                              self.config.checkpoint_every)
 
     def _on_result(self, entry: JobEntry, status: str, payload: Any,
                    duration: float, stderr_tail: str) -> None:
@@ -767,9 +758,8 @@ class ServeService:
                          elapsed: float) -> None:
         if reason == "deadline":
             self._count("serve.deadline_kills")
-            entry.error = (f"deadline exceeded "
-                           f"({entry.deadline_s:.1f}s) on attempt "
-                           f"{entry.attempts}; worker killed")
+            entry.error = (f"deadline exceeded ({entry.deadline_s}s) "
+                           f"on attempt {entry.attempts}; worker killed")
         else:
             self._count("serve.worker_deaths")
             entry.error = (f"worker process died after {elapsed:.2f}s "
@@ -858,10 +848,7 @@ class ServeService:
             await asyncio.sleep(self.config.reaper_tick_s)
             now = time.monotonic()
             for shard in self.shards:
-                if (shard.state == STATE_BUSY
-                        and shard.deadline is not None
-                        and now > shard.deadline):
-                    shard.kill("deadline")
+                shard.kill_if_overdue(now)
 
     async def _sample_loop(self) -> None:
         """Feed the time-series ring at the configured interval (cheap:

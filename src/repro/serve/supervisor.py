@@ -1,28 +1,29 @@
-"""Supervised worker shards for the serve pool.
+"""Supervised worker shards: the one worker pool of sweep and serve.
 
 Each shard owns one worker **process** (crash isolation: a SIGKILL, a
 segfault-class failure or a runaway job takes down the shard's worker,
-never the service) plus the parent-side supervision state machine:
+never its owner) plus the parent-side lifecycle state.  ``darco serve``
+runs its jobs on shards, and so does every pooled attempt of
+:func:`repro.harness.parallel.sweep`:
 
 - **spawn**: fork a worker running :func:`_worker_main`, a loop that
   receives ``("job", ...)`` frames over a pipe, executes the registered
-  sweep task (same :func:`repro.harness.parallel._worker` the sweep
-  runner uses — stderr captured, exceptions become records), and sends
-  ``("done", ...)`` frames back;
-- **detect death**: the parent's pump thread blocks in ``conn.recv()``;
-  a dead worker surfaces as ``EOFError``/``OSError`` which the shard
-  reports as a crash, together with whatever job was in flight;
-- **respawn with backoff**: consecutive crash-respawns wait
-  ``RetryPolicy.delay(k)`` (exponential + jitter, so a pool whose
-  workers all died together does not thundering-herd the host); a
-  completed job resets the streak;
-- **deadline kills**: the service's reaper calls :meth:`Shard.kill`
-  with a reason; the kill then flows through the same crash path, so
-  deadline enforcement and chaos SIGKILLs are literally the same code.
+  sweep task (:func:`repro.harness.parallel._worker` — stderr captured,
+  exceptions become records), and sends ``("done", ...)`` frames back;
+- **detect death**: a dead worker surfaces as ``EOFError``/``OSError``
+  on the pipe, which :meth:`Shard.recv` reports as ``None``; the owner
+  then takes the in-flight job from :meth:`Shard.take_crash_context`;
+- **deadline kills**: :meth:`Shard.kill_if_overdue` SIGKILLs a worker
+  whose job is past its per-attempt deadline; the kill then flows
+  through the same death path, so deadline enforcement and chaos
+  SIGKILLs are literally the same code.
 
-The shard never decides a job's fate — it reports outcomes upward and
-the service applies the retry budget (and checkpoint-resume plumbing)
-exactly as the sweep runner would.
+The shard never decides a job's fate.  Its owner (serve's supervision
+tasks, or sweep's loop) charges the attempt, applies the
+:class:`~repro.harness.retry.RetryPolicy`, builds the next attempt's
+checkpoint-resume params with
+:func:`repro.harness.parallel.attempt_params` and respawns the worker
+(serve after a backoff that grows with the shard's crash streak).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ STATE_STOPPED = "stopped"
 def _worker_main(conn) -> None:
     """Worker-process entry: execute jobs until told to stop.
 
-    SIGINT is ignored (the supervisor owns teardown; a Ctrl-C on the
-    server terminal must not race the parent's graceful drain), and the
+    SIGINT is ignored (the shard's owner does teardown; a Ctrl-C on the
+    terminal must not race the parent's graceful drain), and the
     final state of every job is delivered as a frame — exceptions are
     records, never worker deaths (only SIGKILL-class events kill a
     worker, which is exactly what supervision is for).
@@ -59,14 +60,9 @@ def _worker_main(conn) -> None:
             break
         if frame[0] == "stop":
             break
-        # Job frames are ("job", key, task, params[, trace]): the trace
-        # context is a protocol addition, so a 4-tuple from an older
-        # parent still executes.
-        _, job_key, task, params = frame[:4]
-        trace = frame[4] if len(frame) > 4 else None
+        _, job_key, task, params, trace = frame
         if trace is not None:
-            params = dict(params)
-            params["_trace"] = trace
+            params = {**params, "_trace": trace}
         status, payload, duration, stderr_tail = _worker(task, params)
         try:
             conn.send(("done", job_key, status, payload, duration,
@@ -110,7 +106,7 @@ class Shard:
         parent, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
             target=_worker_main, args=(child,),
-            name=f"darco-serve-worker-{self.index}", daemon=True)
+            name=f"darco-worker-{self.index}", daemon=True)
         self.process.start()
         child.close()
         self.conn = parent
@@ -125,10 +121,7 @@ class Shard:
         self.deadline = (time.monotonic() + deadline_s
                          if deadline_s else None)
         self.state = STATE_BUSY
-        if trace is not None:
-            self.conn.send(("job", job_key, task, params, trace))
-        else:
-            self.conn.send(("job", job_key, task, params))
+        self.conn.send(("job", job_key, task, params, trace))
 
     def abort_dispatch(self) -> None:
         """Forget a dispatch that never reached the worker (the frame
@@ -139,7 +132,7 @@ class Shard:
         self.state = STATE_IDLE
 
     def recv(self) -> Optional[Tuple[Any, ...]]:
-        """Blocking receive (run in a thread); ``None`` = worker died."""
+        """Blocking receive; ``None`` = the worker died."""
         try:
             return self.conn.recv()
         except (EOFError, OSError):
@@ -154,6 +147,14 @@ class Shard:
             self.kill_reason = reason
         self.process.kill()
         return True
+
+    def kill_if_overdue(self, now: float) -> bool:
+        """Kill the worker if its job is past its deadline at monotonic
+        time ``now`` (the one deadline check of sweep and serve)."""
+        if (self.state != STATE_BUSY or self.deadline is None
+                or now <= self.deadline):
+            return False
+        return self.kill("deadline")
 
     def note_job_done(self) -> None:
         self.current_key = None

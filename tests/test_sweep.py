@@ -13,7 +13,8 @@ from repro.harness.figures import (
     fig4_table, fig5_table, fig6_table, fig7_table, run_suite_metrics,
 )
 from repro.harness.parallel import (
-    ResultCache, SweepJob, code_fingerprint, suite_sweep_jobs, sweep,
+    ResultCache, SweepJob, code_fingerprint, retry_summary,
+    suite_sweep_jobs, sweep,
 )
 from repro.tol.config import TolConfig
 
@@ -229,6 +230,30 @@ def test_hung_worker_times_out():
     (result,) = results
     assert not result.ok
     assert "timed out" in result.error or "deadline" in result.error
+
+
+def test_hung_job_charges_only_itself():
+    """Each attempt has its own deadline: two hung jobs holding both
+    workers time out alone, and the quick jobs queued behind them run
+    once and succeed (no retry is charged to them, none "rescues"
+    them)."""
+    jobs = [SweepJob(task="_test_sleep", params={"seconds": 60.0},
+                     label=f"hung{i}") for i in range(2)]
+    jobs += [SweepJob(task="_test_sleep", params={"seconds": s},
+                      label=f"quick{s}") for s in (0.0, 0.01)]
+    hung_a, hung_b, quick_a, quick_b = sweep(
+        jobs, n_jobs=2, use_cache=False, timeout=1.0, retries=0)
+    assert quick_a.ok and quick_b.ok
+    assert quick_a.attempts == quick_b.attempts == 1
+    for hung in (hung_a, hung_b):
+        assert not hung.ok and hung.attempts == 1
+        assert "timed out" in hung.error
+    results = sweep(jobs, n_jobs=2, use_cache=False, timeout=1.0)
+    assert retry_summary(results) == {"tasks_retried": 2,
+                                      "extra_attempts": 2, "rescued": 0}
+    (lone,) = sweep(jobs[:1], n_jobs=2, use_cache=False, timeout=0.05,
+                    retries=0)
+    assert "0.05" in lone.error
 
 
 def test_error_results_are_not_cached(tmp_path):

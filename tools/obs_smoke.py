@@ -40,7 +40,9 @@ from pathlib import Path
 WORKROOT = Path(".obs_smoke")
 SOCK = WORKROOT / "serve.sock"
 TRACES = WORKROOT / "traces"
-CHAOS_PARAMS = {"workload": "429.mcf", "scale": 0.3}
+#: Long enough (about 4 s with checkpoints) that a status poll, a fresh
+#: CLI process each time, sees the worker busy before the job finishes.
+CHAOS_PARAMS = {"workload": "429.mcf", "scale": 10.0}
 
 
 def cli(*args, check=True, timeout=300):

@@ -35,7 +35,9 @@ from pathlib import Path
 
 WORKROOT = Path(".serve_smoke")
 SOCK = WORKROOT / "serve.sock"
-CHAOS_PARAMS = {"workload": "429.mcf", "scale": 0.3}
+#: Long enough (about 4 s with checkpoints) that a status poll, a fresh
+#: CLI process each time, sees the worker busy before the job finishes.
+CHAOS_PARAMS = {"workload": "429.mcf", "scale": 10.0}
 
 
 def cli(*args, check=True, timeout=300):
