@@ -51,8 +51,7 @@ LOAD_SUBMISSIONS = 48
 
 CHAOS_WORKLOADS = ("429.mcf", "462.libquantum", "continuous")
 #: Each chaos job runs 1.5-2.5 s with checkpoints, several kill periods,
-#: so the killer lands mid-job (at 0.3 the jobs took about 0.35 s and
-#: most finished before the first kill).
+#: so the killer lands mid-job.
 CHAOS_SCALE = 3.0
 CHAOS_KILL_PERIOD_S = 0.6
 
