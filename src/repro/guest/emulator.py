@@ -5,34 +5,43 @@ unmodified guest binary directly (decode-and-execute, no translation) and
 therefore holds the authoritative architectural and memory state the
 co-designed component is validated against (paper §V).
 
-It is implemented independently from the TOL's decode-to-IR path on purpose:
-a translation bug cannot hide by being mirrored here.
+Both of its execution forms are generated (:mod:`repro.pycode`) from the
+guest ISA's semantics table, :data:`repro.guest.semantics.ROWS`, which is
+stated independently from the TOL's decode-to-IR path on purpose: a
+translation bug cannot hide by being mirrored here.
 
-Each instruction is decoded and *bound* the first time it executes: its
-mnemonic's builder resolves operand kinds, register indices, immediates
-and flag writes once, and returns a closure cached per address beside the
-decoded instruction.  The run loop then only calls closures.  Nothing is
-bound ahead of execution (no basic-block pre-decode), so self-modifying
-code and the order in which demand-zero pages appear are those of decoding
-one instruction at a time.
+- Each instruction is decoded and bound to its *closure* the first time
+  it executes.  ``step()``, the tail of ``run_to_icount`` and code that
+  is not hot yet run one closure at a time.
+- A block leader reached for the second time gets the *function* of its
+  basic block, written only from instructions already decoded, with the
+  guest registers and flags in locals written back once at its exit.
+
+Nothing is decoded ahead of execution, so self-modifying code and the
+order in which demand-zero pages appear are those of decoding one
+instruction at a time (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+import itertools
+import struct
 import sys
 from collections import Counter
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.guest import semantics as sem
 from repro.guest.encoding import decode_instr
 from repro.guest.isa import (
-    GPR_INDEX, INSN_SPECS, MASK32, GuestInstr, Imm, Mem, Reg, s32,
+    FLAG_NAMES, FPR_NAMES, GPR_INDEX, GPR_NAMES, INSN_SPECS, MASK32,
+    VR_NAMES, FReg, GuestInstr, Imm, Mem, Reg, VReg, s32,
 )
 from repro.guest.memory import PagedMemory
 from repro.guest.program import GuestProgram
 from repro.guest.state import GuestState
 from repro.guest.syscalls import GuestOS
+from repro.pycode import shape
 
 
 class EmulationError(Exception):
@@ -44,6 +53,11 @@ _SLOTS = sorted({(s.klass, s.is_branch) for s in INSN_SPECS.values()},
                 key=lambda slot: (slot[0].value, slot[1]))
 _SLOT_OF = {m: _SLOTS.index((s.klass, s.is_branch))
             for m, s in INSN_SPECS.items()}
+
+#: Arrivals at a block leader that make its block function.
+_HOT = 2
+#: Most instructions in one block function.
+_MAX_BLOCK = 64
 
 
 class GuestEmulator:
@@ -64,9 +78,21 @@ class GuestEmulator:
         self.bb_count = 0
         self.class_counts: Counter = Counter()
         self._decode_cache: Dict[int, GuestInstr] = {}
-        #: addr -> (closure, fall-through EIP, count slot), bound with the
-        #: decode.  The closure returns the next EIP, or None to fall through.
+        #: addr -> (function, values, is_branch): the instruction's
+        #: closure, bound with the decode.  A function runs on (state,
+        #: retirement counts, values), adds its retirements and returns
+        #: the next EIP.
         self._bound: Dict[int, tuple] = {}
+        #: leader -> (function, values, instruction count) of its block
+        self._blocks: Dict[int, tuple] = {}
+        self._arrivals: Counter = Counter()
+        #: structure -> function, made from its shape's factory
+        self._functions: Dict[tuple, object] = {}
+        m = self.memory
+        #: The per-emulator arguments of every factory (see _PARAMS).
+        self._objects = (m.read_u32, m.write_u32, m.read_f64, m.write_f64,
+                         m.read_vec, m.write_vec, m._pages, m.dirty.add,
+                         self.os, m)
 
     # -- fetch ---------------------------------------------------------------
 
@@ -75,8 +101,8 @@ class GuestEmulator:
         if instr is None:
             instr = decode_instr(self.memory.read_u8, addr)
             self._decode_cache[addr] = instr
-            self._bound[addr] = (_BUILDERS[instr.mnemonic](self, instr),
-                                 instr.next_addr, _SLOT_OF[instr.mnemonic])
+            self._bound[addr] = (*self._make([_describe(instr)]),
+                                 instr.is_branch)
         return instr
 
     @property
@@ -91,10 +117,10 @@ class GuestEmulator:
     def step(self) -> GuestInstr:
         """Execute exactly one guest instruction (including syscalls)."""
         instr = self.fetch(self.state.eip)
-        run, fall, slot = self._bound[instr.addr]
-        target = run()
-        self.state.eip = fall if target is None else target
-        self._retire(slot, 1)
+        counts = [0] * len(_SLOTS)
+        run, values, _ = self._bound[instr.addr]
+        self.state.eip = run(self.state, counts, values)
+        self._retire(counts)
         return instr
 
     def run(self, max_steps: Optional[int] = None) -> int:
@@ -118,580 +144,345 @@ class GuestEmulator:
     def _run(self, steps: int) -> None:
         """Execute up to ``steps`` instructions, stopping at program exit.
 
-        EIP and the counters are written back in ``finally``: when an
-        instruction raises they stop at the last retired one.
+        A block runs whole when it fits in the steps left; otherwise the
+        instructions run one closure at a time.  EIP and the counters are
+        written back in ``finally``: when an instruction raises they stop
+        at the last retired one (a block stores the EIP it stopped at).
         """
         state, os, bound = self.state, self.os, self._bound
+        blocks, arrivals = self._blocks, self._arrivals
         counts = [0] * len(_SLOTS)
-        eip = state.eip
+        eip, leader = state.eip, True
         try:
-            for _ in range(steps):
-                if os.exit_code is not None:
-                    break
+            while steps > 0 and os.exit_code is None:
+                block = blocks.get(eip)
+                if block is None and leader:
+                    arrivals[eip] += 1
+                    if arrivals[eip] >= _HOT:
+                        block = self._block(eip)
+                if block is not None and block[2] <= steps:
+                    try:
+                        eip = block[0](state, counts, block[1])
+                    except BaseException:
+                        eip = state.eip
+                        raise
+                    steps -= block[2]
+                    leader = True
+                    continue
                 try:
-                    run, fall, slot = bound[eip]
+                    run, values, leader = bound[eip]
                 except KeyError:
                     self.fetch(eip)
-                    run, fall, slot = bound[eip]
-                target = run()
-                eip = fall if target is None else target
-                counts[slot] += 1
+                    run, values, leader = bound[eip]
+                eip = run(state, counts, values)
+                steps -= 1
         finally:
             state.eip = eip
-            for slot, n in enumerate(counts):
-                if n:
-                    self._retire(slot, n)
+            self._retire(counts)
 
-    def _retire(self, slot: int, n: int) -> None:
-        klass, is_branch = _SLOTS[slot]
-        self.icount += n
-        self.class_counts[klass] += n
-        if is_branch:
-            self.branch_count += n
-            self.bb_count += n
+    def _retire(self, counts: List[int]) -> None:
+        for slot, n in enumerate(counts):
+            if n:
+                klass, is_branch = _SLOTS[slot]
+                self.icount += n
+                self.class_counts[klass] += n
+                if is_branch:
+                    self.branch_count += n
+                    self.bb_count += n
+
+    # -- generated forms -----------------------------------------------------
+
+    def _block(self, leader: int) -> Optional[tuple]:
+        """The function of the basic block at ``leader``, made from the
+        instructions decoded so far (it decodes none): up to the first
+        branch, and before an instruction not yet decoded, a SYSCALL or
+        HLT, or one with an operand of a kind its mnemonic does not
+        take.  None when there is no such instruction at ``leader``."""
+        descs, addr = [], leader
+        while len(descs) < _MAX_BLOCK:
+            instr = self._decode_cache.get(addr)
+            if instr is None or instr.mnemonic in ("SYSCALL", "HLT"):
+                break
+            desc = _describe(instr)
+            if any(op[0] == "x" for op in desc[0][1]):
+                break
+            descs.append(desc)
+            if instr.is_branch:
+                break
+            addr = instr.next_addr
+        if not descs:
+            return None
+        block = self._blocks[leader] = (*self._make(descs), len(descs))
+        return block
+
+    def _make(self, descs) -> tuple:
+        """``(function, values)`` of the instructions ``descs`` describe:
+        one (the closure) or a basic block.  The function is made once
+        per structure from its shape's factory, found by structure
+        before any source is written; the values are its argument."""
+        structure = tuple([desc[0] for desc in descs])
+        function = self._functions.get(structure)
+        if function is None:
+            can_fault = len(descs) > 1 and not self.memory.demand_zero
+            function = self._functions[structure] = shape(
+                ("x86", can_fault, structure),
+                lambda: _source(structure, can_fault), _namespace(),
+                "<x86>")(*self._objects)
+        return function, tuple([v for desc in descs for v in desc[1]])
 
 
 # ---------------------------------------------------------------------------
-# Builders.  ``build(emu, instr)`` returns the closure executing ``instr``.
-# Operand kinds are resolved here, once.  When control lands mid-instruction
-# the decoder can produce kinds outside the mnemonic's InsnSpec; those bind
-# through the accessors below to a defined outcome -- the same effects, or
-# the same exception when executed.  A builder never raises.
-# Memory effects are ordered before register/flag effects so that a page
-# fault leaves the architectural state untouched (restartable instructions).
+# Writing the forms.  An operand is described by what the source depends
+# on: 'r' a register number, 'k' an immediate (a value), 'm' a memory
+# operand's registers and scale (its displacement a value), or 'x' a kind
+# its role does not take.  Then the operand itself is the value, and the
+# source raises, where it uses the operand, what the golden tests pin: an
+# EmulationError for an integer read or store, the AttributeError or
+# TypeError of its missing ``disp``/``u32`` or non-integer ``index``.
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {}
+#: Factory parameters bound to per-emulator objects (see ``_make``).
+_PARAMS = "MR, MW, MRF, MWF, MRV, MWV, GP, DIRTY, OS, MEM"
+#: Memory access -> (size, its form inside a present page, see _inline)
+_INLINE = {"MR": (4, "_U4"), "MRF": (8, "_UF"), "MW": (4, "_P4"),
+           "MWF": (8, "_PF")}
+#: register file -> (GuestState list, alias in generated code, local names)
+_FILES = {"g": ("gpr", "_G", GPR_NAMES), "f": ("fpr", "_F", FPR_NAMES),
+          "v": ("vr", "_V", VR_NAMES), "flags": ("flags", "_FL", FLAG_NAMES)}
+_STATE = frozenset(GPR_NAMES + FPR_NAMES + VR_NAMES + FLAG_NAMES)
+_MEMORY = frozenset({"MR", "MW", "MRF", "MWF", "MRV", "MWV"})
+_FILE_REGS = (FReg, VReg)
+_TRIG = frozenset({"gisa_sin", "gisa_cos"})  # raise on inf and NaN
+_NOT_NAME = {c: " " for c in range(128)
+             if not (chr(c).isalnum() or chr(c) == "_")}
 
 
-def _builder(*mnemonics):
-    def wrap(fn):
-        for m in mnemonics:
-            _BUILDERS[m] = fn
-        return fn
-    return wrap
+def _names(text: str) -> set:
+    return set(text.translate(_NOT_NAME).split())
 
 
-def _fail(exc_type, message):
-    def fail(*_):
-        raise exc_type(message)
-    return fail
+def _err(what, op, *_):
+    """Raise the EmulationError of operand ``op`` used as ``what``, after
+    the arguments that follow (a store's value) were evaluated."""
+    raise EmulationError(f"{what}: {op!r}")
 
 
-class _NoIndex:
-    """Index of an operand that has none (an immediate): using it as a list
-    index raises the AttributeError that reading ``op.index`` raises."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-    def __index__(self):
-        return self.op.index
+@functools.lru_cache(maxsize=None)
+def _namespace() -> dict:
+    u32, f64 = struct.Struct("<I"), struct.Struct("<d")
+    return {"s32": s32, "idiv32": sem.idiv32, "fdiv64": sem.fdiv64,
+            "ftrunc32": sem.ftrunc32, "gisa_sqrt": sem.gisa_sqrt,
+            "gisa_sin": sem.gisa_sin, "gisa_cos": sem.gisa_cos,
+            "_err": _err, "_U4": u32.unpack_from, "_P4": u32.pack_into,
+            "_UF": f64.unpack_from, "_PF": f64.pack_into}
 
 
-def _reg(op):
-    """Register-file index of ``op``.  A register of any file indexes its
-    own number; a memory operand's ``index`` (a name or None) fails as a
-    list index with TypeError, an immediate with AttributeError."""
-    try:
-        return op.index
-    except AttributeError:
-        return _NoIndex(op)
+def _call(text: str):
+    """``(name, arguments)`` when ``text`` is one call of a memory
+    access of _INLINE, else None."""
+    name, _, rest = text.partition("(")
+    args, start, depth = [], 0, 1
+    for i, char in enumerate(rest if name in _INLINE else ""):
+        depth += (char == "(") - (char == ")")
+        if depth == 1 and char == ",":
+            args.append(rest[start:i])
+            start = i + 2
+        elif depth == 0:
+            args.append(rest[start:i])
+            return (name, args) if i == len(rest) - 1 else None
+    return None
 
 
-def _addr(st, op):
-    """Effective address of memory operand ``op`` (base + index*scale +
-    disp); any other kind has no ``disp`` and raises AttributeError."""
-    if not isinstance(op, Mem):
-        return lambda: op.disp
-    disp, scale = op.disp, op.scale
-    base = None if op.base is None else GPR_INDEX[op.base]
-    index = None if op.index is None else GPR_INDEX[op.index]
-    if index is None:
-        if base is None:
-            addr = disp & MASK32
-            return lambda: addr
-        return lambda: (st.gpr[base] + disp) & MASK32
-    if base is None:
-        return lambda: (st.gpr[index] * scale + disp) & MASK32
-    return lambda: (st.gpr[base] + st.gpr[index] * scale + disp) & MASK32
+def _inline(stmt: str) -> str:
+    """``T = MR(a)``, ``MW(a, v)`` and their double forms as an access
+    inside a present page of the page dict ``GP``, with the memory's
+    method for a missing page or one the access straddles (the method
+    demand-zeroes or raises PageFault).  No page is remembered between
+    accesses, so an ``install_page`` is seen by the next one."""
+    target, eq, rhs = stmt.partition(" = ")
+    call = _call(rhs if eq else stmt)
+    if call is None or (call[0] in ("MR", "MRF")) != bool(eq):
+        return stmt
+    name, (addr, *value) = call
+    size, form = _INLINE[name]
+    out = [f"_m = {addr}", "_p = GP.get(_m >> 12)",
+           f"if _p is not None and _m & 4095 <= {4096 - size}:"]
+    if eq:
+        return "\n".join(out + [f"    {target} = {form}(_p, _m & 4095)[0]",
+                                "else:", f"    {target} = {name}(_m)"])
+    packed = f"{value[0]} & 0xFFFFFFFF" if size == 4 else f"float({value[0]})"
+    return "\n".join(out + [f"    {form}(_p, _m & 4095, {packed})",
+                            "    DIRTY(_m >> 12)", "else:",
+                            f"    {name}(_m, {value[0]})"])
 
 
-def _reader(emu, op):
-    """Value of integer operand ``op``: a register, an immediate or the word
-    at a memory operand; any other kind raises EmulationError."""
-    st = emu.state
-    if isinstance(op, Reg):
-        i = op.index
-        return lambda: st.gpr[i]
-    if isinstance(op, Imm):
-        value = op.u32
-        return lambda: value
-    if isinstance(op, Mem):
-        addr, load = _addr(st, op), emu.memory.read_u32
-        return lambda: load(addr())
-    return _fail(EmulationError, f"not an integer operand: {op!r}")
+def _describe(instr: GuestInstr):
+    """``(structure, values)`` of ``instr``: what its source depends on,
+    and its factory arguments: the operands' values, then the
+    fall-through EIP and its own."""
+    roles = sem.ROWS[instr.mnemonic][0]
+    ops, values = [], []
+    for k, op in enumerate(instr.operands):
+        role, kind = roles[k], type(op)
+        if kind is Reg and role in "gfvic" or kind in _FILE_REGS and \
+                role in "gfv":
+            ops.append(("r", op.index))
+        elif kind is Mem and role in "aic":
+            base = None if op.base is None else GPR_INDEX[op.base]
+            index = None if op.index is None else GPR_INDEX[op.index]
+            ops.append(("m", base, index, op.scale))
+            values.append(op.disp if base is not None or index is not None
+                          else op.disp & MASK32)
+        elif kind is Imm and role in "cn":
+            value = op.u32
+            ops.append(("k", role == "c" and value & 31 != 0))
+            values.append(value & 31 if role == "c" else float(s32(value)))
+        elif kind is Imm and role == "i" and not _stores(instr.mnemonic, k):
+            ops.append(("k", False))
+            values.append(op.u32)
+        else:
+            ops.append(("x", kind.__name__))
+            values.append(op)
+    values += (instr.next_addr, instr.addr)
+    return (instr.mnemonic, tuple(ops)), values
 
 
-def _writer(emu, op):
-    """Store to integer operand ``op``: a register or the word at a memory
-    operand; any other kind raises EmulationError."""
-    st = emu.state
-    if isinstance(op, Reg):
-        i = op.index
-
-        def write(value):
-            st.gpr[i] = value & MASK32
-        return write
-    if isinstance(op, Mem):
-        addr, store = _addr(st, op), emu.memory.write_u32
-        return lambda value: store(addr(), value & MASK32)
-    return _fail(EmulationError, f"not a writable operand: {op!r}")
+def _stores(mnemonic: str, k: int) -> bool:
+    """Whether ``mnemonic``'s row stores to integer operand ``k``."""
+    return any(line.startswith(f"{{{k}}} = ")
+               for line in sem.ROWS[mnemonic][1])
 
 
-@_builder("NOP")
-def _b_nop(emu, instr):
-    return lambda: None
+def _address(op, name: str) -> str:
+    _, base, index, scale = op
+    terms = [] if base is None else [GPR_NAMES[base]]
+    if index is not None:
+        terms.append(GPR_NAMES[index] + f" * {scale}" * (scale != 1))
+    return f"({' + '.join(terms + [name])}) & 0xFFFFFFFF" if terms else name
 
 
-@_builder("MOV")
-def _b_mov(emu, instr):
-    st, (dst, src) = emu.state, instr.operands
-    if not isinstance(dst, Reg):
-        load, store = _reader(emu, src), _writer(emu, dst)
-        return lambda: store(load())
-    d = dst.index
-    if isinstance(src, Reg):
-        s = src.index
-
-        def run():
-            g = st.gpr
-            g[d] = g[s]
+def _read(role: str, op, name: str) -> str:
+    """Source of operand ``op`` in ``role``; ``name`` is its parameter."""
+    tag = op[0]
+    if tag == "k":
+        return name
+    if tag == "r":
+        text = _FILES["g" if role in "ic" else role][2][op[1]]
+    elif tag == "m":
+        text = _address(op, name)
+        if role == "a":
+            return text
+        text = f"MR({text})"
+    elif role in "gfv":
+        return f"st.{_FILES[role][0]}[{name}.index]"
+    elif role == "a":
+        return f"{name}.disp"
+    elif role == "n" or op[1] == "Imm":
+        return f"{name}.u32"
     else:
-        load = _reader(emu, src)
-
-        def run():
-            st.gpr[d] = load()
-    return run
+        text = f"_err('not an integer operand', {name})"
+    return f"{text} & 31" if role == "c" else text
 
 
-@_builder("LEA")
-def _b_lea(emu, instr):
-    st, (dst, mem) = emu.state, instr.operands
-    d, addr = _reg(dst), _addr(st, mem)
-
-    def run():
-        st.gpr[d] = addr()
-    return run
-
-
-@_builder("XCHG")
-def _b_xchg(emu, instr):
-    st = emu.state
-    a, b = (_reg(op) for op in instr.operands)
-
-    def run():
-        g = st.gpr
-        g[a], g[b] = g[b], g[a]
-    return run
+def _store(op, name: str, value: str) -> str:
+    """Source storing ``value`` to integer operand ``op``."""
+    if op[0] == "r":
+        return f"{GPR_NAMES[op[1]]} = {value}"
+    if op[0] == "m":
+        return f"MW({_address(op, name)}, {value})"
+    return f"_err('not a writable operand', {name}, {value})"
 
 
-@_builder("PUSH")
-def _b_push(emu, instr):
-    st, store = emu.state, emu.memory.write_u32
-    load = _reader(emu, instr.operands[0])
-
-    def run():
-        value = load()
-        g = st.gpr
-        esp = (g[4] - 4) & MASK32
-        store(esp, value)
-        g[4] = esp
-    return run
-
-
-@_builder("POP")
-def _b_pop(emu, instr):
-    st, load, d = emu.state, emu.memory.read_u32, _reg(instr.operands[0])
-
-    def run():
-        g = st.gpr
-        esp = g[4]
-        value = load(esp)
-        if d == 4:
-            # POP ESP: the loaded value becomes the stack pointer; the
-            # post-increment is not architecturally visible (x86 semantics).
-            g[4] = value
+def _statements(mnemonic: str, ops, names, fall: str, here: str,
+                last: bool) -> List[tuple]:
+    """One instruction's statements as ``(flag, source)``: ``flag`` is
+    the flag a statement sets unconditionally, or None."""
+    roles, body, flags, nxt = sem.ROWS[mnemonic]
+    texts = [_read(role, op, name)
+             for role, op, name in zip(roles, ops, names)]
+    fields = dict(fall=fall, here=here,
+                  i0=ops[0][1] if ops and ops[0][0] == "r" else None)
+    out = []
+    for line in body:
+        k = int(line[1]) if line[:1] == "{" and line[3:6] == " = " else None
+        if k is not None and roles[k] == "i":
+            stmt = _store(ops[k], names[k], line[6:].format(*texts, **fields))
         else:
-            g[d] = value
-            g[4] = (esp + 4) & MASK32
-    return run
-
-
-# Integer ALU.  ``op(a, b, flags)`` returns the 32-bit result and writes
-# ``flags`` ([ZF, SF, CF, OF]) in place; unary ops get b = 0.  See DESIGN.md
-# for the documented deviations from x86: PF/AF omitted, IDIV flags
-# defined, shift OF defined as 0.
-
-def _add(a, b, fl):
-    r = (a + b) & MASK32
-    fl[:] = (0 if r else 1, r >> 31, 1 if r < a else 0,
-             (~(a ^ b) & (a ^ r)) >> 31 & 1)
-    return r
-
-
-def _sub(a, b, fl):
-    r = (a - b) & MASK32
-    fl[:] = (0 if r else 1, r >> 31, 1 if a < b else 0,
-             ((a ^ b) & (a ^ r)) >> 31 & 1)
-    return r
-
-
-def _and(a, b, fl):
-    r = a & b
-    fl[:] = (0 if r else 1, r >> 31, 0, 0)
-    return r
-
-
-def _or(a, b, fl):
-    r = a | b
-    fl[:] = (0 if r else 1, r >> 31, 0, 0)
-    return r
-
-
-def _xor(a, b, fl):
-    r = a ^ b
-    fl[:] = (0 if r else 1, r >> 31, 0, 0)
-    return r
-
-
-def _inc(a, _, fl):
-    r = (a + 1) & MASK32  # CF is preserved
-    fl[0], fl[1], fl[3] = 0 if r else 1, r >> 31, 1 if r == 0x80000000 else 0
-    return r
-
-
-def _dec(a, _, fl):
-    r = (a - 1) & MASK32  # CF is preserved
-    fl[0], fl[1], fl[3] = 0 if r else 1, r >> 31, 1 if a == 0x80000000 else 0
-    return r
-
-
-def _neg(a, _, fl):
-    r = -a & MASK32
-    fl[:] = (0 if r else 1, r >> 31, 1 if a else 0,
-             1 if a == 0x80000000 else 0)
-    return r
-
-
-def _not(a, _, fl):
-    return ~a & MASK32
-
-
-def _imul(a, b, fl):
-    full = s32(a) * s32(b)
-    r = full & MASK32
-    overflow = 0 if -0x80000000 <= full <= 0x7FFFFFFF else 1
-    fl[:] = (0 if r else 1, r >> 31, overflow, overflow)
-    return r
-
-
-def _shl(a, n, fl):
-    n &= 31
-    if not n:
-        return a  # a zero count leaves the flags alone
-    r = (a << n) & MASK32
-    fl[:] = (0 if r else 1, r >> 31, (a >> (32 - n)) & 1, 0)
-    return r
-
-
-def _shr(a, n, fl):
-    n &= 31
-    if not n:
-        return a
-    r = a >> n
-    fl[:] = (0 if r else 1, r >> 31, (a >> (n - 1)) & 1, 0)
-    return r
-
-
-def _sar(a, n, fl):
-    n &= 31
-    if not n:
-        return a
-    r = (s32(a) >> n) & MASK32
-    fl[:] = (0 if r else 1, r >> 31, (a >> (n - 1)) & 1, 0)
-    return r
-
-
-def _alu(op, write=True):
-    """Builder running ``op`` on (dst, src), storing the result to dst when
-    ``write``.  A register store cannot fail; any other destination gets
-    the flags only once the store succeeded."""
-    def build(emu, instr):
-        st, dst = emu.state, instr.operands[0]
-        src = instr.operands[1] if len(instr.operands) > 1 else Imm(0)
-        if not isinstance(dst, Reg):
-            load_dst, load = _reader(emu, dst), _reader(emu, src)
-            store = _writer(emu, dst)
-
-            def run():
-                flags = list(st.flags)
-                r = op(load_dst(), load(), flags)
-                if write:
-                    store(r)
-                st.flags[:] = flags
-            return run
-        d = dst.index
-        if isinstance(src, Imm):
-            b = src.u32
-
-            def run():
-                g = st.gpr
-                r = op(g[d], b, st.flags)
-                if write:
-                    g[d] = r
-        elif isinstance(src, Reg):
-            s = src.index
-
-            def run():
-                g = st.gpr
-                r = op(g[d], g[s], st.flags)
-                if write:
-                    g[d] = r
-        else:
-            load = _reader(emu, src)
-
-            def run():
-                g = st.gpr
-                r = op(g[d], load(), st.flags)
-                if write:
-                    g[d] = r
-        return run
-    return build
-
-
-for _m, _op in (("ADD", _add), ("SUB", _sub), ("AND", _and), ("OR", _or),
-                ("XOR", _xor), ("INC", _inc), ("DEC", _dec), ("NEG", _neg),
-                ("NOT", _not), ("IMUL", _imul), ("SHL", _shl),
-                ("SHR", _shr), ("SAR", _sar)):
-    _BUILDERS[_m] = _alu(_op)
-_BUILDERS["CMP"] = _alu(_sub, write=False)
-_BUILDERS["TEST"] = _alu(_and, write=False)
-
-
-@_builder("IDIV")
-def _b_idiv(emu, instr):
-    st, load = emu.state, _reader(emu, instr.operands[0])
-
-    def run():
-        divisor = load()
-        g = st.gpr
-        q, r = sem.idiv32(g[0], divisor)
-        g[0], g[2] = q, r
-        st.flags[:] = (0 if q else 1, q >> 31, 0, 0)
-    return run
-
-
-@_builder("JMP", "JMPI")
-def _b_jmp(emu, instr):
-    return _reader(emu, instr.operands[0])
-
-
-@_builder("CALL", "CALLI")
-def _b_call(emu, instr):
-    st, store = emu.state, emu.memory.write_u32
-    load, ret = _reader(emu, instr.operands[0]), instr.next_addr
-
-    def run():
-        target = load()
-        g = st.gpr
-        esp = (g[4] - 4) & MASK32
-        store(esp, ret)
-        g[4] = esp
-        return target
-    return run
-
-
-@_builder("RET")
-def _b_ret(emu, instr):
-    st, load = emu.state, emu.memory.read_u32
-
-    def run():
-        g = st.gpr
-        esp = g[4]
-        target = load(esp)
-        g[4] = (esp + 4) & MASK32
-        return target
-    return run
-
-
-@_builder(*(f"J{cc}" for cc in sem.CONDITION_EVAL))
-def _b_jcc(emu, instr):
-    st, taken = emu.state, sem.CONDITION_EVAL[instr.mnemonic[1:]]
-    op = instr.operands[0]
-    if isinstance(op, Imm):
-        target = op.u32
-
-        def run():
-            if taken(st.flags):
-                return target
-        return run
-    load = _reader(emu, op)
-
-    def run():
-        if taken(st.flags):
-            return load()
-    return run
-
-
-@_builder("FCMP")
-def _b_fcmp(emu, instr):
-    st = emu.state
-    x, y = (_reg(op) for op in instr.operands)
-
-    def run():
-        f = st.fpr
-        a, b = f[x], f[y]
-        if a != a or b != b:  # unordered (NaN) sets ZF=CF=1 like x86 FCOMI
-            st.flags[:] = (1, 0, 1, 0)
-        else:
-            st.flags[:] = (1 if a == b else 0, 0, 1 if a < b else 0, 0)
-    return run
-
-
-@_builder("FLDI")
-def _b_fldi(emu, instr):
-    st, (freg, imm) = emu.state, instr.operands
-    if not isinstance(imm, Imm):
-        return lambda: imm.u32  # no such attribute: AttributeError
-    d, value = _reg(freg), float(s32(imm.u32))
-
-    def run():
-        st.fpr[d] = value
-    return run
-
-
-# Register-file ops, table-driven.  Operand 0 is the destination; a
-# one-operand op reads and writes the same register.
-
-def _load(regfile, method):
-    """``regfile[d] = memory.method(address)`` (FLD, VLD)."""
-    regs = operator.attrgetter(regfile)
-
-    def build(emu, instr):
-        st, load = emu.state, getattr(emu.memory, method)
-        d, addr = _reg(instr.operands[0]), _addr(st, instr.operands[1])
-
-        def run():
-            regs(st)[d] = load(addr())
-        return run
-    return build
-
-
-def _store(regfile, method):
-    """``memory.method(address, regfile[s])`` (FST, VST)."""
-    regs = operator.attrgetter(regfile)
-
-    def build(emu, instr):
-        st, store = emu.state, getattr(emu.memory, method)
-        addr, s = _addr(st, instr.operands[0]), _reg(instr.operands[1])
-
-        def run():
-            store(addr(), regs(st)[s])
-        return run
-    return build
-
-
-def _unary(regfile, fn, src_file=None):
-    """``regfile[d] = fn(src_file[s])``."""
-    dst_regs = operator.attrgetter(regfile)
-    src_regs = operator.attrgetter(src_file or regfile)
-
-    def build(emu, instr):
-        st = emu.state
-        d, s = _reg(instr.operands[0]), _reg(instr.operands[-1])
-
-        def run():
-            dst_regs(st)[d] = fn(src_regs(st)[s])
-        return run
-    return build
-
-
-def _binary(regfile, fn):
-    """``regfile[d] = fn(regfile[d], regfile[s])``."""
-    regs = operator.attrgetter(regfile)
-
-    def build(emu, instr):
-        st = emu.state
-        d, s = (_reg(op) for op in instr.operands)
-
-        def run():
-            r = regs(st)
-            r[d] = fn(r[d], r[s])
-        return run
-    return build
-
-
-_BUILDERS.update({
-    "FLD": _load("fpr", "read_f64"),
-    "FST": _store("fpr", "write_f64"),
-    "VLD": _load("vr", "read_vec"),
-    "VST": _store("vr", "write_vec"),
-    "FMOV": _unary("fpr", lambda x: x),
-    "FSIN": _unary("fpr", sem.gisa_sin),
-    "FCOS": _unary("fpr", sem.gisa_cos),
-    "FSQRT": _unary("fpr", sem.gisa_sqrt),
-    "FABS": _unary("fpr", abs),
-    "FNEG": _unary("fpr", operator.neg),
-    "CVTIF": _unary("fpr", lambda x: float(s32(x)), "gpr"),
-    "CVTFI": _unary("gpr", sem.ftrunc32, "fpr"),
-    "VMOV": _unary("vr", list),
-    "VSPLAT": _unary("vr", lambda x: [x] * 4, "gpr"),
-    "FADD": _binary("fpr", operator.add),
-    "FSUB": _binary("fpr", operator.sub),
-    "FMUL": _binary("fpr", operator.mul),
-    "FDIV": _binary("fpr", sem.fdiv64),
-    "VADD": _binary("vr", lambda a, b: [
-        (x + y) & MASK32 for x, y in zip(a, b)]),
-    "VSUB": _binary("vr", lambda a, b: [
-        (x - y) & MASK32 for x, y in zip(a, b)]),
-    "VMUL": _binary("vr", lambda a, b: [
-        (s32(x) * s32(y)) & MASK32 for x, y in zip(a, b)]),
-})
-
-
-@_builder("REP_MOVSD", "REP_STOSD")
-def _b_rep(emu, instr):
-    """REP_MOVSD copies ECX dwords from [ESI] to [EDI], REP_STOSD stores EAX
-    into them; restartable per element."""
-    st, load, store = emu.state, emu.memory.read_u32, emu.memory.write_u32
-    movs = instr.mnemonic == "REP_MOVSD"
-
-    def run():
-        g = st.gpr
-        while g[1] != 0:
-            if movs:
-                store(g[7], load(g[6]))
-                g[6] = (g[6] + 4) & MASK32
-            else:
-                store(g[7], g[0])
-            g[7] = (g[7] + 4) & MASK32
-            g[1] = (g[1] - 1) & MASK32
-    return run
-
-
-@_builder("SYSCALL")
-def _b_syscall(emu, instr):
-    return lambda: emu.os.execute(emu.state, emu.memory)
-
-
-@_builder("HLT")
-def _b_hlt(emu, instr):
-    addr = instr.addr
-
-    def run():
-        emu.os.exit_code = emu.state.gpr[0]
-        return addr  # stay put; halted property takes over
-    return run
+            stmt = line.format(*texts, **fields)
+        out.append((None, _inline(stmt)))
+    count = ops[-1] if roles.endswith("c") else ("k", True)
+    for flag, value in flags.items() if count[0] != "k" or count[1] else ():
+        if count[0] == "k":
+            out.append((flag, f"{flag} = {value}"))
+        else:  # a count known only at run time
+            out.append((None, f"{flag} = ({value}) if _b else {flag}"))
+    if last:
+        out.append((None, "_t = " + (nxt or "{fall}").format(*texts,
+                                                            **fields)))
+    return out
+
+
+def _source(structure, can_fault: bool) -> str:
+    """The factory source of the function of the instructions in
+    ``structure`` (one: the closure)."""
+    count = itertools.count()
+    insns, heres = [], []
+    for n, (mnemonic, ops) in enumerate(structure):
+        names = [f"K[{next(count)}]" if op[0] != "r" else None
+                 for op in ops]
+        fall, here = f"K[{next(count)}]", f"K[{next(count)}]"
+        insns.append(_statements(mnemonic, ops, names, fall, here,
+                                 n == len(structure) - 1))
+        heres.append(here)
+    block = len(structure) > 1
+    # A flag set that a later statement sets again before anything reads
+    # it, or can raise, is not computed.
+    live, lines = set(FLAG_NAMES), []
+    for n in reversed(range(len(insns))):
+        kept, raises = [], False
+        for flag, stmt in reversed(insns[n]):
+            words = _names(stmt.split(" = ", 1)[1] if flag else stmt)
+            if flag is not None:
+                if flag not in live:
+                    continue
+                live.discard(flag)
+            elif words & _TRIG or can_fault and words & _MEMORY:
+                live.update(FLAG_NAMES)
+                raises = True
+            live |= words & set(FLAG_NAMES)
+            kept.append(stmt)
+        kept += [f"_i = {n}"] * (raises and n > 0 and block)
+        lines = kept[::-1] + lines
+    lines = [line for stmt in lines for line in stmt.split("\n")]
+    used = _names("\n".join(lines)) & _STATE
+    stored = set()
+    for line in lines:
+        if " = " in line:
+            stored |= _names(line.split(" = ", 1)[0]) & _STATE
+    entry, exit_ = [], []
+    for attr, alias, local in _FILES.values():
+        if used & set(local):
+            entry.append(f"{alias} = st.{attr}")
+        entry += [f"{name} = {alias}[{i}]" for i, name in enumerate(local)
+                  if name in used]
+        exit_ += [f"{alias}[{i}] = {name}" for i, name in enumerate(local)
+                  if name in stored]
+    slots = Counter(_SLOT_OF[mnemonic] for mnemonic, _ in structure)
+    tail = [f"C[{slot}] += {n}" for slot, n in sorted(slots.items())]
+    if block:
+        entry.append("_i = 0")
+        lines = ["try:", *("    " + line for line in lines),
+                 "except BaseException:",
+                 f"    st.eip = ({', '.join(heres)},)[_i]",
+                 f"    for _s in {tuple(_SLOT_OF[m] for m, _ in structure)}"
+                 "[:_i]:",
+                 "        C[_s] += 1",
+                 "    raise"]
+    if exit_:
+        if not block:
+            lines = ["try:", *("    " + line for line in lines)]
+        lines += ["finally:", *("    " + line for line in exit_)]
+    return "".join(f"{line}\n" for line in (
+        [f"def _mk({_PARAMS}):", "    def run(st, C, K):"]
+        + ["        " + line for line in entry + lines + tail
+           + ["return _t"]] + ["    return run"]))

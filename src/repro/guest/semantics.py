@@ -1,14 +1,21 @@
-"""Shared architectural semantics for guest arithmetic.
+"""The guest ISA's semantics, stated once.
 
-The reference emulator (x86 component) and the TOL's translations must agree
-bit-for-bit.  For integer arithmetic that is easy (exact wrap helpers).  For
-the transcendental instructions (``FSIN``/``FCOS``) the guest ISA *defines*
-the result as a specific straight-line polynomial computation — expressed here
-as a data "recipe" so the reference emulator evaluates the exact same IEEE
-double operations, in the same order, as the host-code expansion emitted by
-the TOL code generator.  This mirrors real co-designed processors where trig
-is emulated in software (the paper attributes Physicsbench's high emulation
-cost to exactly this).
+:data:`ROWS` gives every mnemonic's effect as a table row; both forms of
+the reference emulator (the x86 component), the closure of one
+instruction and the function of one basic block, are generated from it
+(:mod:`repro.guest.emulator`).  It is stated independently of the TOL's
+decode-to-IR path, and imports nothing from ``repro.tol`` or
+``repro.host``: a translation bug cannot hide by being mirrored here.
+
+The reference emulator and the TOL's translations must agree
+bit-for-bit.  For integer arithmetic that is easy (exact wrap helpers).
+For the transcendental instructions (``FSIN``/``FCOS``) the guest ISA
+*defines* the result as a specific straight-line polynomial computation
+— expressed here as a data "recipe" so the reference emulator evaluates
+the exact same IEEE double operations, in the same order, as the
+host-code expansion emitted by the TOL code generator.  This mirrors
+real co-designed processors where trig is emulated in software (the
+paper attributes Physicsbench's high emulation cost to exactly this).
 """
 
 from __future__ import annotations
@@ -17,11 +24,7 @@ import math
 from typing import Dict, List, Tuple
 
 from repro.guest.isa import s32, u32
-
-# --------------------------------------------------------------------------
-# Integer division and condition codes.  The flag writes of each ALU op are
-# stated once, in its builder in :mod:`repro.guest.emulator`.
-# --------------------------------------------------------------------------
+from repro.pycode import define
 
 
 def idiv32(a: int, b: int) -> Tuple[int, int]:
@@ -36,21 +39,143 @@ def idiv32(a: int, b: int) -> Tuple[int, int]:
     return u32(quotient), u32(remainder)
 
 
-#: Condition-code predicates over the flags list [ZF, SF, CF, OF] -> bool.
-CONDITION_EVAL = {
-    "E": lambda f: f[0] == 1,
-    "NE": lambda f: f[0] == 0,
-    "L": lambda f: f[1] != f[3],
-    "LE": lambda f: f[0] == 1 or f[1] != f[3],
-    "G": lambda f: f[0] == 0 and f[1] == f[3],
-    "GE": lambda f: f[1] == f[3],
-    "B": lambda f: f[2] == 1,
-    "BE": lambda f: f[2] == 1 or f[0] == 1,
-    "A": lambda f: f[2] == 0 and f[0] == 0,
-    "AE": lambda f: f[2] == 0,
-    "S": lambda f: f[1] == 1,
-    "NS": lambda f: f[1] == 0,
+# --------------------------------------------------------------------------
+# The table.  A row is (roles, body, flags, next):
+#
+#   roles  one letter per operand: 'i' an integer (a register, an
+#          immediate or the word at a memory operand), 'g'/'f'/'v' a
+#          register of the GPR/FPR/VR file by its number, 'a' an
+#          effective address, 'n' an immediate as a double, 'c' a shift
+#          count (an integer & 31)
+#   body   statements in execution order, over the operands {0} and {1},
+#          the registers and flags by name (EAX..EDI, F0..F7, V0..V7,
+#          ZF SF CF OF), temps _x, and the memory accesses MR/MW, MRF/MWF
+#          and MRV/MWV (word, double, 4-lane vector).  ``{k} = e`` stores
+#          to operand k; {i0} is operand 0's register number, {fall} the
+#          fall-through EIP and {here} the instruction's own
+#   flags  flag -> value (0 or 1), set after the body; a row whose last
+#          role is 'c' sets them only when the count is nonzero
+#   next   the next EIP, or None to fall through
+#
+# Memory effects come before flag effects, so a faulting access leaves
+# the flags as they were (restartable instructions).  Deviations from
+# x86: PF/AF omitted, IDIV flags defined, shift OF 0.
+# --------------------------------------------------------------------------
+
+_M = "0xFFFFFFFF"
+_ZS = {"ZF": "0 if _r else 1", "SF": "_r >> 31"}
+_LOGIC = dict(_ZS, CF="0", OF="0")
+
+
+def _alu(result, flags, roles="ii", write=True):
+    """An integer op: ``_r = result`` over ``_a`` (operand 0) and ``_b``
+    (operand 1), stored back to operand 0 when ``write``."""
+    body = ["_a = {0}", "_b = {1}"][:len(roles)] + [f"_r = {result}"]
+    return roles, body + ["{0} = _r"] * write, flags, None
+
+
+#: Jcc condition -> predicate over the flags.
+CONDITIONS = {
+    "E": "ZF == 1", "NE": "ZF == 0", "L": "SF != OF",
+    "LE": "ZF == 1 or SF != OF", "G": "ZF == 0 and SF == OF",
+    "GE": "SF == OF", "B": "CF == 1", "BE": "CF == 1 or ZF == 1",
+    "A": "CF == 0 and ZF == 0", "AE": "CF == 0", "S": "SF == 1",
+    "NS": "SF == 0",
 }
+
+_ADD = dict(_ZS, CF="1 if _r < _a else 0",
+            OF="(~(_a ^ _b) & (_a ^ _r)) >> 31 & 1")
+_SUB = dict(_ZS, CF="1 if _a < _b else 0",
+            OF="((_a ^ _b) & (_a ^ _r)) >> 31 & 1")
+_SHIFT_OUT = "(_a >> (_b - 1)) & 1"
+_PUSH = ["_e = (ESP - 4) & " + _M, "ESP = _e"]
+_REP = "while ECX != 0:\n    {}\n    EDI = (EDI + 4) & {M}\n" \
+       "    ECX = (ECX - 1) & {M}"
+
+ROWS: Dict[str, tuple] = {
+    "NOP": ("", [], {}, None),
+    "MOV": ("ii", ["{0} = {1}"], {}, None),
+    "LEA": ("ga", ["{0} = {1}"], {}, None),
+    "XCHG": ("gg", ["{0}, {1} = {1}, {0}"], {}, None),
+    "PUSH": ("i", ["_v = {0}", _PUSH[0], "MW(_e, _v)", _PUSH[1]], {}, None),
+    # POP ESP: the loaded value becomes the stack pointer; the
+    # post-increment is not architecturally visible (x86 semantics).
+    "POP": ("g", ["_e = ESP", "_v = MR(_e)", "{0} = _v",
+                  f"ESP = _v if {{i0}} == 4 else (_e + 4) & {_M}"], {}, None),
+    "ADD": _alu(f"(_a + _b) & {_M}", _ADD),
+    "SUB": _alu(f"(_a - _b) & {_M}", _SUB),
+    "CMP": _alu(f"(_a - _b) & {_M}", _SUB, write=False),
+    "AND": _alu("_a & _b", _LOGIC),
+    "TEST": _alu("_a & _b", _LOGIC, write=False),
+    "OR": _alu("_a | _b", _LOGIC),
+    "XOR": _alu("_a ^ _b", _LOGIC),
+    # INC and DEC preserve CF.
+    "INC": _alu(f"(_a + 1) & {_M}",
+                dict(_ZS, OF="1 if _r == 0x80000000 else 0"), "i"),
+    "DEC": _alu(f"(_a - 1) & {_M}",
+                dict(_ZS, OF="1 if _a == 0x80000000 else 0"), "i"),
+    "NEG": _alu(f"-_a & {_M}", dict(_ZS, CF="1 if _a else 0",
+                                    OF="1 if _a == 0x80000000 else 0"), "i"),
+    "NOT": _alu(f"~_a & {_M}", {}, "i"),
+    "IMUL": ("ii", ["_a = {0}", "_b = {1}", "_f = s32(_a) * s32(_b)",
+                    f"_r = _f & {_M}", "{0} = _r",
+                    "_o = 0 if -0x80000000 <= _f <= 0x7FFFFFFF else 1"],
+             dict(_ZS, CF="_o", OF="_o"), None),
+    "SHL": _alu(f"(_a << _b) & {_M}",
+                dict(_ZS, CF="(_a >> (32 - _b)) & 1", OF="0"), "ic"),
+    "SHR": _alu("_a >> _b", dict(_ZS, CF=_SHIFT_OUT, OF="0"), "ic"),
+    "SAR": _alu(f"(s32(_a) >> _b) & {_M}",
+                dict(_ZS, CF=_SHIFT_OUT, OF="0"), "ic"),
+    "IDIV": ("i", ["_b = {0}", "EAX, EDX = idiv32(EAX, _b)"],
+             {"ZF": "0 if EAX else 1", "SF": "EAX >> 31", "CF": "0",
+              "OF": "0"}, None),
+    "JMP": ("i", [], {}, "{0}"),
+    "JMPI": ("i", [], {}, "{0}"),
+    "CALL": ("i", ["_t = {0}", _PUSH[0], "MW(_e, {fall})", _PUSH[1]], {},
+             "_t"),
+    "CALLI": ("i", ["_t = {0}", _PUSH[0], "MW(_e, {fall})", _PUSH[1]], {},
+              "_t"),
+    "RET": ("", ["_e = ESP", "_t = MR(_e)", f"ESP = (_e + 4) & {_M}"], {},
+            "_t"),
+    # An unordered compare (a NaN) sets ZF=CF=1, like x86 FCOMI.
+    "FCMP": ("ff", ["_a = {0}", "_b = {1}", "_u = _a != _a or _b != _b"],
+             {"ZF": "1 if _u or _a == _b else 0", "SF": "0",
+              "CF": "1 if _u or _a < _b else 0", "OF": "0"}, None),
+    "FLDI": ("fn", ["{0} = {1}"], {}, None),
+    "FLD": ("fa", ["{0} = MRF({1})"], {}, None),
+    "FST": ("af", ["MWF({0}, {1})"], {}, None),
+    "VLD": ("va", ["{0} = MRV({1})"], {}, None),
+    "VST": ("av", ["MWV({0}, {1})"], {}, None),
+    "FMOV": ("ff", ["{0} = {1}"], {}, None),
+    "FSIN": ("f", ["{0} = gisa_sin({0})"], {}, None),
+    "FCOS": ("f", ["{0} = gisa_cos({0})"], {}, None),
+    "FSQRT": ("f", ["{0} = gisa_sqrt({0})"], {}, None),
+    "FABS": ("f", ["{0} = abs({0})"], {}, None),
+    "FNEG": ("f", ["{0} = -{0}"], {}, None),
+    "CVTIF": ("fg", ["{0} = float(s32({1}))"], {}, None),
+    "CVTFI": ("gf", ["{0} = ftrunc32({1})"], {}, None),
+    "VMOV": ("vv", ["{0} = list({1})"], {}, None),
+    "VSPLAT": ("vg", ["{0} = [{1}] * 4"], {}, None),
+    "FADD": ("ff", ["{0} = {0} + {1}"], {}, None),
+    "FSUB": ("ff", ["{0} = {0} - {1}"], {}, None),
+    "FMUL": ("ff", ["{0} = {0} * {1}"], {}, None),
+    "FDIV": ("ff", ["{0} = fdiv64({0}, {1})"], {}, None),
+    "VADD": ("vv", [f"{{0}} = [(_x + _y) & {_M} for _x, _y in zip({{0}}, "
+                    "{1})]"], {}, None),
+    "VSUB": ("vv", [f"{{0}} = [(_x - _y) & {_M} for _x, _y in zip({{0}}, "
+                    "{1})]"], {}, None),
+    "VMUL": ("vv", [f"{{0}} = [(s32(_x) * s32(_y)) & {_M} for _x, _y in "
+                    "zip({0}, {1})]"], {}, None),
+    # REP_MOVSD copies ECX dwords from [ESI] to [EDI], REP_STOSD stores
+    # EAX into them; restartable per element.
+    "REP_MOVSD": ("", [_REP.format(
+        f"MW(EDI, MR(ESI))\n    ESI = (ESI + 4) & {_M}", M=_M)], {}, None),
+    "REP_STOSD": ("", [_REP.format("MW(EDI, EAX)", M=_M)], {}, None),
+    "SYSCALL": ("", ["OS.execute(st, MEM)"], {}, None),
+    "HLT": ("", ["OS.exit_code = EAX"], {}, "{here}"),  # stays put
+}
+ROWS.update((f"J{cc}", ("i", [], {}, f"{{0}} if {cond} else {{fall}}"))
+            for cc, cond in CONDITIONS.items())
 
 
 # --------------------------------------------------------------------------
@@ -130,6 +255,9 @@ COS_RECIPE: List[tuple] = _build_sin_recipe(_HALF_PI)
 
 TRIG_RECIPES = {"sin": SIN_RECIPE, "cos": COS_RECIPE}
 
+_RECIPE_OPS = {"mul": "{} * {}", "add": "{} + {}", "sub": "{} - {}",
+               "floor": "_floor({})"}
+
 
 def eval_recipe(recipe: List[tuple], x: float) -> float:
     """Reference evaluation of a transcendental recipe."""
@@ -151,14 +279,32 @@ def eval_recipe(recipe: List[tuple], x: float) -> float:
     return slots["res"]
 
 
-def gisa_sin(x: float) -> float:
-    """The guest ISA's architectural definition of FSIN."""
-    return eval_recipe(SIN_RECIPE, x)
+def _straight_line(recipe: List[tuple], name: str):
+    """``recipe`` as one straight-line function ``name(x)``: the IEEE
+    operations of :func:`eval_recipe`, in its order, with the constants
+    as literals (``repr`` of a float reads back exactly)."""
+    consts: Dict[str, str] = {}
+    lines = ["x = float(x)"]
+    for op, dst, *args in recipe:
+        if op == "const":
+            consts[dst] = repr(args[0])
+        else:
+            lines.append(f"{dst} = " + _RECIPE_OPS[op].format(
+                *(consts.get(arg, arg) for arg in args)))
+    source = f"def {name}(x):\n" + "".join(
+        f"    {line}\n" for line in lines + ["return res"])
+    return define(source, name, {"_floor": math.floor}, f"<{name}>")
 
 
-def gisa_cos(x: float) -> float:
-    """The guest ISA's architectural definition of FCOS."""
-    return eval_recipe(COS_RECIPE, x)
+def __getattr__(name: str):
+    """``gisa_sin``/``gisa_cos``, the guest ISA's architectural FSIN and
+    FCOS: SIN_RECIPE/COS_RECIPE as straight-line functions, made at the
+    first use of the name (so importing this module compiles nothing)."""
+    recipe = {"gisa_sin": SIN_RECIPE, "gisa_cos": COS_RECIPE}.get(name)
+    if recipe is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    fn = globals()[name] = _straight_line(recipe, name)
+    return fn
 
 
 def fdiv64(a: float, b: float) -> float:

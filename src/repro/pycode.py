@@ -3,7 +3,9 @@
 Every Python source the simulator generates is compiled here: the IM
 closures (:func:`repro.tol.ir_eval.compile_ops`), the host emulator's
 steps and reference loop, the translated units' programs
-(:mod:`repro.tol.direct`) and the timing loops and appliers.  Code
+(:mod:`repro.tol.direct`), the timing loops and appliers, and the x86
+component's closures and block functions and trig recipes
+(:mod:`repro.guest.emulator`, :mod:`repro.guest.semantics`).  Code
 objects are memoized in one bounded, process-wide table, so a source
 that recurs -- in another run, another unit or another decode address
 -- is compiled once.
@@ -24,10 +26,11 @@ import threading
 
 #: Code objects kept, least recently used evicted first.  The 31 Fig. 4-7
 #: kernels at their figure scales (SPEC 0.5, Physicsbench 1.0), run in
-#: one process, leave 414 entries: 159 IM shapes, 252 program shapes, the
-#: step makers and the two reference loops.  The bound is about 5x that,
-#: for traced programs, the timing forms and the configurations the
-#: figures do not run.
+#: one process, leave 673 entries: 159 IM shapes, 252 program shapes, 159
+#: x86 closure shapes, 98 x86 block shapes, the step makers, the two
+#: reference loops and the two trig functions.  The bound is about 3x
+#: that, for traced programs, the timing forms and the configurations
+#: the figures do not run.
 CAPACITY = 2048
 
 #: source text (or a shape's structural key) -> its code object, or, for

@@ -1,6 +1,8 @@
 """Behavioural tests for the reference guest emulator."""
 
 import math
+import random
+import struct
 
 import pytest
 
@@ -9,7 +11,9 @@ from repro.guest.assembler import (
 )
 from repro.guest.emulator import GuestEmulator
 from repro.guest.program import pack_f64s, pack_u32s, unpack_u32s
-from repro.guest.semantics import gisa_cos, gisa_sin
+from repro.guest.semantics import (
+    COS_RECIPE, SIN_RECIPE, eval_recipe, gisa_cos, gisa_sin,
+)
 from repro.guest.syscalls import SYS_RAND, SYS_WRITE
 
 
@@ -199,6 +203,40 @@ def test_trig_recipe_accuracy_across_range():
         x = i * 0.7
         assert abs(gisa_sin(x) - math.sin(x)) < 1e-9
         assert abs(gisa_cos(x) - math.cos(x)) < 1e-9
+
+
+def _trig_inputs():
+    """Signed zeros, subnormals, huge values, multiples of pi and 10k
+    seeded doubles over many magnitudes."""
+    rng = random.Random(1801)
+    out = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+           -1.5e-310, 1e300, -1e300, 1.7976931348623157e308]
+    out += [k * math.pi for k in range(-64, 65)]
+    out += [k * math.pi / 2 for k in (-(10 ** 9), -1001, 1001, 10 ** 9)]
+    for _ in range(10_000):
+        x = rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 20)
+        if rng.random() < 0.2:  # any finite bit pattern
+            x = struct.unpack("<d", rng.randbytes(8))[0]
+            x = x if math.isfinite(x) else rng.uniform(-4, 4)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("fn,recipe", [(gisa_sin, SIN_RECIPE),
+                                       (gisa_cos, COS_RECIPE)],
+                         ids=["sin", "cos"])
+def test_straight_line_trig_is_the_recipe_bit_for_bit(fn, recipe):
+    """FSIN/FCOS run their recipe as generated straight-line code; the
+    recipe's interpreter stays the reference."""
+    for x in _trig_inputs():
+        assert struct.pack("<d", fn(x)) == \
+            struct.pack("<d", eval_recipe(recipe, x)), x
+    for x, exc in ((math.inf, OverflowError), (-math.inf, OverflowError),
+                   (math.nan, ValueError)):
+        with pytest.raises(exc):
+            eval_recipe(recipe, x)
+        with pytest.raises(exc):
+            fn(x)
 
 
 def test_cvt_round_trip():
