@@ -236,6 +236,8 @@ class ServeService:
         #: In-flight retry-wait sleepers (cancelled on stop()).
         self._retry_tasks: set = set()
         self._stopping = False
+        #: Open client connections: writer -> its handler task.
+        self._clients: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._drained = asyncio.Event()
         self._shutdown_requested = asyncio.Event()
         self.started_at = time.time()
@@ -344,6 +346,13 @@ class ServeService:
                 await self._server.wait_closed()
             except Exception:
                 pass
+        # Hang up on open clients and let their handlers end: a handler
+        # still waiting on its client when the loop is torn down would
+        # be cancelled, and asyncio logs that as an error.
+        for writer in list(self._clients):
+            writer.close()
+        if self._clients:
+            await asyncio.wait(list(self._clients.values()), timeout=5.0)
         pending = self._tasks + list(self._retry_tasks)
         for task in pending:
             task.cancel()
@@ -862,6 +871,7 @@ class ServeService:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        self._clients[writer] = asyncio.current_task()
         try:
             while True:
                 try:
@@ -897,6 +907,7 @@ class ServeService:
                 if op == "shutdown":
                     break
         finally:
+            self._clients.pop(writer, None)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -999,7 +1010,7 @@ class ServeService:
                 writer.write(protocol.encode(protocol.response(
                     protocol.OK, **entry.status_dict())))
                 await writer.drain()
-            if entry.terminal:
+            if entry.terminal or self._stopping:
                 return
             await asyncio.sleep(0.05)
 

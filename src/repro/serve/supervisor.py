@@ -40,6 +40,12 @@ STATE_BUSY = "busy"
 STATE_BACKOFF = "backoff"
 STATE_STOPPED = "stopped"
 
+#: The parent ends of the pipes of this process's shards.  A worker is
+#: forked with its copies of them open, its own pipe's included, and
+#: closes them first: otherwise it would hold its own pipe open and never
+#: see EOF when its owner dies without cleanup (a SIGKILL).
+_PARENT_ENDS: set = set()
+
 
 def _worker_main(conn) -> None:
     """Worker-process entry: execute jobs until told to stop.
@@ -50,6 +56,8 @@ def _worker_main(conn) -> None:
     records, never worker deaths (only SIGKILL-class events kill a
     worker, which is exactly what supervision is for).
     """
+    for end in _PARENT_ENDS:
+        end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.harness.parallel import _worker
     conn.send(("ready", None))
@@ -104,6 +112,7 @@ class Shard:
     def spawn(self) -> None:
         """Start a fresh worker process for this shard."""
         parent, child = multiprocessing.Pipe()
+        _PARENT_ENDS.add(parent)
         self.process = multiprocessing.Process(
             target=_worker_main, args=(child,),
             name=f"darco-worker-{self.index}", daemon=True)
@@ -174,6 +183,7 @@ class Shard:
     def reap(self) -> None:
         """Close the pipe and collect the dead process."""
         if self.conn is not None:
+            _PARENT_ENDS.discard(self.conn)
             try:
                 self.conn.close()
             except OSError:

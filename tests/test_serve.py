@@ -8,6 +8,7 @@ the CLI does.
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import socket
@@ -21,6 +22,7 @@ from repro.harness.retry import RetryPolicy
 from repro.serve import ServeClient, ServeConfig, ServeService
 from repro.serve import protocol
 from repro.serve.client import ServeError
+from repro.serve.supervisor import Shard
 
 WORKLOAD = {"workload": "429.mcf", "scale": 0.05}
 
@@ -131,6 +133,73 @@ def test_cache_survives_service_restart(tmp_path):
 
 
 # -- supervision: crashes, deadlines, chaos ------------------------------------
+
+
+def test_stop_hangs_up_idle_clients_without_asyncio_errors(tmp_path,
+                                                         caplog):
+    """A client that stays connected while the service stops is hung up
+    on, and its handler ends: nothing is left for the event loop's
+    teardown to cancel (which asyncio logs as an exception in a
+    callback)."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    with ServeHost(tmp_path, workers=1) as host:
+        idle = host.client().connect()
+        assert idle.healthz()["live"]
+    assert not host._thread.is_alive()
+    idle.close()
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "asyncio"] == []
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie waiting for its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_workers_exit_when_their_owner_is_sigkilled(tmp_path):
+    """Each worker closes the parent ends of the pipes it inherited, so
+    the death of its owner reaches it as EOF even without any cleanup."""
+    pid_file = tmp_path / "pids"
+    owner = os.fork()
+    if owner == 0:  # the owner: a 2-shard pool, a 1 s job on each shard
+        try:
+            shards = [Shard(i) for i in range(2)]
+            for shard in shards:
+                shard.spawn()
+            for shard in shards:
+                assert shard.recv()[0] == "ready"
+                shard.send_job(f"job{shard.index}", "_serve_sleep",
+                               {"seconds": 1.0}, None)
+            written = tmp_path / "pids.tmp"
+            written.write_text(" ".join(str(s.pid) for s in shards))
+            written.rename(pid_file)
+            time.sleep(60)
+        finally:
+            os._exit(0)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert time.monotonic() < deadline, "the owner never spawned"
+            time.sleep(0.01)
+        workers = [int(pid) for pid in pid_file.read_text().split()]
+        os.kill(owner, signal.SIGKILL)
+        os.waitpid(owner, 0)
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        for pid in [owner] + workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def _busy_worker_pid(client, timeout=30.0):
