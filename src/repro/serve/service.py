@@ -342,17 +342,20 @@ class ServeService:
         self._stopping = True
         if self._server is not None:
             self._server.close()
+            # Hang up on open clients and let their handlers end before
+            # waiting for the server, which from Python 3.12 waits for
+            # every connection to close.  A handler still waiting on its
+            # client when the loop is torn down would be cancelled, and
+            # asyncio logs that as an error.
+            for writer in list(self._clients):
+                writer.close()
+            if self._clients:
+                await asyncio.wait(list(self._clients.values()),
+                                   timeout=5.0)
             try:
                 await self._server.wait_closed()
             except Exception:
                 pass
-        # Hang up on open clients and let their handlers end: a handler
-        # still waiting on its client when the loop is torn down would
-        # be cancelled, and asyncio logs that as an error.
-        for writer in list(self._clients):
-            writer.close()
-        if self._clients:
-            await asyncio.wait(list(self._clients.values()), timeout=5.0)
         pending = self._tasks + list(self._retry_tasks)
         for task in pending:
             task.cancel()
@@ -873,7 +876,9 @@ class ServeService:
                              writer: asyncio.StreamWriter) -> None:
         self._clients[writer] = asyncio.current_task()
         try:
-            while True:
+            # A connection accepted while the service stops is hung up
+            # on at once: stop() may have closed the others already.
+            while not self._stopping:
                 try:
                     line = await reader.readline()
                 except (ConnectionResetError, OSError):
