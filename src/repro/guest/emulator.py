@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import struct
 import sys
 from collections import Counter
 from typing import Dict, List, Optional
@@ -41,7 +40,7 @@ from repro.guest.memory import PagedMemory
 from repro.guest.program import GuestProgram
 from repro.guest.state import GuestState
 from repro.guest.syscalls import GuestOS
-from repro.pycode import shape
+from repro.pycode import IN_PAGE, in_page, names, shape
 
 
 class EmulationError(Exception):
@@ -147,7 +146,8 @@ class GuestEmulator:
         A block runs whole when it fits in the steps left; otherwise the
         instructions run one closure at a time.  EIP and the counters are
         written back in ``finally``: when an instruction raises they stop
-        at the last retired one (a block stores the EIP it stopped at).
+        at the last retired one (a block of more than one instruction
+        stores the EIP it stopped at).
         """
         state, os, bound = self.state, self.os, self._bound
         blocks, arrivals = self._blocks, self._arrivals
@@ -164,7 +164,8 @@ class GuestEmulator:
                     try:
                         eip = block[0](state, counts, block[1])
                     except BaseException:
-                        eip = state.eip
+                        if block[2] > 1:  # a closure leaves eip as it was
+                            eip = state.eip
                         raise
                     steps -= block[2]
                     leader = True
@@ -243,9 +244,9 @@ class GuestEmulator:
 
 #: Factory parameters bound to per-emulator objects (see ``_make``).
 _PARAMS = "MR, MW, MRF, MWF, MRV, MWV, GP, DIRTY, OS, MEM"
-#: Memory access -> (size, its form inside a present page, see _inline)
-_INLINE = {"MR": (4, "_U4"), "MRF": (8, "_UF"), "MW": (4, "_P4"),
-           "MWF": (8, "_PF")}
+#: memory access -> (size, its struct function) inside a present page
+_IN_PAGE = {"MR": (4, "_SUI"), "MW": (4, "_SPI"), "MRF": (8, "_SUF"),
+            "MWF": (8, "_SPF")}
 #: register file -> (GuestState list, alias in generated code, local names)
 _FILES = {"g": ("gpr", "_G", GPR_NAMES), "f": ("fpr", "_F", FPR_NAMES),
           "v": ("vr", "_V", VR_NAMES), "flags": ("flags", "_FL", FLAG_NAMES)}
@@ -253,12 +254,6 @@ _STATE = frozenset(GPR_NAMES + FPR_NAMES + VR_NAMES + FLAG_NAMES)
 _MEMORY = frozenset({"MR", "MW", "MRF", "MWF", "MRV", "MWV"})
 _FILE_REGS = (FReg, VReg)
 _TRIG = frozenset({"gisa_sin", "gisa_cos"})  # raise on inf and NaN
-_NOT_NAME = {c: " " for c in range(128)
-             if not (chr(c).isalnum() or chr(c) == "_")}
-
-
-def _names(text: str) -> set:
-    return set(text.translate(_NOT_NAME).split())
 
 
 def _err(what, op, *_):
@@ -269,51 +264,10 @@ def _err(what, op, *_):
 
 @functools.lru_cache(maxsize=None)
 def _namespace() -> dict:
-    u32, f64 = struct.Struct("<I"), struct.Struct("<d")
     return {"s32": s32, "idiv32": sem.idiv32, "fdiv64": sem.fdiv64,
             "ftrunc32": sem.ftrunc32, "gisa_sqrt": sem.gisa_sqrt,
             "gisa_sin": sem.gisa_sin, "gisa_cos": sem.gisa_cos,
-            "_err": _err, "_U4": u32.unpack_from, "_P4": u32.pack_into,
-            "_UF": f64.unpack_from, "_PF": f64.pack_into}
-
-
-def _call(text: str):
-    """``(name, arguments)`` when ``text`` is one call of a memory
-    access of _INLINE, else None."""
-    name, _, rest = text.partition("(")
-    args, start, depth = [], 0, 1
-    for i, char in enumerate(rest if name in _INLINE else ""):
-        depth += (char == "(") - (char == ")")
-        if depth == 1 and char == ",":
-            args.append(rest[start:i])
-            start = i + 2
-        elif depth == 0:
-            args.append(rest[start:i])
-            return (name, args) if i == len(rest) - 1 else None
-    return None
-
-
-def _inline(stmt: str) -> str:
-    """``T = MR(a)``, ``MW(a, v)`` and their double forms as an access
-    inside a present page of the page dict ``GP``, with the memory's
-    method for a missing page or one the access straddles (the method
-    demand-zeroes or raises PageFault).  No page is remembered between
-    accesses, so an ``install_page`` is seen by the next one."""
-    target, eq, rhs = stmt.partition(" = ")
-    call = _call(rhs if eq else stmt)
-    if call is None or (call[0] in ("MR", "MRF")) != bool(eq):
-        return stmt
-    name, (addr, *value) = call
-    size, form = _INLINE[name]
-    out = [f"_m = {addr}", "_p = GP.get(_m >> 12)",
-           f"if _p is not None and _m & 4095 <= {4096 - size}:"]
-    if eq:
-        return "\n".join(out + [f"    {target} = {form}(_p, _m & 4095)[0]",
-                                "else:", f"    {target} = {name}(_m)"])
-    packed = f"{value[0]} & 0xFFFFFFFF" if size == 4 else f"float({value[0]})"
-    return "\n".join(out + [f"    {form}(_p, _m & 4095, {packed})",
-                            "    DIRTY(_m >> 12)", "else:",
-                            f"    {name}(_m, {value[0]})"])
+            "_err": _err, **IN_PAGE}
 
 
 def _describe(instr: GuestInstr):
@@ -349,7 +303,7 @@ def _describe(instr: GuestInstr):
 
 def _stores(mnemonic: str, k: int) -> bool:
     """Whether ``mnemonic``'s row stores to integer operand ``k``."""
-    return any(line.startswith(f"{{{k}}} = ")
+    return any(isinstance(line, str) and line.startswith(f"{{{k}}} = ")
                for line in sem.ROWS[mnemonic][1])
 
 
@@ -361,8 +315,10 @@ def _address(op, name: str) -> str:
     return f"({' + '.join(terms + [name])}) & 0xFFFFFFFF" if terms else name
 
 
-def _read(role: str, op, name: str) -> str:
-    """Source of operand ``op`` in ``role``; ``name`` is its parameter."""
+def _read(role: str, op, name: str, loaded=None) -> str:
+    """Source of operand ``op`` in ``role``; ``name`` is its parameter.
+    The word at a memory operand is the local ``loaded`` it was loaded
+    into, or else read by the memory's method."""
     tag = op[0]
     if tag == "k":
         return name
@@ -372,7 +328,7 @@ def _read(role: str, op, name: str) -> str:
         text = _address(op, name)
         if role == "a":
             return text
-        text = f"MR({text})"
+        text = loaded or f"MR({text})"
     elif role in "gfv":
         return f"st.{_FILES[role][0]}[{name}.index]"
     elif role == "a":
@@ -389,27 +345,58 @@ def _store(op, name: str, value: str) -> str:
     if op[0] == "r":
         return f"{GPR_NAMES[op[1]]} = {value}"
     if op[0] == "m":
-        return f"MW({_address(op, name)}, {value})"
+        return _access("MW", _address(op, name), value)
     return f"_err('not a writable operand', {name}, {value})"
 
 
-def _statements(mnemonic: str, ops, names, fall: str, here: str,
+def _access(access: str, addr: str, value: str) -> str:
+    """Source of memory access ``access`` at address ``addr``: a load
+    into ``value`` or a store of it.  A word or double inside a present
+    page is accessed in the page's bytes (:func:`repro.pycode.in_page`)."""
+    load = access[1] == "R"
+    if access not in _IN_PAGE:
+        return (f"{value} = {access}({addr})" if load
+                else f"{access}({addr}, {value})")
+    size, form = _IN_PAGE[access]
+    if load:
+        fast = [f"{value} = {form}(_pg, _po)[0]"]
+        slow = [f"{value} = {access}(_ma)"]
+    else:
+        packed = f"{value} & 0xFFFFFFFF" if size == 4 else f"float({value})"
+        fast = [f"{form}(_pg, _po, {packed})", "DIRTY(_ma >> 12)"]
+        slow = [f"{access}(_ma, {value})"]
+    return "\n".join([f"_ma = {addr}", *in_page("_ma", size, fast, slow)])
+
+
+def _statements(mnemonic: str, ops, params, fall: str, here: str,
                 last: bool) -> List[tuple]:
     """One instruction's statements as ``(flag, source)``: ``flag`` is
     the flag a statement sets unconditionally, or None."""
     roles, body, flags, nxt = sem.ROWS[mnemonic]
-    texts = [_read(role, op, name)
-             for role, op, name in zip(roles, ops, names)]
+    operands = list(zip(roles, ops, params))
+    # The next EIP reads a memory operand by the memory's method (a Jcc
+    # reads its target only when taken); the body loads it just before
+    # the statement that reads it.
+    texts = [_read(*operand) for operand in operands]
+    loaded = [_read(*operand, f"_m{k}") for k, operand in enumerate(operands)]
     fields = dict(fall=fall, here=here,
                   i0=ops[0][1] if ops and ops[0][0] == "r" else None)
     out = []
     for line in body:
+        if isinstance(line, tuple):
+            access, addr, value = (part.format(*loaded, **fields)
+                                   for part in line)
+            out.append((None, _access(access, addr, value)))
+            continue
         k = int(line[1]) if line[:1] == "{" and line[3:6] == " = " else None
-        if k is not None and roles[k] == "i":
-            stmt = _store(ops[k], names[k], line[6:].format(*texts, **fields))
-        else:
-            stmt = line.format(*texts, **fields)
-        out.append((None, _inline(stmt)))
+        store = k is not None and roles[k] == "i"
+        reads = line[6:] if store else line
+        out += [(None, _access("MR", _address(op, name), f"_m{j}"))
+                for j, (role, op, name) in enumerate(operands)
+                if op[0] == "m" and role in "ic" and f"{{{j}}}" in reads]
+        stmt = reads.format(*loaded, **fields)
+        out.append((None, _store(ops[k], params[k], stmt) if store
+                    else stmt))
     count = ops[-1] if roles.endswith("c") else ("k", True)
     for flag, value in flags.items() if count[0] != "k" or count[1] else ():
         if count[0] == "k":
@@ -428,10 +415,10 @@ def _source(structure, can_fault: bool) -> str:
     count = itertools.count()
     insns, heres = [], []
     for n, (mnemonic, ops) in enumerate(structure):
-        names = [f"K[{next(count)}]" if op[0] != "r" else None
-                 for op in ops]
+        params = [f"K[{next(count)}]" if op[0] != "r" else None
+                  for op in ops]
         fall, here = f"K[{next(count)}]", f"K[{next(count)}]"
-        insns.append(_statements(mnemonic, ops, names, fall, here,
+        insns.append(_statements(mnemonic, ops, params, fall, here,
                                  n == len(structure) - 1))
         heres.append(here)
     block = len(structure) > 1
@@ -441,7 +428,7 @@ def _source(structure, can_fault: bool) -> str:
     for n in reversed(range(len(insns))):
         kept, raises = [], False
         for flag, stmt in reversed(insns[n]):
-            words = _names(stmt.split(" = ", 1)[1] if flag else stmt)
+            words = names(stmt.split(" = ", 1)[1] if flag else stmt)
             if flag is not None:
                 if flag not in live:
                     continue
@@ -454,11 +441,11 @@ def _source(structure, can_fault: bool) -> str:
         kept += [f"_i = {n}"] * (raises and n > 0 and block)
         lines = kept[::-1] + lines
     lines = [line for stmt in lines for line in stmt.split("\n")]
-    used = _names("\n".join(lines)) & _STATE
+    used = names("\n".join(lines)) & _STATE
     stored = set()
     for line in lines:
         if " = " in line:
-            stored |= _names(line.split(" = ", 1)[0]) & _STATE
+            stored |= names(line.split(" = ", 1)[0]) & _STATE
     entry, exit_ = [], []
     for attr, alias, local in _FILES.values():
         if used & set(local):

@@ -49,10 +49,12 @@ def idiv32(a: int, b: int) -> Tuple[int, int]:
 #          count (an integer & 31)
 #   body   statements in execution order, over the operands {0} and {1},
 #          the registers and flags by name (EAX..EDI, F0..F7, V0..V7,
-#          ZF SF CF OF), temps _x, and the memory accesses MR/MW, MRF/MWF
-#          and MRV/MWV (word, double, 4-lane vector).  ``{k} = e`` stores
-#          to operand k; {i0} is operand 0's register number, {fall} the
-#          fall-through EIP and {here} the instruction's own
+#          ZF SF CF OF) and temps _x.  ``{k} = e`` stores to operand k;
+#          {i0} is operand 0's register number, {fall} the fall-through
+#          EIP and {here} the instruction's own.  A memory access is a
+#          triple (access, address, value): MR/MW, MRF/MWF or MRV/MWV
+#          (word, double, 4-lane vector) loads into value or stores it
+#          (the REP rows' element loops call the accessors by name)
 #   flags  flag -> value (0 or 1), set after the body; a row whose last
 #          role is 'c' sets them only when the count is nonzero
 #   next   the next EIP, or None to fall through
@@ -74,6 +76,11 @@ def _alu(result, flags, roles="ii", write=True):
     return roles, body + ["{0} = _r"] * write, flags, None
 
 
+def _push(value):
+    """Push ``value`` on the stack, the new ESP in ``_e``."""
+    return [f"_e = (ESP - 4) & {_M}", ("MW", "_e", value), "ESP = _e"]
+
+
 #: Jcc condition -> predicate over the flags.
 CONDITIONS = {
     "E": "ZF == 1", "NE": "ZF == 0", "L": "SF != OF",
@@ -88,7 +95,6 @@ _ADD = dict(_ZS, CF="1 if _r < _a else 0",
 _SUB = dict(_ZS, CF="1 if _a < _b else 0",
             OF="((_a ^ _b) & (_a ^ _r)) >> 31 & 1")
 _SHIFT_OUT = "(_a >> (_b - 1)) & 1"
-_PUSH = ["_e = (ESP - 4) & " + _M, "ESP = _e"]
 _REP = "while ECX != 0:\n    {}\n    EDI = (EDI + 4) & {M}\n" \
        "    ECX = (ECX - 1) & {M}"
 
@@ -97,10 +103,10 @@ ROWS: Dict[str, tuple] = {
     "MOV": ("ii", ["{0} = {1}"], {}, None),
     "LEA": ("ga", ["{0} = {1}"], {}, None),
     "XCHG": ("gg", ["{0}, {1} = {1}, {0}"], {}, None),
-    "PUSH": ("i", ["_v = {0}", _PUSH[0], "MW(_e, _v)", _PUSH[1]], {}, None),
+    "PUSH": ("i", ["_v = {0}", *_push("_v")], {}, None),
     # POP ESP: the loaded value becomes the stack pointer; the
     # post-increment is not architecturally visible (x86 semantics).
-    "POP": ("g", ["_e = ESP", "_v = MR(_e)", "{0} = _v",
+    "POP": ("g", ["_e = ESP", ("MR", "_e", "_v"), "{0} = _v",
                   f"ESP = _v if {{i0}} == 4 else (_e + 4) & {_M}"], {}, None),
     "ADD": _alu(f"(_a + _b) & {_M}", _ADD),
     "SUB": _alu(f"(_a - _b) & {_M}", _SUB),
@@ -131,21 +137,19 @@ ROWS: Dict[str, tuple] = {
               "OF": "0"}, None),
     "JMP": ("i", [], {}, "{0}"),
     "JMPI": ("i", [], {}, "{0}"),
-    "CALL": ("i", ["_t = {0}", _PUSH[0], "MW(_e, {fall})", _PUSH[1]], {},
-             "_t"),
-    "CALLI": ("i", ["_t = {0}", _PUSH[0], "MW(_e, {fall})", _PUSH[1]], {},
-              "_t"),
-    "RET": ("", ["_e = ESP", "_t = MR(_e)", f"ESP = (_e + 4) & {_M}"], {},
-            "_t"),
+    "CALL": ("i", ["_t = {0}", *_push("{fall}")], {}, "_t"),
+    "CALLI": ("i", ["_t = {0}", *_push("{fall}")], {}, "_t"),
+    "RET": ("", ["_e = ESP", ("MR", "_e", "_t"), f"ESP = (_e + 4) & {_M}"],
+            {}, "_t"),
     # An unordered compare (a NaN) sets ZF=CF=1, like x86 FCOMI.
     "FCMP": ("ff", ["_a = {0}", "_b = {1}", "_u = _a != _a or _b != _b"],
              {"ZF": "1 if _u or _a == _b else 0", "SF": "0",
               "CF": "1 if _u or _a < _b else 0", "OF": "0"}, None),
     "FLDI": ("fn", ["{0} = {1}"], {}, None),
-    "FLD": ("fa", ["{0} = MRF({1})"], {}, None),
-    "FST": ("af", ["MWF({0}, {1})"], {}, None),
-    "VLD": ("va", ["{0} = MRV({1})"], {}, None),
-    "VST": ("av", ["MWV({0}, {1})"], {}, None),
+    "FLD": ("fa", [("MRF", "{1}", "{0}")], {}, None),
+    "FST": ("af", [("MWF", "{0}", "{1}")], {}, None),
+    "VLD": ("va", [("MRV", "{1}", "{0}")], {}, None),
+    "VST": ("av", [("MWV", "{0}", "{1}")], {}, None),
     "FMOV": ("ff", ["{0} = {1}"], {}, None),
     "FSIN": ("f", ["{0} = gisa_sin({0})"], {}, None),
     "FCOS": ("f", ["{0} = gisa_cos({0})"], {}, None),

@@ -23,12 +23,12 @@ architectural registers directly on the host registers".
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.costs import IBTC_HIT_INLINE
 from repro.guest import semantics as sem
+from repro.pycode import IN_PAGE, in_page, names
 
 NUM_IREGS = 64
 NUM_FREGS = 32
@@ -258,14 +258,11 @@ BINDINGS = {
     "GP": "EMU.memory._pages", "DIRTYA": "EMU.memory.dirty.add",
 }
 
-_U32 = struct.Struct("<I")
-
 #: Helpers the generated code calls (copied into each exec namespace).
 OP_NS = {
     "idiv32": sem.idiv32, "fdiv64": sem.fdiv64, "gisa_sqrt": sem.gisa_sqrt,
     "gisa_sin": sem.gisa_sin, "gisa_cos": sem.gisa_cos,
-    "ftrunc32": sem.ftrunc32, "_floor": math.floor,
-    "_SUI": _U32.unpack_from, "_SPI": _U32.pack_into,
+    "ftrunc32": sem.ftrunc32, "_floor": math.floor, **IN_PAGE,
 }
 
 
@@ -289,19 +286,14 @@ def evaluator(op):
                 dict(OP_NS))
 
 
-_NOT_NAME = {c: " " for c in range(128)
-             if not (chr(c).isalnum() or chr(c) == "_")}
-
-
 def names_in(lines):
     """The BINDINGS names that source ``lines`` read."""
-    words = "\n".join(lines).translate(_NOT_NAME).split()
-    return sorted(BINDINGS.keys() & set(words))
+    return sorted(BINDINGS.keys() & names("\n".join(lines)))
 
 
 def memory_lines(op, d, a, b, imm, seq):
-    """Source lines of load/store ``op`` over BINDINGS, ``_SUI``/
-    ``_SPI`` and ``_FS`` (raised on an alias-table conflict or
+    """Source lines of load/store ``op`` over BINDINGS, ``IN_PAGE``
+    and ``_FS`` (raised on an alias-table conflict or
     overflow), with the effective address left in ``_a``, inside the
     frame of :func:`host_factory`.
 
@@ -311,7 +303,8 @@ def memory_lines(op, d, a, b, imm, seq):
     checking store under serial alias-table search charges one host
     instruction per occupied entry to ``executed``, inside the store's
     region.  TOL-area addresses (spill slots) bypass the undo log; u32
-    accesses inside one present page skip the memory's methods."""
+    accesses inside one present page skip the memory's methods
+    (:func:`repro.pycode.in_page`)."""
     width, alias = MEMORY_OPS[op]
     out = [f"_a = (I[{a}] + {imm}) & 0xFFFFFFFF" if imm
            else f"_a = I[{a}] & 0xFFFFFFFF"]
@@ -321,13 +314,6 @@ def memory_lines(op, d, a, b, imm, seq):
 
     def undo(entry):
         return ["if _ck is not None:", f"    UNDO.append({entry})"]
-
-    def probe(depth, fast, slow):
-        put(depth, "_pg = GP.get(_a >> 12)", "_o = _a & 4095",
-            "if _pg is not None and _o < 4093:")
-        put(depth + 1, *fast)
-        put(depth, "else:")
-        put(depth + 1, *slow)
 
     reg = _WIDTH_FILE[width].upper() + "[{}]"
     if op in HostOp.STORE:
@@ -344,10 +330,10 @@ def memory_lines(op, d, a, b, imm, seq):
             put(1, *undo(f"({tag}, _a, MR{width}(_a))"))
             put(1, f"MW{width}(_a, {value})")
         else:
-            probe(1, undo(f"({tag}, _a, _SUI(_pg, _o)[0])")
-                  + [f"_SPI(_pg, _o, {value} & 0xFFFFFFFF)",
-                     "DIRTYA(_a >> 12)"],
-                  undo(f"({tag}, _a, MR(_a))") + [f"MW(_a, {value})"])
+            fast = undo(f"({tag}, _a, _SUI(_pg, _po)[0])") + [
+                f"_SPI(_pg, _po, {value} & 0xFFFFFFFF)", "DIRTYA(_a >> 12)"]
+            slow = undo(f"({tag}, _a, MR(_a))") + [f"MW(_a, {value})"]
+            put(1, *in_page("_a", 4, fast, slow))
         put(0, "else:")
         put(1, f"TMW{width}(_a, {value})")
         return out
@@ -356,7 +342,8 @@ def memory_lines(op, d, a, b, imm, seq):
     if width:
         put(1, f"{dest} = MR{width}(_a)")
     else:
-        probe(1, [f"{dest} = _SUI(_pg, _o)[0]"], [f"{dest} = MR(_a)"])
+        put(1, *in_page("_a", 4, [f"{dest} = _SUI(_pg, _po)[0]"],
+                        [f"{dest} = MR(_a)"]))
     put(0, "else:")
     put(1, f"{dest} = TMR{width}(_a)")
     if alias:
@@ -571,7 +558,7 @@ def host_factory(name, args, params, prologue, body, h):
         "        _d[_m] = _d.get(_m, 0) + _hc",
         *["    FLUSH(U, TRB)"] * h.traced,
         "return _k, _x, _y, executed, U"]
-    words = set("\n".join(lines).translate(_NOT_NAME).split())
+    words = names("\n".join(lines))
     bound = names_in(lines)
     binds = "".join(f", {n}={n}" for n in bound)
     return "\n".join(

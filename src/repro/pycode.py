@@ -18,10 +18,16 @@ addresses (or units) that differ only in literals share one factory
 and one code object, and making the closure is a call instead of a
 compile.  A program's shape is found by a structural key before its
 source is written (:func:`shape`); an IM closure's by its source.
+
+Two pieces of source are written by more than one generator, and so
+live here: the identifiers a source reads (:func:`names`) and the
+in-page guest memory access (:func:`in_page`) of both the host's loads
+and stores and the x86 component's forms.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 
 #: Code objects kept, least recently used evicted first.  The 31 Fig. 4-7
@@ -37,6 +43,33 @@ CAPACITY = 2048
 #: a shape, its factory
 _CODES: dict = {}
 _LOCK = threading.Lock()
+_NOT_NAME = {c: " " for c in range(128)
+             if not (chr(c).isalnum() or chr(c) == "_")}
+_WORD, _DOUBLE = struct.Struct("<I"), struct.Struct("<d")
+
+#: The functions :func:`in_page` accesses call, for the namespace of the
+#: code that holds them: a word's or a double's unpack and pack.
+IN_PAGE = {"_SUI": _WORD.unpack_from, "_SPI": _WORD.pack_into,
+           "_SUF": _DOUBLE.unpack_from, "_SPF": _DOUBLE.pack_into}
+
+
+def names(source: str) -> set:
+    """The identifiers in ``source`` (and its number literals)."""
+    return set(source.translate(_NOT_NAME).split())
+
+
+def in_page(addr: str, size: int, fast, slow) -> list:
+    """Source lines of a ``size``-byte guest memory access at the local
+    ``addr``: the lines ``fast`` when it lies inside a page present in
+    the page dict ``GP`` (that page's bytearray in ``_pg``, the offset in
+    ``_po``), else the lines ``slow``, which call the memory's method
+    (it makes a demand-zero page, raises ``PageFault`` or splits the
+    access at the page boundary).  No page is remembered between
+    accesses, so the next access sees an ``install_page``."""
+    return [f"_pg = GP.get({addr} >> 12)", f"_po = {addr} & 4095",
+            f"if _pg is not None and _po <= {4096 - size}:",
+            *("    " + line for line in fast), "else:",
+            *("    " + line for line in slow)]
 
 
 def _compiled(key, write, filename: str, shape_globals=None):

@@ -75,6 +75,38 @@ def test_fsin_raising_in_a_later_iteration_stops_like_step():
     assert blocks.icount == 4 + 6 * 3 + 3  # the fourth FSIN did not retire
 
 
+def _lone_fsin_loop():
+    """The loop head is an FSIN followed by a SYSCALL (EAX holds no
+    syscall number, so it only sets EAX), so its block is the FSIN
+    alone: the closure's function.  It raises in the fifth iteration."""
+    asm = Assembler()
+    asm.data(DATA, struct.pack("<2d", 1.0, 1e100))
+    asm.fld(F0, M(disp=DATA))
+    asm.fld(F2, M(disp=DATA + 8))
+    asm.mov(ECX, 10)
+    asm.label("top")
+    asm.fsin(F1)
+    asm.syscall()
+    asm.fmul(F0, F2)
+    asm.fmov(F1, F0)
+    asm.dec(ECX)
+    asm.jne("top")
+    asm.exit()
+    return asm.program()
+
+
+def test_one_instruction_block_raising_stops_like_step():
+    program = _lone_fsin_loop()
+    blocks = GuestEmulator(program)
+    ran = _outcome(blocks, GuestEmulator.run)
+    top = program.labels["top"]
+    assert blocks._blocks[top][2] == 1
+    assert ran[0].startswith("OverflowError")
+    assert ran == _outcome(GuestEmulator(program), _stepped)
+    assert blocks.state.eip == top
+    assert blocks.icount == 3 + 6 * 4
+
+
 def _lazy_memory_loop():
     """ESI walks a present page 1 KiB at a time into a missing one: the
     load, second in the block, faults in the fifth iteration."""
