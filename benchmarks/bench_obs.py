@@ -9,11 +9,15 @@ real simulation work) is driven through two fresh service instances,
 one with ``tracing="off"`` and one with ``tracing="counters"``, and the
 throughput penalty must stay under :data:`MAX_OVERHEAD` (5%).
 
-Each mode runs :data:`TRIALS` times, interleaved so machine drift hits
-both sides equally, and the gate compares the modes' *median*
-throughput — span I/O cost is present in every traced trial, while a
-single lucky (or unlucky) trial is exactly what a median discards.  The
-traced
+A trial submits :data:`WORKLOADS` x :data:`SCALES` distinct jobs to a
+fresh service and waits for all of them.  The two modes run in
+:data:`TRIALS` *pairs*, after one untimed trial: each traced trial next
+to an untraced one, the order alternating, so machine drift hits both
+sides equally.  Each trial's throughput is normalized by the calibration
+repetitions of ``benchmarks/darco/measure.py`` taken around it (a shared
+host slows down in bursts of a few seconds, which those repetitions
+see), a pair's overhead is ``1 - traced / untraced``, and the gate is on
+the *median* pair overhead, reported with its quartiles.  The traced
 runs must also actually trace: the gate cross-checks that span files
 appeared (service + worker roles) and that every completed job left
 latency-percentile samples, so "fast because tracing silently never
@@ -36,6 +40,7 @@ import threading
 import time
 from pathlib import Path
 
+from darco import measure
 from repro.hostinfo import host_snapshot
 from repro.serve import ServeClient, ServeConfig, ServeService
 
@@ -45,7 +50,8 @@ from repro.serve import ServeClient, ServeConfig, ServeService
 MAX_OVERHEAD = 0.05
 SMOKE_MAX_OVERHEAD = 0.25
 
-TRIALS = 5
+#: Pairs of trials (one traced, one not) in a full run.
+TRIALS = 25
 WORKLOADS = ("429.mcf", "462.libquantum", "continuous", "ragdoll")
 SCALES = (0.05, 0.08)
 
@@ -127,35 +133,58 @@ def compare(smoke: bool = False) -> dict:
     jobs = [{"workload": w, "scale": s}
             for w in workloads for s in scales]
 
+    # An untimed trial first: the process's first service starts cold.
+    run_trial("off", jobs, workers)
+    calibrator = measure.Calibrator()
+    calibrator.sample(measure.CALIB_REPS)
+    pairs = []
+    for index in range(trials):
+        order = ("off", "counters") if index % 2 == 0 \
+            else ("counters", "off")
+        pair = {}
+        for mode in order:
+            start = time.perf_counter()
+            trial = run_trial(mode, jobs, workers)
+            pair[mode] = (trial, start, time.perf_counter())
+            calibrator.sample(2)
+        pairs.append(pair)
+    calibrator.sample(measure.CALIB_REPS)
+
     results = {"off": [], "counters": []}
-    # Interleave the modes so drift (thermal, cache, background load)
-    # hits both sides equally.
-    for _ in range(trials):
-        for mode in ("off", "counters"):
-            results[mode].append(run_trial(mode, jobs, workers))
-
-    def median_rate(rs):
-        ordered = sorted(r["jobs_per_s"] for r in rs)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-    off_rate = median_rate(results["off"])
-    traced_rate = median_rate(results["counters"])
-    # Signed: a traced median above the untraced one reads negative, so
-    # the recorded number shows the noise instead of hiding it as 0.0.
-    overhead = (off_rate - traced_rate) / off_rate
+    overheads, raw = [], []
+    for pair in pairs:
+        rates = {}
+        for mode, (trial, start, end) in pair.items():
+            factor = calibrator.factor(start, end)
+            trial["calib_factor"] = round(factor, 4)
+            trial["normalized_jobs_per_s"] = round(
+                trial["jobs_per_s"] * factor, 3)
+            rates[mode] = trial["jobs_per_s"] * factor
+            results[mode].append(trial)
+        # Signed: a traced trial faster than its untraced partner reads
+        # negative, so the recorded number shows the noise.
+        overheads.append(1.0 - rates["counters"] / rates["off"])
+        raw.append(1.0 - pair["counters"][0]["jobs_per_s"]
+                   / pair["off"][0]["jobs_per_s"])
+    q1, median, q3 = measure.quartiles(overheads)
     return {
         "host": host_snapshot(),
         "jobs_per_trial": len(jobs),
         "trials": trials,
         "workers": workers,
+        "calib_median_s": round(calibrator.median_s(), 5),
         "trials_off": results["off"],
         "trials_counters": results["counters"],
-        "median_off_jobs_per_s": round(off_rate, 3),
-        "median_counters_jobs_per_s": round(traced_rate, 3),
-        "tracing_overhead": round(overhead, 4),
+        "median_off_jobs_per_s": round(measure.quartiles(
+            [t["normalized_jobs_per_s"] for t in results["off"]])[1], 3),
+        "median_counters_jobs_per_s": round(measure.quartiles(
+            [t["normalized_jobs_per_s"]
+             for t in results["counters"]])[1], 3),
+        "pair_overheads": [round(v, 4) for v in overheads],
+        "raw_pair_overheads": [round(v, 4) for v in raw],
+        "overhead_quartiles": [round(q1, 4), round(median, 4),
+                               round(q3, 4)],
+        "tracing_overhead": round(median, 4),
         "max_overhead": SMOKE_MAX_OVERHEAD if smoke else MAX_OVERHEAD,
         "smoke": smoke,
     }
@@ -165,8 +194,9 @@ def check_gates(results: dict) -> None:
     bound = results["max_overhead"]
     assert results["tracing_overhead"] < bound, (
         f"counters-mode tracing costs "
-        f"{results['tracing_overhead']:.1%} of serve throughput "
-        f"(bound {bound:.0%})")
+        f"{results['tracing_overhead']:.1%} of serve throughput, the "
+        f"median of {results['trials']} paired trials (quartiles "
+        f"{results['overhead_quartiles']}; bound {bound:.0%})")
     for trial in results["trials_counters"]:
         roles = {name.split("-")[0] for name in trial["span_files"]}
         assert {"service", "worker"} <= roles, (
@@ -182,10 +212,13 @@ def test_obs_overhead(benchmark):
     results = benchmark.pedantic(lambda: compare(smoke=True),
                                  rounds=1, iterations=1)
     print("\n=== serve tracing overhead (counters vs off) ===")
-    print(f"off      : {results['median_off_jobs_per_s']:.3f} jobs/s")
+    print(f"off      : {results['median_off_jobs_per_s']:.3f} jobs/s"
+          " (normalized median)")
     print(f"counters : {results['median_counters_jobs_per_s']:.3f} jobs/s")
-    print(f"overhead : {results['tracing_overhead']:.1%} "
-          f"(bound {results['max_overhead']:.0%})")
+    q1, _, q3 = results["overhead_quartiles"]
+    print(f"overhead : {results['tracing_overhead']:.1%} median pair "
+          f"(q1 {q1:.1%}, q3 {q3:.1%}; bound "
+          f"{results['max_overhead']:.0%})")
     check_gates(results)
 
 

@@ -98,7 +98,7 @@ class GuestEmulator:
     def fetch(self, addr: int) -> GuestInstr:
         instr = self._decode_cache.get(addr)
         if instr is None:
-            instr = decode_instr(self.memory.read_u8, addr)
+            instr = decode_instr(self.memory, addr)
             self._decode_cache[addr] = instr
             self._bound[addr] = (*self._make([_describe(instr)]),
                                  instr.is_branch)

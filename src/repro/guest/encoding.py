@@ -2,8 +2,10 @@
 
 The encoding is deliberately CISC-flavoured: one opcode byte, followed by a
 tagged operand stream.  Instruction lengths range from 1 byte (``NOP``,
-``RET``) to 13 bytes (memory operand plus a 32-bit immediate), so static code
-size and fetch behaviour resemble x86.
+``RET``) to 17 bytes (``MOV m, m`` with two full memory operands; 14 for a
+memory operand plus a 32-bit immediate), so static code size and fetch
+behaviour resemble x86.  :data:`MAX_LENGTH` is that bound, derived from the
+operand kinds of :data:`repro.guest.isa.INSN_SPECS`.
 
 Layout::
 
@@ -27,6 +29,7 @@ from repro.guest.isa import (
     FPR_NAMES, GPR_NAMES, INSN_SPECS, MNEMONICS, OPCODE_OF, VR_NAMES,
     FReg, GuestInstr, Imm, Mem, Reg, VReg,
 )
+from repro.guest.memory import PAGE_MASK
 
 _TAG_REG = 0
 _TAG_FREG = 1
@@ -35,7 +38,14 @@ _TAG_IMM = 3
 _TAG_MEM = 4
 
 _SCALE_TO_LOG = {1: 0, 2: 1, 4: 2, 8: 3}
-_LOG_TO_SCALE = {v: k for k, v in _SCALE_TO_LOG.items()}
+_LOG_TO_SCALE = (1, 2, 4, 8)
+
+#: The 24 register operands, by tag and register number.
+_REGISTERS = (tuple(map(Reg, GPR_NAMES)), tuple(map(FReg, FPR_NAMES)),
+              tuple(map(VReg, VR_NAMES)))
+#: opcode -> (mnemonic, operand count)
+_OPCODES = tuple((m, len(INSN_SPECS[m].operands)) for m in MNEMONICS)
+_U32 = struct.Struct("<I").unpack_from
 
 
 class EncodingError(Exception):
@@ -98,50 +108,81 @@ def _encode_operand(operand) -> bytes:
     raise EncodingError(f"unencodable operand {operand!r}")
 
 
-def decode_instr(read_byte, addr: int) -> GuestInstr:
-    """Decode one instruction at ``addr``.
+#: Each operand kind's longest encoding: a memory operand has a base and
+#: an index at most.
+_LONGEST = {kind: len(_encode_operand(operand)) for kind, operand in (
+    ("r", Reg("EAX")), ("f", FReg("F0")), ("v", VReg("V0")), ("i", Imm(0)),
+    ("m", Mem("EAX", "EAX")))}
+#: The longest encoding of any instruction.
+MAX_LENGTH = max(
+    1 + sum(max(_LONGEST[k] for k in kind) for kind in spec.operands)
+    for spec in INSN_SPECS.values())
 
-    ``read_byte(address)`` must return the memory byte at ``address`` (it may
-    raise :class:`repro.guest.memory.PageFault`, which propagates so the
-    co-designed component can fetch the missing code page).
+
+def decode_bytes(buf, offset: int, addr: int) -> GuestInstr:
+    """Decode the instruction whose first byte is ``buf[offset]`` and whose
+    guest address is ``addr``.
+
+    Raises :class:`EncodingError` on a bad opcode or operand tag, and
+    ``IndexError`` when the instruction runs past the end of ``buf``.
     """
-    pos = addr
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        data = bytes(read_byte(pos + i) for i in range(n))
-        pos += n
-        return data
-
-    opcode = take(1)[0]
-    if opcode >= len(MNEMONICS):
+    opcode = buf[offset]
+    if opcode >= len(_OPCODES):
         raise EncodingError(f"bad opcode {opcode:#x} at {addr:#x}")
-    mnemonic = MNEMONICS[opcode]
-    spec = INSN_SPECS[mnemonic]
+    mnemonic, count = _OPCODES[opcode]
+    pos = offset + 1
     operands = []
-    for _ in spec.operands:
-        operands.append(_decode_operand(take))
-    return GuestInstr(mnemonic, tuple(operands), addr=addr, length=pos - addr)
+    try:
+        while count:
+            count -= 1
+            tag = buf[pos]
+            if tag <= _TAG_VREG:
+                operands.append(_REGISTERS[tag][buf[pos + 1] & 7])
+                pos += 2
+            elif tag == _TAG_IMM:
+                operands.append(Imm(_U32(buf, pos + 1)[0]))
+                pos += 5
+            elif tag == _TAG_MEM:
+                mode = buf[pos + 1]
+                pos += 2
+                base = index = None
+                if mode & 0x01:
+                    base = GPR_NAMES[buf[pos] & 7]
+                    pos += 1
+                if mode & 0x02:
+                    index = GPR_NAMES[buf[pos] & 7]
+                    pos += 1
+                operands.append(Mem(base, index,
+                                    _LOG_TO_SCALE[(mode >> 2) & 0x3],
+                                    _U32(buf, pos)[0]))
+                pos += 4
+            else:
+                raise EncodingError(f"bad operand tag {tag:#x}")
+    except struct.error:
+        raise IndexError("instruction runs past the buffer") from None
+    return GuestInstr(mnemonic, tuple(operands), addr=addr,
+                      length=pos - offset)
 
 
-def _decode_operand(take):
-    tag = take(1)[0]
-    if tag == _TAG_REG:
-        return Reg(GPR_NAMES[take(1)[0] & 7])
-    if tag == _TAG_FREG:
-        return FReg(FPR_NAMES[take(1)[0] & 7])
-    if tag == _TAG_VREG:
-        return VReg(VR_NAMES[take(1)[0] & 7])
-    if tag == _TAG_IMM:
-        return Imm(struct.unpack("<I", take(4))[0])
-    if tag == _TAG_MEM:
-        mode = take(1)[0]
-        base = GPR_NAMES[take(1)[0] & 7] if mode & 0x01 else None
-        index = GPR_NAMES[take(1)[0] & 7] if mode & 0x02 else None
-        scale = _LOG_TO_SCALE[(mode >> 2) & 0x3]
-        disp = struct.unpack("<I", take(4))[0]
-        return Mem(base=base, index=index, scale=scale, disp=disp)
-    raise EncodingError(f"bad operand tag {tag:#x}")
+def decode_instr(memory, addr: int) -> GuestInstr:
+    """Decode the instruction at ``addr`` from the pages of ``memory`` (a
+    :class:`repro.guest.memory.PagedMemory`).
+
+    It decodes in place from the page's bytes.  An instruction that runs
+    past its page's last byte gets the next page and is decoded again from
+    the two pages' bytes, so a decode touches the pages that hold its
+    bytes, in address order, as reading it byte by byte would: a
+    demand-zero memory makes them, and a lazy one raises
+    :class:`repro.guest.memory.PageFault` at ``addr`` or at the next
+    page's base.
+    """
+    page = memory._page_for(addr)
+    offset = addr & PAGE_MASK
+    try:
+        return decode_bytes(page, offset, addr)
+    except IndexError:
+        following = memory._page_for((addr | PAGE_MASK) + 1)
+    return decode_bytes(page[offset:] + following[:MAX_LENGTH], 0, addr)
 
 
 def encode_program(instrs) -> Tuple[bytes, dict]:

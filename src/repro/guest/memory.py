@@ -91,15 +91,31 @@ class PagedMemory:
         self._page_for(addr)[addr & PAGE_MASK] = value & 0xFF
         self.dirty.add(addr >> PAGE_SHIFT)
 
+    # Bulk copies go a page chunk at a time, in address order, so pages
+    # appear, and a lazy memory faults at the first missing byte, as
+    # they would byte by byte; the address wraps at 2**32.
+
     def read_bytes(self, addr: int, size: int) -> bytes:
         out = bytearray()
-        for i in range(size):
-            out.append(self.read_u8(addr + i))
+        while len(out) < size:
+            addr &= ADDR_MASK
+            offset = addr & PAGE_MASK
+            n = min(size - len(out), PAGE_SIZE - offset)
+            out += self._page_for(addr)[offset:offset + n]
+            addr += n
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        for i, byte in enumerate(data):
-            self.write_u8(addr + i, byte)
+        data = memoryview(data)
+        done = 0
+        while done < len(data):
+            addr &= ADDR_MASK
+            offset = addr & PAGE_MASK
+            n = min(len(data) - done, PAGE_SIZE - offset)
+            self._page_for(addr)[offset:offset + n] = data[done:done + n]
+            self.dirty.add(addr >> PAGE_SHIFT)
+            addr += n
+            done += n
 
     def read_u32(self, addr: int) -> int:
         addr &= ADDR_MASK

@@ -226,6 +226,12 @@ MEMORY_OPS = {
     "st32chk": ("", 4), "stfchk": ("F", 8),
 }
 _WIDTH_FILE = {"": "i", "F": "f", "V": "v"}
+#: Widths accessed in-page (:func:`repro.pycode.in_page`): width ->
+#: (bytes, unpack, pack, the stored value's form).  A store packs what
+#: the memory's method packs: the u32 wrapped, the f64 as ``float``.
+#: Vectors take the memory's methods.
+IN_PAGE_WIDTHS = {"": (4, "_SUI", "_SPI", "{} & 0xFFFFFFFF"),
+                  "F": (8, "_SUF", "_SPF", "float({})")}
 
 #: op -> register files of its (d, a, b, c) fields, for every host op.
 REGFILES = {op: "iiii" for op in HostOp.ALL}
@@ -303,8 +309,8 @@ def memory_lines(op, d, a, b, imm, seq):
     checking store under serial alias-table search charges one host
     instruction per occupied entry to ``executed``, inside the store's
     region.  TOL-area addresses (spill slots) bypass the undo log; u32
-    accesses inside one present page skip the memory's methods
-    (:func:`repro.pycode.in_page`)."""
+    and f64 accesses inside one present page skip the memory's methods
+    (:func:`repro.pycode.in_page`, :data:`IN_PAGE_WIDTHS`)."""
     width, alias = MEMORY_OPS[op]
     out = [f"_a = (I[{a}] + {imm}) & 0xFFFFFFFF" if imm
            else f"_a = I[{a}] & 0xFFFFFFFF"]
@@ -316,6 +322,7 @@ def memory_lines(op, d, a, b, imm, seq):
         return ["if _ck is not None:", f"    UNDO.append({entry})"]
 
     reg = _WIDTH_FILE[width].upper() + "[{}]"
+    in_page_width = IN_PAGE_WIDTHS.get(width)
     if op in HostOp.STORE:
         value = reg.format(b)
         if alias:
@@ -326,24 +333,28 @@ def memory_lines(op, d, a, b, imm, seq):
             put(1, "raise _FS")
         put(0, f"if _a < {TOL_AREA_BASE:#x}:")
         tag = {"": "'u32'", "F": "'f64'", "V": "'vec'"}[width]
-        if width:
-            put(1, *undo(f"({tag}, _a, MR{width}(_a))"))
-            put(1, f"MW{width}(_a, {value})")
+        slow = undo(f"({tag}, _a, MR{width}(_a))") + [
+            f"MW{width}(_a, {value})"]
+        if in_page_width is None:
+            put(1, *slow)
         else:
-            fast = undo(f"({tag}, _a, _SUI(_pg, _po)[0])") + [
-                f"_SPI(_pg, _po, {value} & 0xFFFFFFFF)", "DIRTYA(_a >> 12)"]
-            slow = undo(f"({tag}, _a, MR(_a))") + [f"MW(_a, {value})"]
-            put(1, *in_page("_a", 4, fast, slow))
+            size, unpack, pack, packed = in_page_width
+            fast = undo(f"({tag}, _a, {unpack}(_pg, _po)[0])") + [
+                f"{pack}(_pg, _po, {packed.format(value)})",
+                "DIRTYA(_a >> 12)"]
+            put(1, *in_page("_a", size, fast, slow))
         put(0, "else:")
         put(1, f"TMW{width}(_a, {value})")
         return out
     dest = "_v" if alias else reg.format(d)
     put(0, f"if _a < {TOL_AREA_BASE:#x}:")
-    if width:
-        put(1, f"{dest} = MR{width}(_a)")
+    slow = [f"{dest} = MR{width}(_a)"]
+    if in_page_width is None:
+        put(1, *slow)
     else:
-        put(1, *in_page("_a", 4, [f"{dest} = _SUI(_pg, _po)[0]"],
-                        [f"{dest} = MR(_a)"]))
+        size, unpack, _, _ = in_page_width
+        put(1, *in_page("_a", size, [f"{dest} = {unpack}(_pg, _po)[0]"],
+                        slow))
     put(0, "else:")
     put(1, f"{dest} = TMR{width}(_a)")
     if alias:

@@ -21,8 +21,8 @@ source is written (:func:`shape`); an IM closure's by its source.
 
 Two pieces of source are written by more than one generator, and so
 live here: the identifiers a source reads (:func:`names`) and the
-in-page guest memory access (:func:`in_page`) of both the host's loads
-and stores and the x86 component's forms.
+in-page guest memory access (:func:`in_page`) of the host's loads and
+stores, the IM closures' and the x86 component's forms.
 """
 
 from __future__ import annotations

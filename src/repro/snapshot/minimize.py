@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.guest.emulator import GuestEmulator
-from repro.guest.encoding import decode_instr, encode_instr
+from repro.guest.encoding import decode_bytes, encode_instr
 from repro.guest.isa import GuestInstr, Imm
 from repro.guest.program import GuestProgram
 from repro.guest.syscalls import GuestOS
@@ -79,19 +79,13 @@ def _is_direct_branch(instr: GuestInstr) -> bool:
 
 def decode_program_instrs(program: GuestProgram) -> List[GuestInstr]:
     """The static instruction sequence of ``program.code``."""
-    code = program.code
-    base = program.base
-
-    def read_byte(addr: int) -> int:
-        return code[addr - base]
-
+    code, base = program.code, program.base
     instrs = []
-    addr = base
-    end = base + len(code)
-    while addr < end:
-        instr = decode_instr(read_byte, addr)
+    offset = 0
+    while offset < len(code):
+        instr = decode_bytes(code, offset, base + offset)
         instrs.append(instr)
-        addr += instr.length
+        offset += instr.length
     return instrs
 
 

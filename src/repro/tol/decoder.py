@@ -185,14 +185,18 @@ class GisaFrontend(Frontend):
     def __init__(self):
         self._alloc_for_cache = TmpAllocator()
         self._cache: Dict[int, DecodedInstr] = {}
+        #: pc -> its guest instruction, decoded once and shared by the
+        #: interpreter's decode and every translation's (DESIGN.md §5)
+        self._guest: Dict[int, GuestInstr] = {}
 
     def decode(self, memory: PagedMemory, pc: int,
                alloc: Optional[TmpAllocator] = None) -> DecodedInstr:
         """Decode the guest instruction at ``pc`` into IR.
 
         With ``alloc=None`` results are cached (interpreter use); with an
-        explicit allocator, fresh region-unique temps are produced
-        (translation use).
+        explicit allocator, the IR is emitted afresh with region-unique
+        temps (translation use).  Either way the guest instruction is
+        decoded once per ``pc``; a decode that raises caches nothing.
         """
         if alloc is None:
             cached = self._cache.get(pc)
@@ -203,7 +207,9 @@ class GisaFrontend(Frontend):
         return self._decode(memory, pc, alloc)
 
     def _decode(self, memory, pc, alloc) -> DecodedInstr:
-        guest = decode_instr(memory.read_u8, pc)
+        guest = self._guest.get(pc)
+        if guest is None:
+            guest = self._guest[pc] = decode_instr(memory, pc)
         emitter = _Emitter(guest, alloc)
         handler = _IR_HANDLERS.get(guest.mnemonic)
         if handler is None:

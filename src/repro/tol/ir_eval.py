@@ -37,10 +37,12 @@ from typing import Dict, List, Optional, Tuple
 from repro.guest.isa import u32
 from repro.guest.memory import PagedMemory
 from repro.guest.state import GuestState
-from repro.host.isa import IR_HOST_OPS, OP_NS, VALUE_OPS, evaluator
-from repro.pycode import Shape
+from repro.host.isa import (
+    IN_PAGE_WIDTHS, IR_HOST_OPS, OP_NS, VALUE_OPS, evaluator,
+)
+from repro.pycode import Shape, in_page
 from repro.tol.ir import (
-    Const, FTmp, Flag, GFReg, GReg, GVReg, IRInstr, Tmp, VTmp,
+    Const, FTmp, Flag, GFReg, GReg, GVReg, IRInstr, IROp, Tmp, VTmp,
 )
 
 
@@ -233,6 +235,37 @@ def _addr_expr(instr, shape):
     return f"({base}) & 0xFFFFFFFF"
 
 
+#: IR load/store -> (its access's width in ``MEMORY_OPS``, the suffix
+#: of the memory's methods).
+_IR_MEMORY = {"ld32": ("", "u32"), "st32": ("", "u32"),
+              "ldf": ("F", "f64"), "stf": ("F", "f64"),
+              "ldv": ("V", "vec"), "stv": ("V", "vec")}
+
+
+def _memory_stmts(instr, shape):
+    """A load or store as :func:`eval_ops` makes it through the memory's
+    methods; inside a present page, for the widths of ``IN_PAGE_WIDTHS``,
+    straight on the page's bytes (:func:`repro.pycode.in_page`)."""
+    width, method = _IR_MEMORY[instr.op]
+    in_page_width = IN_PAGE_WIDTHS.get(width)
+    stmts = [f"_a = {_addr_expr(instr, shape)}"]
+    if instr.op in IROp.LOAD:
+        slow = [_write_stmt(instr.dst, f"memory.read_{method}(_a)", shape)]
+        if in_page_width is None:
+            return stmts + slow
+        size, unpack, _, _ = in_page_width
+        fast = [_write_stmt(instr.dst, f"{unpack}(_pg, _po)[0]", shape)]
+        return stmts + in_page("_a", size, fast, slow)
+    value = _operand_expr(instr.srcs[1], shape)
+    if in_page_width is None:
+        return stmts + [f"memory.write_{method}(_a, {value})"]
+    size, _, pack, packed = in_page_width
+    stored = packed.format(value)
+    return stmts + in_page(
+        "_a", size, [f"{pack}(_pg, _po, {stored})", "DIRTYA(_a >> 12)"],
+        [f"memory.write_{method}(_a, {stored})"])
+
+
 def _compile_stmts(ops, shape):
     """Translate an IR op list into a list of Python statements."""
     stmts = []
@@ -246,30 +279,8 @@ def _compile_stmts(ops, shape):
                 raise _Unsupported(f"bad arity for {op!r}")
             expr = template.format(a=exprs[0], b=exprs[-1])
             stmts.append(_write_stmt(instr.dst, expr, shape))
-        elif op == "ld32":
-            stmts.append(_write_stmt(
-                instr.dst, f"memory.read_u32({_addr_expr(instr, shape)})",
-                shape))
-        elif op == "st32":
-            value = _operand_expr(instr.srcs[1], shape)
-            stmts.append(f"memory.write_u32({_addr_expr(instr, shape)},"
-                         f" ({value}) & 0xFFFFFFFF)")
-        elif op == "ldf":
-            stmts.append(_write_stmt(
-                instr.dst, f"memory.read_f64({_addr_expr(instr, shape)})",
-                shape))
-        elif op == "stf":
-            value = _operand_expr(instr.srcs[1], shape)
-            stmts.append(f"memory.write_f64({_addr_expr(instr, shape)},"
-                         f" float({value}))")
-        elif op == "ldv":
-            stmts.append(_write_stmt(
-                instr.dst, f"memory.read_vec({_addr_expr(instr, shape)})",
-                shape))
-        elif op == "stv":
-            value = _operand_expr(instr.srcs[1], shape)
-            stmts.append(f"memory.write_vec({_addr_expr(instr, shape)},"
-                         f" {value})")
+        elif op in _IR_MEMORY:
+            stmts.extend(_memory_stmts(instr, shape))
         elif op in ("br_true", "br_false"):
             cond = _operand_expr(instr.srcs[0], shape)
             taken = shape.param(instr.attrs["taken_pc"])
@@ -332,5 +343,9 @@ def compile_ops(ops: List[IRInstr]):
     prologue = [f"{name} = state.{name}"
                 for name in ("gpr", "flags", "fpr", "vr")
                 if f"{name}[" in body]
+    if "GP.get(" in body:
+        prologue.append("GP = memory._pages")
+    if "DIRTYA(" in body:
+        prologue.append("DIRTYA = memory.dirty.add")
     return shape.instance("_ir_compiled(state, memory)", prologue + stmts,
                           _COMPILE_NS, "<ir_fastpath>")

@@ -223,3 +223,25 @@ def test_interpreter_decode_cache_reused():
     first = frontend.decode(memory, program.entry)
     second = frontend.decode(memory, program.entry)
     assert first is second
+
+
+def test_tol_decodes_each_pc_once(monkeypatch):
+    """The interpreter and every BB and superblock translation share one
+    decoded guest instruction per PC."""
+    import repro.tol.decoder as decoder
+    from repro.system.controller import run_codesigned
+    from repro.workloads import get_workload
+
+    real, decoded = decoder.decode_instr, []
+
+    def counting(memory, pc):
+        instr = real(memory, pc)
+        decoded.append(pc)
+        return instr
+
+    monkeypatch.setattr(decoder, "decode_instr", counting)
+    _, controller = run_codesigned(
+        get_workload("429.mcf").program(scale=0.05))
+    modes = controller.codesigned.tol.mode_distribution()
+    assert modes["IM"] and modes["BBM"] and modes["SBM"]
+    assert decoded and len(decoded) == len(set(decoded))

@@ -1,9 +1,11 @@
 """PagedMemory's wide accesses (f64 and 4-lane vectors) against the byte path.
 
 Inside a page a wide access is one struct call; across a page boundary it
-goes byte by byte.  Either way it must read the same value, raise the same
-PageFault, and leave the same page set, page contents and dirty set as
-doing the access one ``read_u8``/``write_u8`` at a time.
+goes through ``read_bytes``/``write_bytes``, a page chunk at a time.  Either
+way it must read the same value, raise the same PageFault, and leave the
+same page set, page contents and dirty set as doing the access one
+``read_u8``/``write_u8`` at a time.  The bulk copies themselves are held to
+the same rule.
 """
 
 import struct
@@ -107,4 +109,62 @@ def test_straddling_write_fills_first_page_then_faults(kind):
     assert fault.value.addr == BASE + PAGE_SIZE
     assert memory.export_page(PAGE)[offset:] == \
         _pack(fmt, value)[:PAGE_SIZE - offset]
+    assert memory.dirty == {PAGE}
+
+
+# -- bulk copies: a page chunk at a time --------------------------------------
+
+#: name -> (start address, size): across one boundary, over three pages,
+#: and wrapping from the top of memory to page 0.
+BULK = {"boundary": (BASE + 4000, 300), "three_pages": (BASE + 100, 9000),
+        "wrap": (0xFFFFFF00, 0x200)}
+BULK_CASES = [(name, demand_zero, present) for name in BULK
+              for demand_zero in (True, False) for present in PRESENT]
+
+
+def _bulk_pair(name, demand_zero, present):
+    """``_pair``, with the wrap case's pages at the top of memory and 0."""
+    if name != "wrap":
+        return _pair(demand_zero, present)
+    pair = []
+    pages = {"both": (0xFFFFF, 0), "first": (0xFFFFF,), "second": (0,),
+             "none": ()}[present]
+    for _ in range(2):
+        memory = PagedMemory(demand_zero=demand_zero)
+        for page in pages:
+            memory.install_page(page, bytes((page + i) & 0xFF
+                                            for i in range(PAGE_SIZE)))
+        pair.append(memory)
+    return pair
+
+
+@pytest.mark.parametrize("name,demand_zero,present", BULK_CASES)
+def test_read_bytes_matches_byte_path(name, demand_zero, present):
+    addr, size = BULK[name]
+    bulk, narrow = _bulk_pair(name, demand_zero, present)
+    got = _outcome(lambda: bulk.read_bytes(addr, size))
+    want = _outcome(lambda: bytes(
+        narrow.read_u8(addr + i) for i in range(size)))
+    assert got == want
+    assert _image(bulk) == _image(narrow)
+
+
+@pytest.mark.parametrize("name,demand_zero,present", BULK_CASES)
+def test_write_bytes_matches_byte_path(name, demand_zero, present):
+    addr, size = BULK[name]
+    data = bytes((i * 13 + 5) & 0xFF for i in range(size))
+    bulk, narrow = _bulk_pair(name, demand_zero, present)
+    got = _outcome(lambda: bulk.write_bytes(addr, data))
+    want = _outcome(lambda: _write_bytewise(narrow, addr, data))
+    assert got == want
+    assert _image(bulk) == _image(narrow)
+
+
+def test_write_bytes_into_a_missing_page_writes_the_pages_before_it():
+    memory, _ = _pair(False, "first")
+    data = bytes(range(200))
+    with pytest.raises(PageFault) as fault:
+        memory.write_bytes(BASE + PAGE_SIZE - 100, data)
+    assert fault.value.addr == BASE + PAGE_SIZE
+    assert memory.export_page(PAGE)[-100:] == data[:100]
     assert memory.dirty == {PAGE}
