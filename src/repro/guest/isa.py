@@ -15,7 +15,7 @@ encoder/decoder in :mod:`repro.guest.encoding`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -277,30 +277,29 @@ MNEMONICS = tuple(sorted(INSN_SPECS))
 OPCODE_OF = {m: i for i, m in enumerate(MNEMONICS)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GuestInstr:
     """One decoded guest instruction.
 
     ``addr`` and ``length`` locate the instruction in guest memory so the TOL
-    can compute fall-through addresses and code-cache keys.
+    can compute fall-through addresses and code-cache keys.  ``spec`` (None
+    for a mnemonic the ISA lacks, which the encoder rejects), ``next_addr``
+    and ``is_branch`` are derived once, when it is made; it is not changed
+    after that.
     """
 
     mnemonic: str
     operands: Tuple[Operand, ...]
     addr: int = 0
     length: int = 0
+    spec: Optional[InsnSpec] = field(init=False, repr=False, compare=False)
+    next_addr: int = field(init=False, repr=False, compare=False)
+    is_branch: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> InsnSpec:
-        return INSN_SPECS[self.mnemonic]
-
-    @property
-    def next_addr(self) -> int:
-        return (self.addr + self.length) & MASK32
-
-    @property
-    def is_branch(self) -> bool:
-        return self.spec.is_branch
+    def __post_init__(self):
+        self.spec = spec = INSN_SPECS.get(self.mnemonic)
+        self.next_addr = (self.addr + self.length) & MASK32
+        self.is_branch = spec is not None and spec.is_branch
 
     def __repr__(self):
         ops = ", ".join(repr(o) for o in self.operands)

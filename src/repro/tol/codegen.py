@@ -259,8 +259,9 @@ class CodeGenerator:
                     raise CodegenError(
                         f"recipe slot {name!r} read before definition")
                 regs.append(slot_reg[name])
-            # Free slots whose last use is this step (after reading all).
-            for name in set(names):
+            # Free slots whose last use is this step (after reading all),
+            # in reading order: the pool's order decides the registers.
+            for name in dict.fromkeys(names):
                 if (last_use.get(name, -1) <= step_idx and name != "x"
                         and slot_reg[name] in FP_RECIPE_POOL):
                     pool.append(slot_reg[name])

@@ -20,63 +20,82 @@ builder rewrites them into asserts or side exits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.guest.isa import FLAG_NAMES, FPR_NAMES, GPR_NAMES, VR_NAMES
 
 
-@dataclass(frozen=True, slots=True)
-class GReg:
-    index: int
+class _Register:
+    """A register operand: one instance per class and index, so ``==`` and
+    ``hash`` are identity (an identity hash differs between processes, so a
+    set of operands is only ever tested for membership).  Copies and
+    pickles return the same instance."""
+
+    __slots__ = ("index",)
+
+    def __init_subclass__(cls):
+        cls._interned = {}
+
+    def __new__(cls, index: int):
+        self = cls._interned.get(index)
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "index", index)
+            self = cls._interned.setdefault(index, self)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.index,)
+
+
+class GReg(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return GPR_NAMES[self.index]
 
 
-@dataclass(frozen=True, slots=True)
-class GFReg:
-    index: int
+class GFReg(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return FPR_NAMES[self.index]
 
 
-@dataclass(frozen=True, slots=True)
-class GVReg:
-    index: int
+class GVReg(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return VR_NAMES[self.index]
 
 
-@dataclass(frozen=True, slots=True)
-class Flag:
-    index: int
+class Flag(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return FLAG_NAMES[self.index]
 
 
-@dataclass(frozen=True, slots=True)
-class Tmp:
-    index: int
+class Tmp(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return f"t{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class FTmp:
-    index: int
+class FTmp(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return f"ft{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class VTmp:
-    index: int
+class VTmp(_Register):
+    __slots__ = ()
 
     def __repr__(self):
         return f"vt{self.index}"
@@ -127,16 +146,18 @@ class IROp:
     SIDE_EFFECTS = STORE | CONTROL
 
 
-_COUNTER = [0]
+_SAME = object()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IRInstr:
     """One IR operation.
 
     ``imm`` is the memory displacement for loads/stores (address operand is
     ``srcs[0]``); other integer immediates appear as :class:`Const` sources.
     ``attrs`` holds control metadata (target PCs, speculation marks).
+    An instruction is not changed once made: passes make changed copies
+    with :meth:`with_changes`.
     """
 
     op: str
@@ -146,8 +167,17 @@ class IRInstr:
     attrs: Dict[str, object] = field(default_factory=dict, compare=False)
     guest_pc: Optional[int] = None
 
-    def with_changes(self, **kw) -> "IRInstr":
-        return replace(self, **kw)
+    def with_changes(self, op=_SAME, dst=_SAME, srcs=_SAME, imm=_SAME,
+                     attrs=_SAME, guest_pc=_SAME) -> "IRInstr":
+        """A copy with the given fields changed; it shares ``attrs``
+        unless given new ones."""
+        return IRInstr(
+            self.op if op is _SAME else op,
+            self.dst if dst is _SAME else dst,
+            self.srcs if srcs is _SAME else srcs,
+            self.imm if imm is _SAME else imm,
+            self.attrs if attrs is _SAME else attrs,
+            self.guest_pc if guest_pc is _SAME else guest_pc)
 
     @property
     def is_load(self) -> bool:

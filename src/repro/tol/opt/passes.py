@@ -15,6 +15,7 @@ by name in :class:`repro.tol.config.TolConfig` and new ones register with
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -163,6 +164,8 @@ _CSEABLE = (IROp.INT | IROp.FP | IROp.VEC) - {"mov", "fmov", "vmov"}
 _LOAD_SIZE = {"ld32": 4, "ldf": 8, "ldv": 16,
               "st32": 4, "stf": 8, "stv": 16}
 _STORE_TO_LOAD = {"st32": "ld32", "stf": "ldf", "stv": "ldv"}
+#: A float constant's bits.
+_F64 = struct.Struct("<d").pack
 
 
 @register_pass("cse")
@@ -171,15 +174,21 @@ def cse_rle_forwarding(ops: List[IRInstr]):
     version that bumps at every store, giving redundant-load elimination;
     exact-match store-to-load forwarding is applied on top.
 
-    Every operand in an expression key — and every remembered result or
+    Every register in an expression key — and every remembered result or
     forwarded store value — carries its definition-count version, so a
     redefined register never matches (or substitutes for) a stale value.
+    A constant is keyed by its type and bits: ``#0.0`` and ``#-0.0``, or
+    ``#1`` and ``#1.0``, compare equal but are different operands.
     Like constprop, the pass is safe on non-SSA regions.
     """
     stats = PassStats("cse", ops_in=len(ops))
     version: Dict[object, int] = {}
 
     def vkey(operand):
+        if isinstance(operand, Const):
+            value = operand.value
+            return (type(value), _F64(value) if isinstance(value, float)
+                    else value)
         return (operand, version.get(operand, 0))
 
     def valid(entry) -> bool:
@@ -196,7 +205,8 @@ def cse_rle_forwarding(ops: List[IRInstr]):
             mem_version += 1
             last_store.clear()
             key = (_STORE_TO_LOAD[instr.op], vkey(instr.srcs[0]), instr.imm)
-            last_store[key] = vkey(instr.srcs[1])
+            value = instr.srcs[1]
+            last_store[key] = (value, version.get(value, 0))
         elif instr.is_load:
             fwd_key = (instr.op, vkey(instr.srcs[0]), instr.imm)
             fwd = last_store.get(fwd_key)

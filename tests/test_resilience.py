@@ -239,6 +239,11 @@ def test_seed7_campaign_all_faults_caught():
     assert all(r.incidents >= 1 for r in report.triggered)
     # >= 3 distinct sites actually fired.
     assert len({r.site for r in report.triggered}) >= 3
+    # The pinned outcome of every run, as `darco inject --seed 7
+    # --faults 50 --json` prints it.
+    assert report.by_status == {"recovered": 40, "quarantined": 10}
+    assert report.signature() == (
+        "3a53c8009d00d12d77ea87a0c03ffeda8c3eb03d6822d67608ae54eb964b9b7e")
 
 
 def test_campaign_is_replay_deterministic():
