@@ -291,6 +291,18 @@ def test_every_stage_leaves_its_input_ops_unchanged(monkeypatch):
     assert set(checks) == {"constfold", "constprop", "cse", "dce", "to_ssa",
                            "list_schedule", "allocate", "generate"}
     assert checks["cse"] > 0 and checks["list_schedule"] > 0
+    # Decoded code gives constfold nothing to fold before constprop has
+    # run, so one region on which every pass changes something.
+    region = [IRInstr("add", Tmp(1), (Const(2), Const(3))),
+              IRInstr("mov", Tmp(2), (Tmp(1),)),
+              IRInstr("add", Tmp(3), (GReg(0), Tmp(2))),
+              IRInstr("add", Tmp(4), (GReg(0), Tmp(2))),
+              IRInstr("ld32", Tmp(5), (GReg(0),), imm=4),
+              IRInstr("mov", GReg(1), (Tmp(4),)),
+              IRInstr("mov", GReg(2), (Tmp(3),)),
+              IRInstr("exit", attrs={"next_pc": 0})]
+    _, stats = run_pipeline(region, ("constfold", "constprop", "cse", "dce"))
+    assert all(s.changed for s in stats)
 
 
 # -- translation does not depend on identity or string hashes -----------------
