@@ -109,7 +109,7 @@ def compare(steps: int = STEPS):
 
 #: Generated programs must run >=3.0x the reference loop's guest KIPS.
 #: The bar restates ">=3x ``compiled_kips``" (guest KIPS inside the
-#: promoted direct-tier programs over the IM fast path's): 3 x the
+#: direct-tier programs over the IM fast path's): 3 x the
 #: median ``compiled_kips`` over the median guest KIPS of the reference
 #: loop it divides by, in interleaved rounds, rounded up to 0.1x (2.93
 #: and 2.95 in two 9-round runs, 2-vCPU x86-64 VM, CPython 3.11).  The
@@ -142,9 +142,7 @@ def measure_tol_kips(generated: bool, steps: int = STEPS,
     state = GuestState()
     state.eip = program.entry
     state.set("ESP", program.stack_top)
-    config = TolConfig(telemetry="off", host_fastpath=generated,
-                       **({} if generated
-                          else {"direct_promote_threshold": 10**9}))
+    config = TolConfig(telemetry="off", host_fastpath=generated)
     acc = [0.0, 0, 0]          # [seconds, guest insns, programs made]
     perf = time.perf_counter
 
@@ -161,8 +159,8 @@ def measure_tol_kips(generated: bool, steps: int = STEPS,
 
     original = tol_module.compile_direct
 
-    def compile_direct(unit, emu, traced=False, cluster=None):
-        prog = original(unit, emu, traced=traced, cluster=cluster)
+    def compile_direct(unit, emu, traced=False):
+        prog = original(unit, emu, traced=traced)
         if prog is None:
             return None
         acc[2] += 1

@@ -16,7 +16,6 @@ Control returns to the TOL through :class:`ExitEvent` objects.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -178,13 +177,10 @@ class HostEmulator:
         self.trace_sink_batch: Optional[Callable] = None
         # -- generated programs ---------------------------------------
         #: Policy callback ``hook(unit)``, called at a unit's first entry
-        #: (traced or not) and, untraced, once more when its entry count
-        #: reaches ``direct_promote_threshold``.  It sets the unit's
-        #: ``_directprog`` (``_directprog_traced`` while a trace sink is
-        #: attached), None keeping the unit on the reference loop, and
-        #: marks the second call done with ``unit._promoted``.
+        #: (traced or not).  It sets the unit's ``_directprog``
+        #: (``_directprog_traced`` while a trace sink is attached), None
+        #: keeping the unit on the reference loop.
         self.direct_promote_hook: Optional[Callable] = None
-        self.direct_promote_threshold = math.inf
         #: Unit entries executed by generated programs, and the host
         #: instructions they covered (simulator-strategy counters: never
         #: part of the simulated quantities).
@@ -257,7 +253,6 @@ class HostEmulator:
         traced = self.trace_sink is not None
         key = "_directprog_traced" if traced else "_directprog"
         hook = self.direct_promote_hook
-        review = math.inf if traced else self.direct_promote_threshold
         reference = self._reference_traced if traced else self._reference
         unit_log = self.unit_log
         executed = 0
@@ -267,21 +262,15 @@ class HostEmulator:
                 unit_log.append(unit)
             udict = unit.__dict__
             prog = udict.get(key)
-            if hook is not None and (
-                    (prog is None and key not in udict)
-                    or (unit.exec_count >= review
-                        and "_promoted" not in udict)):
+            if prog is None and hook is not None and key not in udict:
                 hook(unit)
                 prog = udict.get(key)
             if prog is None:
-                kind, a, b, executed, unit = reference(self, executed, fuel,
-                                                       unit)
+                kind, a, b, executed = reference(self, executed, fuel, unit)
             else:
                 self.direct_entries += 1
                 entered = executed
-                # ``unit`` rebinds to wherever the program ended up
-                # (cluster programs follow chains between members).
-                kind, a, b, executed, unit = prog(self, executed, fuel)
+                kind, a, b, executed = prog(self, executed, fuel)
                 self.direct_insns += executed - entered
             if kind == 0:
                 unit = a  # chain / IBTC hit: continue in unit a

@@ -368,16 +368,16 @@ def memory_lines(op, d, a, b, imm, seq):
 # Control ops, stated once.  Both host execution forms are rendered from
 # these templates: the reference loop, one generic function that steps
 # through any unit reading each instruction's fields, and the generated
-# program of one unit (or a cluster of chained units), with its operands
-# folded in.  The templates run inside the frame of :func:`host_factory`,
-# whose locals hold the dispatch's accounting:
+# program of one unit, with its operands folded in.  The templates run
+# inside the frame of :func:`host_factory`, whose locals hold the
+# dispatch's accounting:
 #
 #   executed    host instructions executed in this dispatch
 #   _rb         ``executed`` where the open region began
 #   GRT, _hc    guest instructions retired; host instructions committed
-#   _g0         ``GRT`` at entry; ``_gu``, ``_hu`` at entry to unit ``U``
+#   _g0         ``GRT`` at entry
 #   _ck, _ckpc  the open region's checkpoint (saved registers), restart PC
-#   _de         program entries made without the driver
+#   _de         unit entries made without the driver
 #   _k, _x, _y  how control leaves the dispatch loop: 0 chain to unit
 #               ``_x``; 1 TOL exit to ``_x`` from exit index ``_y`` (None:
 #               a pause); 2 IBTC miss; 3 page fault (``_y`` the address);
@@ -388,7 +388,7 @@ def memory_lines(op, d, a, b, imm, seq):
 # the reference loop cannot know statically (a profiled exit) is a text
 # tested at run time; a program passes True or False.  The hooks of a
 # form (see :class:`ControlHooks`) say how it records trace entries and
-# jumps inside the unit, and whether it enters a chained unit itself.
+# jumps inside the unit, and whether it re-enters a chained unit itself.
 # ---------------------------------------------------------------------------
 
 #: Max buffered trace records before a mid-unit flush (bounds memory on
@@ -428,10 +428,6 @@ class ControlHooks:
     def goto(self, target):
         """Lines continuing at instruction ``target`` of this unit."""
         raise NotImplementedError
-
-    def chain(self, unit):
-        """Lines following the current exit's chain link ``unit``."""
-        return leave(0, unit, None)
 
     def reenter(self):
         """Lines run when the dispatch loop leaves with a chain (``_k``
@@ -489,7 +485,8 @@ def control_lines(op, o, h):
     unless = "" if profile is False else " and not _int"
     if op == "exit":
         out += [f"_lnk = {o['meta']}.get('link')",
-                f"if _lnk is not None{unless}:", *indent(h.chain("_lnk"))]
+                f"if _lnk is not None{unless}:",
+                *indent(leave(0, "_lnk", None))]
         return out + leave(1, target, o["index"])
     if op == "ibtc":
         if profile is not False:
@@ -538,12 +535,12 @@ def host_factory(name, args, params, prologue, body, h):
     until the body leaves; a page fault, failed assert or alias-table
     conflict rolls the open region back, and every path out -- returns
     and exceptions alike -- writes the accounting back to the emulator
-    and the unit in one epilogue.  It returns ``(kind, a, b, executed,
-    unit)``: the leave kind and operands, and the unit control is in."""
+    and the unit in one epilogue.  It returns ``(kind, a, b,
+    executed)``: the leave kind and operands."""
     lines = [
         "_rb = executed - EMU._region_insns",
-        "_g0 = _gu = GRT = EMU.guest_retired_total",
-        "_hc = _hu = _de = 0", "_ck = None", "_ckpc = _ip = 0",
+        "_g0 = GRT = EMU.guest_retired_total",
+        "_hc = _de = 0", "_ck = None", "_ckpc = _ip = 0",
         *prologue, *["TRB = []"] * h.traced,
         "try:", "    while True:", "        while True:", *indent(body, 3),
         "        if _k:", "            break", *indent(h.reenter(), 2),
@@ -557,8 +554,8 @@ def host_factory(name, args, params, prologue, body, h):
         "    EMU._region_insns = executed - _rb",
         "    EMU.guest_retired_total = GRT",
         "    EMU.host_insns_committed += _hc", "    EMU.direct_entries += _de",
-        "    U.guest_insns_retired += GRT - _gu",
-        "    U.host_insns_committed += _hc - _hu",
+        "    U.guest_insns_retired += GRT - _g0",
+        "    U.host_insns_committed += _hc",
         # A commit's region holds at least the committing op, so ``_hc``
         # is nonzero exactly when one happened (the per-mode keys appear
         # at the first commit, even one retiring no guest instruction).
@@ -568,7 +565,7 @@ def host_factory(name, args, params, prologue, body, h):
         "        _d = EMU.host_committed_by_mode",
         "        _d[_m] = _d.get(_m, 0) + _hc",
         *["    FLUSH(U, TRB)"] * h.traced,
-        "return _k, _x, _y, executed, U"]
+        "return _k, _x, _y, executed"]
     words = names("\n".join(lines))
     bound = names_in(lines)
     binds = "".join(f", {n}={n}" for n in bound)

@@ -32,7 +32,7 @@ import threading
 
 #: Code objects kept, least recently used evicted first.  The 31 Fig. 4-7
 #: kernels at their figure scales (SPEC 0.5, Physicsbench 1.0), run in
-#: one process, leave 673 entries: 159 IM shapes, 252 program shapes, 159
+#: one process, leave 632 entries: 159 IM shapes, 211 program shapes, 159
 #: x86 closure shapes, 98 x86 block shapes, the step makers, the two
 #: reference loops and the two trig functions.  The bound is about 3x
 #: that, for traced programs, the timing forms and the configurations

@@ -95,8 +95,13 @@ def config_to_dict(config: TolConfig) -> Dict[str, Any]:
 
 #: Config fields that older bundles may name but that no longer exist;
 #: loading drops them (``direct_enable``: every translated unit now runs
-#: as a generated program unless ``host_fastpath`` is off).
-RETIRED_CONFIG_FIELDS = frozenset({"direct_enable"})
+#: as a generated program unless ``host_fastpath`` is off; the
+#: ``direct_promote_threshold``, ``direct_max_repromotions`` and
+#: ``direct_cluster_max`` knobs of program promotion: every unit now
+#: runs the one program compiled at its first entry).
+RETIRED_CONFIG_FIELDS = frozenset({
+    "direct_enable", "direct_promote_threshold", "direct_max_repromotions",
+    "direct_cluster_max"})
 
 
 def config_from_dict(d: Dict[str, Any]) -> TolConfig:
@@ -303,7 +308,8 @@ def restore_controller(payload: Dict[str, Any]):
     tol.interp.icount = tolp["interp"]["icount"]
     tol.interp.ir_ops_evaluated = tolp["interp"]["ir_ops_evaluated"]
     for name, value in tolp["stats"].items():
-        setattr(tol.stats, name, value)
+        if hasattr(tol.stats, name):  # older checkpoints: retired counters
+            setattr(tol.stats, name, value)
     tol.profiler.bb_counts = Counter(
         {int(pc): n for pc, n in tolp["profiler"]["bb_counts"].items()})
     for pc, edges in tolp["profiler"]["edge_counts"].items():

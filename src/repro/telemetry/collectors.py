@@ -86,7 +86,6 @@ def register_tol_collectors(telemetry, tol) -> None:
         reg.set_counter("host.ibtc.misses", host.ibtc.misses)
         reg.set_counter("host.direct.entries", host.direct_entries)
         reg.set_counter("host.direct.insns", host.direct_insns)
-        reg.set_counter("tol.direct_promotions", stats.direct_promotions)
         reg.set_counter("host.alias_search_insns", host.alias_search_insns)
         for mode, retired in sorted(tol.mode_distribution().items()):
             reg.set_counter(f"mode.retired.{mode}", retired)

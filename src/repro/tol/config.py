@@ -84,27 +84,14 @@ class TolConfig:
     #: of re-walking the op list (simulator wall-clock only; simulated
     #: costs and results are identical either way).
     interp_fastpath: bool = True
-    #: Run translated units as generated programs (``repro.tol.direct``),
-    #: each compiled at the unit's first entry; False keeps every unit on
-    #: the host's reference loop, one step per host instruction (the
-    #: fuzz oracle's reference leg).  Same contract: wall-clock only.
+    #: Run each translated unit as one generated program
+    #: (``repro.tol.direct``), compiled at the unit's first entry
+    #: whatever its mode or quarantine rung; a chain back to the unit
+    #: loops inside it, every other chain goes through the driver.
+    #: False keeps every unit on the host's reference loop, one step
+    #: per host instruction (the fuzz oracle's reference leg).  Same
+    #: contract: wall-clock only.
     host_fastpath: bool = True
-
-    # -- generated programs ---------------------------------------------------
-    #: Unit entries (dispatches + chain/IBTC hops) at which a unit is
-    #: promoted: its program is rebuilt as a cluster with the same-mode
-    #: units its chains reach.  Every unit already runs its own program
-    #: from its first entry, whatever its mode or quarantine rung.
-    direct_promote_threshold: int = 200
-    #: Promotions one entry PC may make across invalidations
-    #: (quarantine/eviction churn guard); a unit refused by this cap
-    #: keeps its own program, never the reference loop.
-    direct_max_repromotions: int = 8
-    #: Units per cluster program: promotion follows existing chain links
-    #: breadth-first and compiles up to this many same-mode units into
-    #: one function, so a hot loop spanning a few superblocks runs
-    #: without driver round-trips.  1 disables clustering.
-    direct_cluster_max: int = 4
 
     # -- resilience ---------------------------------------------------------------
     #: What to do when validation against the authoritative x86 component

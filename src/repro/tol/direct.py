@@ -5,16 +5,15 @@ become the statements the op table in :mod:`repro.host.isa` gives them,
 control ops the same templates the host emulator's reference loop is
 rendered from, and the per-instruction dispatch disappears.  Control
 flow becomes a flat ``while``-dispatcher over branch-leader arms; a unit
-whose exit chains back to itself loops inside its program, and a
-*cluster* program (a hot unit plus the same-mode units its chains
-reach) follows links between its members without returning to the
-driver.
+whose exit chains back to itself loops inside its program, and every
+other chain returns to the driver, which enters the linked unit's own
+program.
 
 A program is an instance of a *shape* (:mod:`repro.pycode`): the ops,
 their registers and branch targets are the structure, and everything
 else -- immediates, alias-table sequence numbers, guest PCs, guest
 instruction counts, the exits' meta dicts (whose links the TOL patches
-at run time) and the member units -- are parameters of the shape's
+at run time) and the unit itself -- are parameters of the shape's
 factory.  The shape is found by its structural key before any source is
 written, so the units that share one compile and write it once.
 
@@ -94,40 +93,28 @@ def _describe(ins):
             values + (meta,) if op == "exit" else values)
 
 
-def _linked(ins, units):
-    """Which member an exit's chain link names now, or None."""
-    link = ins.meta.get("link")
-    return next((k for k, unit in enumerate(units) if unit is link), None)
-
-
 class _Program(ControlHooks):
-    """Writes the source of one program: ``units[0]`` is the entry unit,
-    the rest are cluster members.  Instruction ``j`` of member ``u`` has
-    parameters ``names[u][j]``; its arm, if it leads one, is labelled
-    ``base[u] + j``."""
+    """Writes the source of ``unit``'s program.  Instruction ``j`` has
+    parameters ``names[j]``; its arm, if it leads one, is labelled
+    ``j``."""
 
-    def __init__(self, units, traced):
-        self.units = units
+    def __init__(self, unit, traced):
+        self.unit = unit
         self.traced = traced
-        self.names, self.base, count = [], [0], 0
-        for unit in units:
-            self.names.append([])
-            self.base.append(self.base[-1] + len(unit.instrs))
-            for ins in unit.instrs:
-                n = len(_describe(ins)[1])
-                self.names[-1].append([f"K{count + k}" for k in range(n)])
-                count += n
-        self.params = [*(f"K{k}" for k in range(count)),
-                       *(f"_CU{k}" for k in range(len(units)))]
-        ops = {ins.op for unit in units for ins in unit.instrs}
+        self.names, count = [], 0
+        for ins in unit.instrs:
+            n = len(_describe(ins)[1])
+            self.names.append([f"K{count + k}" for k in range(n)])
+            count += n
+        self.params = [*(f"K{k}" for k in range(count)), "_CU"]
+        ops = {ins.op for ins in unit.instrs}
         self.has_store = bool(ops & HostOp.STORE)
         self.has_spec = bool(ops & _SPEC_OPS)
-        # Clobbers are unioned over the whole cluster: one save/restore
-        # shape whichever member's checkpoint is active.  Restoring a
-        # register no member wrote since the checkpoint rewrites its
+        # Clobbers are unioned over the whole unit: one save/restore
+        # shape whichever of its checkpoints is active.  Restoring a
+        # register not written since the checkpoint rewrites its
         # checkpointed (= current) value.
-        saves = sorted({(REGFILES[ins.op][0], ins.d)
-                        for unit in units for ins in unit.instrs
+        saves = sorted({(REGFILES[ins.op][0], ins.d) for ins in unit.instrs
                         if ins.d is not None and (
                             ins.op in HOST_VALUE_OPS
                             or ins.op in HostOp.LOAD)})
@@ -150,34 +137,14 @@ class _Program(ControlHooks):
     def goto(self, target):
         back = self.traced and target <= self.index
         return [f"if len(TRB) > {TRACE_BATCH_CAP}:",
-                "    FLUSH(U, TRB)"] * back + [
-            f"_ip = {self.base[self.member] + target}", "continue"]
-
-    def chain(self, unit):
-        k = _linked(self.ins, self.units)
-        if k is None:
-            return ControlHooks.chain(self, unit)
-        return [f"if {unit} is _CU{k}:", *indent(self._enter(k)),
-                "    continue", *ControlHooks.chain(self, unit)]
+                "    FLUSH(U, TRB)"] * back + [f"_ip = {target}", "continue"]
 
     def reenter(self):
-        out = []
-        for k in range(len(self.units)):
-            out += [f"{'elif' if k else 'if'} _x is _CU{k}:",
-                    *indent(self._enter(k, known=False))]
-        return out + ["else:", "    break"]
-
-    def _enter(self, k, known=True):
-        """Enter member ``k``: from the current member, or (``known``
-        False, after the dispatch loop) from any.  A traced program first
-        hands over the records of the execution that ended, as a return
-        to the driver would."""
-        move = k != self.member if known else len(self.units) > 1
-        return ["FLUSH(U, TRB)"] * self.traced + [
-            "U.guest_insns_retired += GRT - _gu",
-            "U.host_insns_committed += _hc - _hu",
-            f"_gu, _hu, U = GRT, _hc, _CU{k}"] * move + [
-            *enter_lines(), f"_ip = {self.base[k]}"]
+        """A chain back to this unit re-enters it in place (a traced
+        program first hands over the records of the execution that
+        ended, as a return to the driver would); any other leaves."""
+        return ["if _x is not U:", "    break",
+                *["FLUSH(U, TRB)"] * self.traced, *enter_lines(), "_ip = 0"]
 
     # -- emission ------------------------------------------------------------
 
@@ -194,33 +161,29 @@ class _Program(ControlHooks):
 
     def source(self):
         body = ["if executed >= fuel:", f"    raise _HEE({FUEL_ERROR})"]
-        arms = []
-        for u, unit in enumerate(self.units):
-            self.member = u
-            size = len(unit.instrs)
-            leaders = sorted({0} | {ins.target for ins in unit.instrs
-                                    if ins.target is not None})
-            for n, start in enumerate(leaders):
-                end = leaders[n + 1] if n + 1 < len(leaders) else size
-                arms.append((self.base[u] + start,
-                             self._arm(unit, start, end, size)))
+        instrs = self.unit.instrs
+        leaders = sorted({0} | {ins.target for ins in instrs
+                                if ins.target is not None})
+        arms = [(start, self._arm(start, end)) for start, end
+                in zip(leaders, [*leaders[1:], len(instrs)])]
         if len(arms) == 1:
             body += arms[0][1]
         for n, (label, arm) in enumerate(arms if len(arms) > 1 else ()):
             body += [f"{'elif' if n else 'if'} _ip == {label}:", *indent(arm)]
-        return host_factory("_direct", "", self.params, ["U = _CU0"], body,
+        return host_factory("_direct", "", self.params, ["U = _CU"], body,
                             self)
 
-    def _arm(self, unit, start, end, size):
+    def _arm(self, start, end):
         out = []
+        instrs = self.unit.instrs
         for j in range(start, end):
-            self.index, self.ins = j, unit.instrs[j]
-            out += self._op(self.ins, self.names[self.member][j])
+            self.index, self.ins = j, instrs[j]
+            out += self._op(self.ins, self.names[j])
             if self.ins.op in _TERMINATORS:
                 return out  # anything up to the next leader is unreachable
         out += self._flush()
-        if end < size:
-            return out + [f"_ip = {self.base[self.member] + end}", "continue"]
+        if end < len(instrs):
+            return out + [f"_ip = {end}", "continue"]
         return out + [f"raise _HEE({FELL_OFF_ERROR})"]
 
     def _op(self, ins, names):
@@ -251,32 +214,26 @@ def compile_direct(unit, emu, traced=False, cluster=None):
     """``unit``'s program on emulator ``emu``, or ``None`` when the unit
     is not compilable (it then runs on the reference loop).
 
-    ``cluster`` may name further same-mode units the entry unit chains
-    into: the group compiles into one program that follows links
-    between members internally.  ``traced`` programs buffer the trace
-    records the reference loop would deliver and hand them to the sink
-    at unit boundaries."""
-    units = [unit] + [u for u in cluster or () if u is not unit]
+    ``traced`` programs buffer the trace records the reference loop
+    would deliver and hand them to the sink at unit boundaries.
+    ``cluster`` is accepted for callers written against cluster
+    programs and ignored: a program runs one unit."""
+    size = len(unit.instrs)
+    if not 0 < size <= _MAX_INSTRS:
+        return None
     structure, values = [], []
     try:
-        for member in units:
-            size = len(member.instrs)
-            if not 0 < size <= _MAX_INSTRS:
+        for ins in unit.instrs:
+            target = ins.target
+            if target is not None and (ins.op not in _BRANCH_OPS
+                                       or not 0 <= target < size):
                 return None
-            for ins in member.instrs:
-                target = ins.target
-                if target is not None and (ins.op not in _BRANCH_OPS
-                                           or not 0 <= target < size):
-                    return None
-                shape_of, given = _describe(ins)
-                if ins.op == "exit":
-                    shape_of += (_linked(ins, units),)
-                structure.append(shape_of)
-                values += given
-            structure.append(None)  # end of a member
+            shape_of, given = _describe(ins)
+            structure.append(shape_of)
+            values += given
     except (KeyError, TypeError):
         return None
     make = shape(("direct", traced, *structure),
-                 lambda: _Program(units, traced).source(), _NAMESPACE,
+                 lambda: _Program(unit, traced).source(), _NAMESPACE,
                  f"<direct:{unit.mode}@{unit.entry_pc:#x}>")
-    return make(emu, *values, *units)
+    return make(emu, *values, unit)

@@ -19,9 +19,6 @@ class Profiler:
         self.bb_counts: Counter = Counter()
         #: edge_counts[bb_entry_pc][successor_pc] = executions
         self.edge_counts: Dict[int, Counter] = defaultdict(Counter)
-        #: program promotions per entry PC (caps re-promotion churn
-        #: after invalidations).
-        self.direct_promotions: Counter = Counter()
 
     # -- IM profiling --------------------------------------------------------
 
@@ -47,14 +44,6 @@ class Profiler:
         successor, hits = edges.most_common(1)[0]
         return successor, hits / sum(edges.values())
 
-    # -- program promotion tracking ---------------------------------------------
-
-    def record_direct_promotion(self, entry_pc: int) -> int:
-        """Count one program promotion; returns the new count."""
-        self.direct_promotions[entry_pc] += 1
-        return self.direct_promotions[entry_pc]
-
     def reset(self) -> None:
         self.bb_counts.clear()
         self.edge_counts.clear()
-        self.direct_promotions.clear()

@@ -61,7 +61,6 @@ class TolStats:
     im_guest_insns: int = 0
     sb_blacklisted: int = 0
     watchdog_fires: int = 0
-    direct_promotions: int = 0
     # -- TOL-path coverage counters (fuzzer coverage map; cheap dict
     # increments, deterministic across runs) ---------------------------
     #: Unit-exit arm taken, keyed ``<mode>:<arm>`` (arm one of
@@ -70,9 +69,8 @@ class TolStats:
     exit_arms: Dict[str, int] = field(default_factory=dict)
     #: Translation shapes, keyed ``bb`` or ``sb:<units>u:<insn bucket>``.
     sb_shapes: Dict[str, int] = field(default_factory=dict)
-    #: Program outcomes, keyed compiled (a unit's own program, at its
-    #: first entry) / promoted / promoted_cluster / rejected_cap (at the
-    #: promotion threshold) / rejected_uncompilable.
+    #: Program outcomes at a unit's first entry, keyed compiled /
+    #: rejected_uncompilable.
     direct_tier: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, table: str, key: str) -> None:
@@ -97,12 +95,10 @@ class Tol:
         self.host.profile_hook = self._profile_hook
         self.host.alias_serial_search = self.config.alias_serial_search
         # Generated programs: the host consults the hook at every unit's
-        # first entry and at its promotion threshold -- including units
-        # only ever entered through chains/IBTC hops, which TOL dispatch
-        # never sees.  Without it every unit runs on the reference loop.
+        # first entry -- including units only ever entered through
+        # chains/IBTC hops, which TOL dispatch never sees.  Without it
+        # every unit runs on the reference loop.
         if self.config.host_fastpath:
-            self.host.direct_promote_threshold = \
-                self.config.direct_promote_threshold
             self.host.direct_promote_hook = self._direct_promote_unit
         if self.config.profiling_hw_assist:
             self.host.profile_inline_cost = 0
@@ -326,71 +322,19 @@ class Tol:
         return self.cache.lookup(pc)
 
     def _direct_promote_unit(self, unit: CodeUnit) -> None:
-        """Program policy (host callback).  At a unit's first entry it
-        compiles the unit's own program -- whatever its mode or
-        quarantine rung: the ladder acts through translation, never
-        through the execution form.  Once the unit has been entered
-        ``direct_promote_threshold`` times it is *promoted*: its program
-        is rebuilt as a cluster with the same-mode units its chains
-        reach, at most ``direct_max_repromotions`` times per entry PC so
-        invalidation churn cannot thrash the compiler.  A refused
-        promotion keeps the unit's own program."""
+        """Program policy (host callback), at a unit's first entry
+        (first traced entry for the traced variant): compile the unit's
+        program, whatever its mode or quarantine rung -- the ladder acts
+        through translation, never through the execution form."""
         host = self.host
         if host.trace_sink is not None:
             unit._directprog_traced = compile_direct(unit, host,
                                                      traced=True)
             return
-        prog = unit.__dict__.get("_directprog")
-        pc = unit.entry_pc
-        if unit.exec_count >= self.config.direct_promote_threshold:
-            unit._promoted = True
-            if (self.profiler.direct_promotions[pc]
-                    >= self.config.direct_max_repromotions):
-                self.stats.bump("direct_tier", "rejected_cap")
-            else:
-                # Rebuilt even alone: the program now knows its chains.
-                members = self._direct_cluster_members(unit)
-                clustered = len(members) > 1 and compile_direct(
-                    unit, host, cluster=members)
-                prog = clustered or compile_direct(unit, host) or prog
-                self.stats.bump("direct_tier", "promoted_cluster"
-                                if clustered else "promoted")
-                self.profiler.record_direct_promotion(pc)
-                self.stats.direct_promotions += 1
-        if prog is None:
-            prog = compile_direct(unit, host)
-            self.stats.bump("direct_tier", "compiled" if prog is not None
-                            else "rejected_uncompilable")
+        prog = compile_direct(unit, host)
+        self.stats.bump("direct_tier", "compiled" if prog is not None
+                        else "rejected_uncompilable")
         unit._directprog = prog
-
-    def _direct_cluster_members(self, unit: CodeUnit) -> List[CodeUnit]:
-        """The unit plus the same-mode units its chain links reach
-        (breadth-first over exit links, capped by
-        ``direct_cluster_max``).  Hot loops spanning a few units — a
-        body ping-ponging between two superblocks is the common case —
-        then execute entirely inside one generated function.  Links
-        are only followed, never created: a unit with no chains yet
-        compiles alone."""
-        members = [unit]
-        limit = self.config.direct_cluster_max
-        if limit <= 1:
-            return members
-        seen = {unit.uid}
-        frontier = [unit]
-        while frontier and len(members) < limit:
-            for ins in frontier.pop(0).instrs:
-                if ins.op != "exit":
-                    continue
-                link = ins.meta.get("link")
-                if (link is None or link.uid in seen
-                        or link.mode != unit.mode):
-                    continue
-                seen.add(link.uid)
-                members.append(link)
-                frontier.append(link)
-                if len(members) >= limit:
-                    break
-        return members
 
     def _demote(self, pc: int) -> None:
         """Recreate a failing superblock without asserts/speculation."""

@@ -217,6 +217,35 @@ def test_fresh_run_clears_stale_checkpoints(tmp_path):
     assert len(second) < len(first)
 
 
+def test_checkpoint_naming_retired_fields_restores_bit_identical(tmp_path):
+    """A checkpoint written while programs were still promoted names the
+    three promotion knobs in its config and carries
+    ``direct_promotions`` in ``tol.stats``: it restores without them and
+    finishes bit-identical to an uncheckpointed run."""
+    from repro.ioutil import write_artifact
+
+    program = assemble_text(INT_SRC)
+    config = _config("strict")
+    baseline, _ = run_checkpointed(program, config=config)
+    run_checkpointed(program, config=config, checkpoint_dir=tmp_path,
+                     checkpoint_every=1)
+    store = CheckpointStore(tmp_path)
+    paths = store.paths()
+    path = paths[len(paths) // 2]
+    payload = store.load(path)
+    payload["config"].update(direct_promote_threshold=200,
+                             direct_max_repromotions=8,
+                             direct_cluster_max=4)
+    payload["tol"]["stats"]["direct_promotions"] = 3
+    write_artifact(path, KIND_CHECKPOINT, CHECKPOINT_SCHEMA_VERSION,
+                   payload)
+
+    controller = store.restore(path)
+    assert not hasattr(controller.codesigned.tol.stats, "direct_promotions")
+    result = controller.run()
+    assert arch_result(result, controller) == baseline
+
+
 # ---------------------------------------------------------------------------
 # Faulted runs: checkpoints taken after the fault fired and its
 # incidents were recorded restore both the fault's inert state and the

@@ -1,12 +1,11 @@
 """Golden outcomes of the host control ops through every execution form.
 
 Each scenario is a handful of hand-written units run on the host
-emulator of a ``Tol`` built from one of three configurations:
+emulator of a ``Tol`` built from one of two configurations:
 
 - ``reference``: ``host_fastpath=False``, no unit ever compiled;
-- ``single``: the default host form, units compiled alone;
-- ``cluster``: ``direct_promote_threshold=1``, so a unit whose exits
-  already chain into others compiles together with them.
+- ``single``: the default host form, each unit compiled to its own
+  program at its first entry.
 
 The outcome of a scenario is the ExitEvent (or the exception), the
 guest registers, the host's committed, wasted, total and per-mode
@@ -19,7 +18,7 @@ before the control ops were restated; a mismatch names the scenario.
 The scenarios cover each branch and assert taken and not taken,
 profiled exits with and without an interrupt, ``exit_ind``, IBTC hits
 and misses, a pause at a ``chkpt``, rollbacks after stores (an assert
-and a page fault), chain transfers inside a cluster and fuel
+and a page fault), chain transfers between units and fuel
 exhaustion.
 """
 
@@ -35,9 +34,8 @@ from repro.tol.config import TolConfig
 from repro.tol.tol import Tol
 
 FORMS = {
-    "reference": dict(host_fastpath=False, direct_promote_threshold=10**9),
-    "single": dict(direct_promote_threshold=10**9),
-    "cluster": dict(direct_promote_threshold=1),
+    "reference": dict(host_fastpath=False),
+    "single": {},
 }
 
 A, B, C = 0x1000, 0x2000, 0x3000
@@ -160,9 +158,9 @@ def _rollback(kind):
     return build
 
 
-def _cluster():
+def _chain():
     """A and B chain into each other through I[20]'s countdown; C is
-    reached through the IBTC from B and leaves the cluster."""
+    reached through the IBTC from B."""
     def build():
         c = unit(3, C, [chk(C), H("addi32", d=3, a=3, imm=1),
                         ext(OUT, 1)])
@@ -203,7 +201,7 @@ SCENARIOS = {
     "pause_at_chkpt": _pause,
     "rollback_assert_after_store": _rollback("assert"),
     "rollback_fault_after_store": _rollback("fault"),
-    "cluster_chain": _cluster(),
+    "cluster_chain": _chain(),
     "fuel_exhausted": _fuel,
 }
 
@@ -236,7 +234,6 @@ def _outcome(form, build, trace):
     if trace == "batched":
         host.trace_sink_batch = lambda u, recs: records.extend(
             [u.uid, index, info] for index, info in recs)
-        host.trace_batching = True
     # Registers other than the guest homes survive between entries.
     for index, value in opts.get("regs", {}).items():
         host.iregs[index] = value
@@ -276,7 +273,6 @@ def test_control_op_golden(name):
                 for trace in (None, "records", "batched")}
     for by_form in outcomes.values():
         assert by_form["single"] == by_form["reference"]
-        assert by_form["cluster"] == by_form["reference"]
     assert _digest({str(trace): by_form["reference"]
                     for trace, by_form in outcomes.items()}) \
         == GOLDEN[name]

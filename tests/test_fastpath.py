@@ -372,7 +372,7 @@ def test_host_fastpath_full_system_identity():
 #: any simulated quantity.
 DIRECT_WALLCLOCK_COUNTERS = (
     "host.fastpath.", "host.slowpath.", "host.direct.", "tol.direct",
-    # Fuzzer coverage edges for the direct tier count promotions and
+    # Fuzzer coverage edges for the direct tier count compiles and
     # strips — which-path instrumentation, not simulated quantities.
     # (cov.exit/cov.shape/cov.quarantine stay under the identity
     # contract: direct programs must mirror exit accounting exactly.)
@@ -391,8 +391,7 @@ def test_direct_tier_full_system_identity():
     telemetry counters, guest-visible output — must be bit-identical;
     only the wall-clock path counters may differ."""
     from repro.workloads import get_workload
-    base = dict(bbm_threshold=3, sbm_threshold=8,
-                direct_promote_threshold=20, telemetry="counters")
+    base = dict(bbm_threshold=3, sbm_threshold=8, telemetry="counters")
 
     def run(direct):
         program = get_workload("429.mcf").program(scale=0.1)
@@ -419,7 +418,7 @@ def test_direct_tier_full_system_identity():
     assert _simulated_counters(result_on.telemetry) == \
         _simulated_counters(result_off.telemetry)
     # The comparison is only meaningful if the tier actually ran.
-    assert tol_on.stats.direct_promotions > 0
+    assert tol_on.stats.direct_tier["compiled"] > 0
     assert host_on.direct_entries > 0
     assert host_on.direct_insns > 0
     assert host_off.direct_entries == 0
@@ -428,11 +427,12 @@ def test_direct_tier_full_system_identity():
 @pytest.mark.parametrize("name", ["462.libquantum", "429.mcf",
                                   "470.lbm"])
 def test_programs_at_first_entry_keep_per_mode_accounting(name):
-    """Clusters at the first entry (``direct_promote_threshold=1``)
-    against the reference loop: Fig. 5's numerator, the host
-    instructions committed per mode, and the guest instructions retired
-    per mode must match.  A program call whose commits all retire zero
-    guest instructions still commits host instructions."""
+    """Programs from the first entry against the reference loop: Fig.
+    5's numerator, the host instructions committed per mode, and the
+    guest instructions retired per mode must match, and in both forms
+    every committed host instruction is charged to a mode.  A call whose
+    commits all retire zero guest instructions still commits host
+    instructions."""
     from repro.workloads import get_workload
 
     def run(config):
@@ -441,12 +441,14 @@ def test_programs_at_first_entry_keep_per_mode_accounting(name):
             config=TolConfig(**config))
         return result, controller.codesigned.tol.host
 
-    result_on, host_on = run(dict(direct_promote_threshold=1))
-    result_off, host_off = run(dict(host_fastpath=False,
-                                    direct_promote_threshold=10**9))
+    result_on, host_on = run({})
+    result_off, host_off = run(dict(host_fastpath=False))
     assert result_on.guest_icount == result_off.guest_icount
     assert host_on.host_committed_by_mode == host_off.host_committed_by_mode
     assert host_on.guest_retired_by_mode == host_off.guest_retired_by_mode
+    for host in (host_on, host_off):
+        assert sum(host.host_committed_by_mode.values()) \
+            == host.host_insns_committed
     assert host_on.direct_entries > 0
 
 
@@ -456,13 +458,12 @@ def test_direct_tier_traced_timing_identity():
     report must be identical to the tier-off run."""
     from repro.timing.run import run_with_timing
 
-    # An unrolled self-contained loop never re-enters its unit (internal
-    # back-jump), so use a branchy multi-unit loop; speculation stays off
-    # so quarantine churn cannot block promotion on this short run.
+    # A branchy multi-unit loop, so that programs chain into each other;
+    # speculation stays off, so quarantine churn does not retranslate
+    # units on this short run.
     spec = SyntheticSpec(seed=5, hot_loops=2, trip_count=400, bb_size=6,
                          branchy=True, mem_ops=1, fp_ops=1)
-    base = dict(bbm_threshold=3, sbm_threshold=8,
-                direct_promote_threshold=20, mem_speculation=False)
+    base = dict(bbm_threshold=3, sbm_threshold=8, mem_speculation=False)
 
     def run(direct):
         result, controller, core = run_with_timing(

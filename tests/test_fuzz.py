@@ -2,12 +2,13 @@
 coverage accounting, oracle classification, campaign replay determinism
 across ``--jobs``, runaway containment, planted-bug end-to-end triage
 (found -> deduped -> minimized -> confirmed via ``darco repro``) and the
-pinned-corpus direct-tier repromotion regression.
+pinned-corpus regression of programs compiled again after flushes.
 """
 
 import json
 import os
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -174,8 +175,8 @@ def test_sanitizer_checks_every_return_from_a_dispatch(monkeypatch):
     assert "_run" not in host.__dict__ and host.undo_check is None
     compile_direct = tol_module.compile_direct
 
-    def leaky(unit, emu, traced=False, cluster=None):
-        prog = compile_direct(unit, emu, traced=traced, cluster=cluster)
+    def leaky(unit, emu, traced=False):
+        prog = compile_direct(unit, emu, traced=traced)
 
         def run(emu_, executed, fuel):
             result = prog(emu_, executed, fuel)
@@ -319,7 +320,7 @@ def test_worker_crash_becomes_finding_not_abort(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Pinned corpus seed: direct-tier repromotion cap (satellite).
+# Pinned corpus seed: programs compiled again after flushes.
 # ---------------------------------------------------------------------------
 
 
@@ -329,18 +330,26 @@ def test_corpus_dir_feeds_the_seed_corpus():
     assert "corpus:direct_repromote.json" in ids
 
 
-def test_direct_repromotion_after_demotion_and_cap():
+def test_flushed_units_compile_again_at_their_first_entry(monkeypatch):
     """The pinned corpus kernel (hot function called from a loop: a
-    stable superblock head) is direct-promoted, demoted by cache
-    flushes, re-promoted at the *same* entry PC, and finally refused
-    once ``direct_max_repromotions`` is spent."""
+    stable superblock head) compiles every unit's program at the unit's
+    first entry; cache flushes strip the programs, and the units
+    translated again at the same entry PCs compile again, each at its
+    own first entry."""
+    import repro.tol.tol as tol_module
     from repro.system.controller import Controller
 
+    compile_direct = tol_module.compile_direct
+    compiles = []
+
+    def counted(unit, emu, traced=False):
+        compiles.append((unit.entry_pc, unit.exec_count))
+        return compile_direct(unit, emu, traced=traced)
+
+    monkeypatch.setattr(tol_module, "compile_direct", counted)
     program = load_corpus_program(
         os.path.join(CORPUS_DIR, "direct_repromote.json"))
-    config = TolConfig(direct_promote_threshold=5,
-                       direct_max_repromotions=2)
-    controller = Controller(program, config=config)
+    controller = Controller(program, config=TolConfig())
     tol = controller.codesigned.tol
 
     target = 2500
@@ -355,19 +364,17 @@ def test_direct_repromotion_after_demotion_and_cap():
         result = controller.run()
     assert result.exit_code == 0
 
-    # Repromotion after demotion: some PC was direct-promoted more than
-    # once, and exactly up to the cap.
-    promotions = dict(tol.profiler.direct_promotions)
-    assert max(promotions.values()) == config.direct_max_repromotions
-    assert tol.stats.direct_tier.get("rejected_cap", 0) >= 1
     assert tol.cache.direct_strips >= 2
+    assert compiles and all(entries == 1 for _, entries in compiles)
+    assert max(Counter(pc for pc, _ in compiles).values()) >= 2
+    assert tol.stats.direct_tier == {"compiled": len(compiles)}
 
-    # And the whole story is visible to the fuzzer's coverage map.
+    # The compiles and strips are visible to the fuzzer's coverage map.
     counters = tol.telemetry.snapshot().counters
-    assert counters.get("cov.direct.promoted", 0) >= 1
-    assert counters.get("cov.direct.rejected_cap", 0) >= 1
+    assert counters["cov.direct.compiled"] == len(compiles)
+    assert counters["cov.direct.strips"] == tol.cache.direct_strips
     edges = edges_from_counters(counters)
-    assert any(e.startswith("cov.direct.rejected_cap#") for e in edges)
+    assert any(e.startswith("cov.direct.compiled#") for e in edges)
 
 
 def test_pinned_corpus_program_runs_clean_through_the_oracle():

@@ -108,8 +108,7 @@ def test_rerunning_a_kernel_adds_no_code(monkeypatch):
     program = generate(SyntheticSpec(seed=23, hot_loops=2, trip_count=80,
                                      bb_size=5, fp_ops=1, mem_ops=1,
                                      branchy=True))
-    config = TolConfig(bbm_threshold=3, sbm_threshold=8,
-                       direct_promote_threshold=4)
+    config = TolConfig(bbm_threshold=3, sbm_threshold=8)
     first, _ = run_codesigned(program, config=config)
     sources = set(pycode._CODES)
     # IM closures and programs (found by their structural keys) were

@@ -114,27 +114,40 @@ def test_incident_run_emits_replayable_bundle(tmp_path):
     assert outcome.incident_signature == signature
 
 
-def test_bundle_naming_a_retired_config_field_loads_and_replays(tmp_path):
-    """Bundles written before every unit ran as a generated program name
-    ``direct_enable`` in their config: loading drops it, and the bundle
-    still replays.  Overrides keep rejecting the unknown name."""
+#: Each retired config field, with the default it had when it was
+#: retired: ``direct_enable`` before every unit ran as a generated
+#: program, the promotion knobs before every unit ran the one program
+#: compiled at its first entry.
+RETIRED_FIELDS = {"direct_enable": True, "direct_promote_threshold": 200,
+                  "direct_max_repromotions": 8, "direct_cluster_max": 4}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))
+def test_bundle_naming_a_retired_config_field_loads_and_replays(name,
+                                                                tmp_path):
+    """Bundles written before a config field was retired name it in
+    their config: loading drops it, and the bundle still replays.
+    Overrides keep rejecting the unknown name."""
     from repro.snapshot.bundle import BUNDLE_SCHEMA_VERSION, KIND_BUNDLE
+    from repro.snapshot.serialize import RETIRED_CONFIG_FIELDS
     from repro.tol.config import TolConfig
 
+    assert name in RETIRED_CONFIG_FIELDS
     controller = _faulted_controller("recover")
     controller.run(repro_dir=tmp_path)
     path = controller.last_bundle_path
     payload = load_artifact(path, KIND_BUNDLE, BUNDLE_SCHEMA_VERSION)
-    payload["config"]["direct_enable"] = True
+    payload["config"][name] = RETIRED_FIELDS[name]
     write_artifact(path, KIND_BUNDLE, BUNDLE_SCHEMA_VERSION, payload)
 
     bundle = load_bundle(path)
-    assert not hasattr(bundle.config, "direct_enable")
+    assert not hasattr(bundle.config, name)
     outcome, _ = replay_bundle(bundle)
     assert outcome.reproduced
     assert outcome.incident_signature == bundle.incident_signature
     with pytest.raises(ValueError):
-        TolConfig().with_overrides({"direct_enable": "true"})
+        TolConfig().with_overrides(
+            {name: str(RETIRED_FIELDS[name]).lower()})
 
 
 def test_strict_exception_emits_bundle_and_reraises(tmp_path):

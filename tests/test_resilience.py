@@ -167,14 +167,11 @@ def test_direct_tier_fault_recovers_and_demotes_below_tier():
     its translations, so no unit there still carries the sabotaged
     program, and the final state stays bit-identical to a clean
     reference run."""
-    from dataclasses import replace
-
     program = build_campaign_program()
     ref = GuestEmulator(program, os=GuestOS())
     ref.run()
 
-    config = replace(campaign_config("recover"), direct_promote_threshold=5)
-    controller = Controller(program, config=config)
+    controller = Controller(program, config=campaign_config("recover"))
     tol = controller.codesigned.tol
     fired = {}
     sabotaged = []

@@ -17,8 +17,7 @@ from repro.tol.config import TolConfig
 from repro.workloads import SyntheticSpec, generate, get_workload
 
 FAST = dict(bbm_threshold=3, sbm_threshold=8)
-DIRECT = dict(bbm_threshold=3, sbm_threshold=8,
-              direct_promote_threshold=20, mem_speculation=False)
+DIRECT = dict(bbm_threshold=3, sbm_threshold=8, mem_speculation=False)
 
 #: the identity matrix: integer, FP, string/dispatch and syscall-heavy
 #: behaviour (name -> (workload, program scale)).

@@ -70,8 +70,7 @@ FEEDS = {
 }
 
 FAST = dict(bbm_threshold=3, sbm_threshold=8)
-DIRECT = dict(bbm_threshold=3, sbm_threshold=8,
-              direct_promote_threshold=20, mem_speculation=False)
+DIRECT = dict(bbm_threshold=3, sbm_threshold=8, mem_speculation=False)
 
 BOTH = ("annotated", "per-record")
 ALL = BOTH + ("compiled",)
