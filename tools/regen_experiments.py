@@ -1,130 +1,124 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from a captured benchmark run.
+"""Refresh EXPERIMENTS.md's generated tables from a captured benchmark run.
 
-Usage: python tools/regen_experiments.py [bench_output.txt]
+Usage: python tools/regen_experiments.py [bench_output.txt [EXPERIMENTS.md]]
 
-The benchmark suite prints every table it produces; this script lifts them
-into the paper-vs-measured record so EXPERIMENTS.md always reflects an
-actual run (``pytest benchmarks/ --benchmark-only -s | tee
-bench_output.txt``).
+The benchmark suite prints every table it produces (``pytest benchmarks/
+--benchmark-only -s | tee bench_output.txt``).  This script copies the
+tables of the sections it owns -- Figs. 4-7, §VI-E and the ablations --
+into the fenced blocks of those sections, matched by their ``## ``
+heading and the block's ``=== `` title line, and refreshes the summary
+cells that quote them.  Every other byte of the file stays as it is:
+the intro, §VI-A (recorded from the DARCO benchmark's runs, not from
+this log), the prose between blocks and the sections after the
+ablations.  A heading, block or summary row that is missing is an
+error, so a renamed section is never dropped silently.
 """
 
 import re
 import sys
 
-SECTIONS = [
-    ("Figure 4 — dynamic guest instruction distribution (IM/BBM/SBM)",
-     "Figure 4"),
-    ("Figure 5 — emulation cost: host instructions per guest instruction "
-     "(SBM)", "Figure 5"),
-    ("Figure 6 — TOL overhead vs application instructions", "Figure 6"),
-    ("Figure 7 — TOL overhead breakdown (seven categories)", "Figure 7"),
-    ("Section VI-A — DARCO speed", "DARCO speed"),
-    ("Section VI-E — warm-up methodology case study",
-     "Warm-up methodology"),
-]
-
-ABLATIONS = [
-    "Ablation: chaining / IBTC",
-    "Ablation: loop unrolling",
-    "Ablation: memory speculation",
-    "Ablation: optimization passes",
-    "Sweep: promotion thresholds (startup delay trade-off)",
-    "Sweep: issue width (wide in-order design point)",
-    "Ablation: startup delay (software interp vs dual decoder)",
-    "Sweep: alias table size x search policy",
-    "Ablation: background translation core",
-]
-
-HEADER = """# EXPERIMENTS — paper vs measured
-
-Every table/figure of the paper's evaluation (§VI) and the design-choice
-ablations, regenerated by `pytest benchmarks/ --benchmark-only -s` at
-workload scale 1.0 (see `bench_output.txt` for the raw run this file was
-built from).  Workloads are the synthetic SPEC2006/Physicsbench-shaped
-kernels described in DESIGN.md, so the reproduction contract is the
-*shape* of each result (orderings, who dominates, crossovers) rather than
-absolute equality; suite-average magnitudes nevertheless land close to the
-paper's.
-
-## Summary
-
-| experiment | paper | measured (this run) | shape reproduced |
-|---|---|---|---|
-| Fig. 4 SBM share (INT/FP/Phys) | 88% / 96% / 75% | {f4} | yes: FP > INT > Phys; continuous/periodic/ragdoll BBM-heavy |
-| Fig. 5 emulation cost (INT/FP/Phys) | 4.0 / 2.6 / 3.1 | {f5} | yes: INT > Phys > FP; trig drives Physicsbench |
-| Fig. 6 TOL overhead (INT/FP/Phys) | 16% / 13% / 41% | {f6} | yes: Physicsbench unamortized, > 2x SPEC |
-| Fig. 7 overhead breakdown | Physicsbench dominated by interpretation + BB translation; SB translator small | see table | yes |
-| §VI-A speed | guest 3.4 MIPS / 370 KIPS; host 20 / 2 MIPS | {speed} | pure-Python absolute slowdown; functional-vs-timing ratio preserved in kind |
-| §VI-E warm-up case study | 65x cost reduction @ 0.75% error | {warm} | yes: heuristic picks a downscaled warm-up; large reduction at small error (magnitudes track run length — the paper samples billions of instructions) |
-
-Notes on deviations:
-
-- **SPECFP emulation cost and overhead run lower than the paper.** Our
-  host ISA is a clean RISC designed for guest emulation (32-bit-wrapping
-  ALU ops, flag-helper instructions); the paper's system also pays
-  x87-stack-emulation inefficiencies our guest ISA does not model. The
-  ordering and the gap to SPECINT are preserved, and the two deviations
-  share that single cause (the overhead *fraction* denominator is the
-  app-stream expansion).
-- **Warm-up case-study magnitudes** scale with run length: cost reduction
-  is bounded by total/(warm-up+samples), and our full runs are ~500k guest
-  instructions, not billions.
-"""
+#: ``## `` heading -> the titles of the log sections its blocks hold.
+OWNED = {
+    "Figure 4 — dynamic guest instruction distribution (IM/BBM/SBM)":
+        ["Figure 4"],
+    "Figure 5 — emulation cost: host instructions per guest instruction "
+    "(SBM)": ["Figure 5"],
+    "Figure 6 — TOL overhead vs application instructions": ["Figure 6"],
+    "Figure 7 — TOL overhead breakdown (seven categories)": ["Figure 7"],
+    "Section VI-E — warm-up methodology case study":
+        ["Warm-up methodology"],
+    "Ablations (design choices of §III / §V-D)": [
+        "Ablation: chaining / IBTC",
+        "Ablation: loop unrolling",
+        "Ablation: memory speculation",
+        "Ablation: optimization passes",
+        "Sweep: promotion thresholds (startup delay trade-off)",
+        "Sweep: issue width (wide in-order design point)",
+        "Ablation: startup delay (software interp vs dual decoder)",
+        "Sweep: alias table size x search policy",
+        "Ablation: background translation core",
+    ],
+}
 
 
-def main():
-    path = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
-    text = open(path, encoding="utf-8").read()
+def _log_section(text, title):
+    """The table the log prints under ``=== title``, up to the next
+    pytest progress line."""
+    start = text.index(f"=== {title}")
+    end = text.find("\n.", start)
+    return text[start:len(text) if end == -1 else end].rstrip()
 
-    def section(marker):
-        start = text.index(f"=== {marker}")
-        end = text.find("\n.", start)
-        if end == -1:
-            end = len(text)
-        return text[start:end].rstrip()
 
-    def grab(pattern):
-        match = re.search(pattern, text)
-        return match.group(1) if match else "?"
+def _section_span(doc, heading):
+    start = doc.index(f"\n## {heading}\n") + 1
+    end = doc.find("\n## ", start)
+    return start, len(doc) if end == -1 else end + 1
 
+
+def _replace_block(doc, heading, title, table):
+    """``doc`` with the fenced block of ``## heading`` that starts with
+    ``=== title`` holding ``table``."""
+    start, end = _section_span(doc, heading)
+    opened = doc.index(f"```\n=== {title}", start, end) + len("```\n")
+    closed = doc.index("\n```", opened, end)
+    return doc[:opened] + table + doc[closed:]
+
+
+def _replace_cell(doc, label, value):
+    """``doc`` with the measured cell (the third) of the summary row
+    starting with ``label`` set to ``value``."""
+    row = re.compile(r"^(\| " + re.escape(label) + r"[^|\n]*\|[^|\n]*\| )"
+                     r"[^|\n]*( \|)", re.M)
+    doc, found = row.subn(lambda m: m.group(1) + value + m.group(2), doc,
+                          count=1)
+    if not found:
+        raise ValueError(f"no summary row {label!r}")
+    return doc
+
+
+def regenerate(doc, log):
+    """``doc`` (EXPERIMENTS.md's text) refreshed from ``log``."""
     pct = r"([\d.]+%) \(paper"
     num = r"([\d.]+) \(paper"
-    f4 = " / ".join(re.findall(r"AVG \S+ +" + pct, section("Figure 4")))
-    f5 = " / ".join(re.findall(r"AVG \S+ +" + num, section("Figure 5")))
-    f6 = " / ".join(re.findall(r"AVG \S+ +" + pct, section("Figure 6")))
-    kps = r" +([\d.]+k)/s"
-    speed = ("guest {}IPS / {}IPS; host {}IPS / {}IPS".format(
-        grab("guest functional" + kps), grab("guest with timing" + kps),
-        grab("host functional" + kps), grab("host with timing" + kps)))
-    warm = "{} @ {} error".format(
-        grab(r"cost reduction     : ([\d.]+x)"),
-        grab(r"CPI error          : ([\d.]+%)"))
 
-    parts = [HEADER.format(f4=f4, f5=f5, f6=f6, speed=speed, warm=warm)]
-    for title, marker in SECTIONS:
-        parts.append(f"\n## {title}\n\n```\n{section(marker)}\n```\n")
-    parts.append("\n## Ablations (design choices of §III / §V-D)\n")
-    for marker in ABLATIONS:
-        parts.append(f"\n```\n{section(marker)}\n```\n")
-    parts.append(
-        "\nReadings: turning chaining+IBTC off multiplies code-cache "
-        "lookups ~20x and nearly triples TOL overhead; unrolling cuts the "
-        "unrolled loop's emulation cost by about a third; removing the "
-        "optimizer raises SBM emulation cost ~2.4x; aggressive promotion "
-        "thresholds trade interpretation time for translation overhead "
-        "(the §III startup-delay trade-off); a Denver-style dual decoder "
-        "erases interpretation overhead entirely at the price of extra "
-        "hardware; small alias tables fail conservatively while serial "
-        "search costs grow with table size (the §III detection-cost "
-        "dilemma); a dedicated background translation core removes "
-        "translator work from the main stream; and wide in-order cores "
-        "gain IPC with diminishing returns while performance/watt peaks "
-        "narrow (the §III wide-in-order question).\n")
-    with open("EXPERIMENTS.md", "w", encoding="utf-8") as handle:
-        handle.write("".join(parts))
-    print("EXPERIMENTS.md regenerated from", path)
+    def averages(title, pattern):
+        return " / ".join(re.findall(r"AVG \S+ +" + pattern,
+                                     _log_section(log, title)))
+
+    def grab(pattern):
+        match = re.search(pattern, log)
+        return match.group(1) if match else "?"
+
+    for heading, titles in OWNED.items():
+        for title in titles:
+            doc = _replace_block(doc, heading, title,
+                                 _log_section(log, title))
+    cells = {
+        "Fig. 4 SBM share": averages("Figure 4", pct),
+        "Fig. 5 emulation cost": averages("Figure 5", num),
+        "Fig. 6 TOL overhead": averages("Figure 6", pct),
+        "§VI-E warm-up case study": "{} @ {} error".format(
+            grab(r"cost reduction     : ([\d.]+x)"),
+            grab(r"CPI error          : ([\d.]+%)")),
+    }
+    for label, value in cells.items():
+        doc = _replace_cell(doc, label, value)
+    return doc
+
+
+def main(argv):
+    log_path = argv[1] if len(argv) > 1 else "bench_output.txt"
+    doc_path = argv[2] if len(argv) > 2 else "EXPERIMENTS.md"
+    with open(log_path, encoding="utf-8") as handle:
+        log = handle.read()
+    with open(doc_path, encoding="utf-8") as handle:
+        doc = handle.read()
+    doc = regenerate(doc, log)
+    with open(doc_path, "w", encoding="utf-8") as handle:
+        handle.write(doc)
+    print(doc_path, "refreshed from", log_path)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)
