@@ -2,8 +2,8 @@
 
 A detailed-timing run pays a *trace tax* on top of plain co-designed
 execution: every retired host instruction is a record the timing model
-applies.  Delivered one record per call (``trace_sink``), each record
-crosses a Python call boundary into the generated step.  Annotated
+applies.  Delivered one record per call (``TimingSession.sink``), each
+record crosses a Python call boundary into the generated step.  Annotated
 delivery removes most of that tax: units carry a static timing
 annotation, record batches are applied through ``InOrderCore.feed_unit``
 in one call, and hot units tier up to a generated per-unit applier with
@@ -14,8 +14,10 @@ workload, run interleaved for ``ROUNDS`` rounds with their order
 rotated each round, so load drifts on the host fall on all three alike:
 
 - ``base``: plain ``run_codesigned`` (no timing attached);
-- ``annotated``: ``run_with_timing`` with batched annotated delivery;
-- ``per_instruction``: ``run_with_timing`` with ``annotate=False``.
+- ``annotated``: ``run_with_timing`` (batched annotated delivery);
+- ``per_instruction``: a session wired as ``run_with_timing`` wires it
+  (timing collector, TOL overhead feed), with the host's record batches
+  handed to ``TimingSession.sink`` one record per call.
 
 Each round's ``tax = traced - base`` per mode gives one ratio
 ``tax_per / tax_annotated``; the >=3x bar is asserted on the median of
@@ -42,8 +44,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.system.controller import run_codesigned
+from repro.system.controller import Controller, run_codesigned
+from repro.telemetry.collectors import register_timing_collector
+from repro.timing.core import InOrderCore
 from repro.timing.run import run_with_timing
+from repro.timing.trace import TimingSession
 from repro.tol.config import TolConfig
 from repro.workloads import SyntheticSpec, generate
 
@@ -61,17 +66,38 @@ SMOKE_SPEC = SyntheticSpec(seed=5, hot_loops=3, trip_count=400, bb_size=8,
 TOL = dict(bbm_threshold=3, sbm_threshold=8)
 
 
+def _per_instruction(spec):
+    """``run_with_timing``'s run, with every record fed through
+    ``TimingSession.sink`` in its own call."""
+    controller = Controller(generate(spec), config=TolConfig(**TOL),
+                            validate=False)
+    core = InOrderCore()
+    session = TimingSession(core)
+    tol = controller.codesigned.tol
+    register_timing_collector(tol.telemetry, core, session=session)
+    session.install(tol)
+
+    def one_record_per_call(unit, records):
+        instrs = unit.instrs
+        for index, info in records:
+            session.sink(unit, index, instrs[index], info)
+
+    tol.host.trace_sink = one_record_per_call
+    tol.overhead.on_charge = \
+        lambda category, insns: session.feed_tol_overhead(insns)
+    result = controller.run()
+    core.finalize()
+    return result, controller, core
+
+
 def _legs(spec):
     """name -> thunk running the leg once."""
     return {
         "base": lambda: run_codesigned(
             generate(spec), config=TolConfig(**TOL), validate=False),
         "annotated": lambda: run_with_timing(
-            generate(spec), tol_config=TolConfig(**TOL), validate=False,
-            annotate=True),
-        "per_instruction": lambda: run_with_timing(
-            generate(spec), tol_config=TolConfig(**TOL), validate=False,
-            annotate=False),
+            generate(spec), tol_config=TolConfig(**TOL), validate=False),
+        "per_instruction": lambda: _per_instruction(spec),
     }
 
 

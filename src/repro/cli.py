@@ -1089,8 +1089,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra seed programs (corpus JSON files)")
     fuzz_p.add_argument("--timing-every", type=int, default=0,
                         metavar="N",
-                        help="run the annotated-timing oracle leg on "
-                             "every Nth candidate (default: off)")
+                        help="run the timing oracle leg (reference vs "
+                             "generated forms) on every Nth candidate "
+                             "(default: off)")
     fuzz_p.add_argument("--max-events", type=int, default=100_000,
                         help="controller event budget per oracle leg "
                              "(runaway mutants classify as 'runaway' "

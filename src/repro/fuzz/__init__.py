@@ -3,10 +3,11 @@
 ``darco fuzz`` mutates GISA guest programs to maximize TOL-path
 coverage (``cov.*`` telemetry: unit-exit arms, superblock shapes,
 quarantine ladder edges, generated-program outcomes) and runs every
-candidate through a differential oracle — the reference interpretive
-paths vs generated code in strict and recover modes, and the annotated
-vs per-record timing paths — flagging any divergence in architectural
-state, retirement or host accounting, or cycle reports.
+candidate through a differential oracle — the reference forms
+(``host_fastpath=False``) vs generated code in strict and recover
+modes, and the same two forms under timing — flagging any divergence
+in architectural state, retirement or host accounting, or cycle
+reports.
 Findings are auto-triaged: deduped by incident signature, emitted as
 self-contained repro bundles, ddmin-minimized with a kind-matched
 oracle, and replayed for confirmation.

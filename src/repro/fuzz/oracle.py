@@ -2,12 +2,13 @@
 
 Each candidate runs through the reference interpretive path first (a
 program that crashes or never exits there is *invalid*, not
-interesting), then through three co-designed legs — the reference loops
-(IM op-list interpretation, host steps), and generated code in strict
-and in recover mode, each validating against the authoritative x86
-component, each with the invariant sanitizer hot — and optionally an
-annotated-timing leg whose cycle report must be bit-identical to the
-per-instruction timing path.
+interesting), then through three co-designed legs — the reference forms
+(``host_fastpath=False``: IM op-list interpretation, the host's
+reference loop), and generated code in strict and in recover mode, each
+validating against the authoritative x86 component, each with the
+invariant sanitizer hot — and optionally a timing leg whose cycle
+report in the generated forms must be bit-identical to the reference
+forms'.
 
 Anything that raises, records a divergence-class incident, disagrees
 with the other legs on retirement or host accounting (guest and host
@@ -31,8 +32,7 @@ from repro.tol.config import TolConfig
 #: Leg matrix: (name, TolConfig overrides).  The interpretive strict leg
 #: is the in-stack reference; the generated legs run both recovery modes.
 DEFAULT_LEGS: Tuple[Tuple[str, Dict[str, object]], ...] = (
-    ("interp_strict", {"interp_fastpath": False, "host_fastpath": False,
-                       "recovery_mode": "strict"}),
+    ("interp_strict", {"host_fastpath": False, "recovery_mode": "strict"}),
     ("generated_strict", {"recovery_mode": "strict"}),
     ("generated_recover", {"recovery_mode": "recover"}),
 )
@@ -230,19 +230,20 @@ def _collect_edges(edges: set, tol) -> None:
 
 def _timing_leg(program, base_cfg, os_stdin, os_seed, sanitize,
                 edges: set, repro_dir) -> Optional[FuzzOutcome]:
-    """Annotated vs per-instruction timing: reports must be identical."""
+    """Reference vs generated forms under timing: reports must be
+    identical."""
     from repro.timing.run import run_with_timing
 
-    cfg = base_cfg.with_overrides(
-        {"recovery_mode": "strict", "sanitize": bool(sanitize)})
     reports = {}
-    for annotate in (False, True):
-        leg = f"timing_annotate_{'on' if annotate else 'off'}"
+    for generated in (False, True):
+        leg = f"timing_{'generated' if generated else 'reference'}"
+        cfg = base_cfg.with_overrides(
+            {"recovery_mode": "strict", "sanitize": bool(sanitize),
+             "host_fastpath": generated})
         try:
             _, controller, core = run_with_timing(
                 program, tol_config=cfg,
-                os=GuestOS(stdin=os_stdin, rand_seed=os_seed),
-                annotate=annotate)
+                os=GuestOS(stdin=os_stdin, rand_seed=os_seed))
         except Exception as exc:
             err = f"{type(exc).__name__}: {exc}"
             sig = _signature_for("timing", leg, None, err)
@@ -251,20 +252,20 @@ def _timing_leg(program, base_cfg, os_stdin, os_seed, sanitize,
                 finding_kind="timing", finding_leg=leg,
                 signature=sig, error=err)
         _collect_edges(edges, controller.codesigned.tol)
-        reports[annotate] = (core.report(), controller)
+        reports[generated] = (core.report(), controller)
     if reports[True][0] != reports[False][0]:
         controller = reports[True][1]
         tol = controller.codesigned.tol
         tol.incidents.record(
             "timing_mismatch", tol.guest_icount,
-            detail={"check": "annotated_vs_per_instruction"},
+            detail={"check": "generated_vs_reference"},
             suspects=(), actions=("cycle report mismatch",))
-        err = "annotated timing cycle report differs"
-        sig = _signature_for("timing", "timing_annotate_on", tol, err)
+        err = "generated-form timing cycle report differs"
+        sig = _signature_for("timing", "timing_generated", tol, err)
         path = _write_finding_bundle(repro_dir, controller,
                                      "fuzz_timing", err)
         return FuzzOutcome(
             classification="finding", edges=sorted(edges),
-            finding_kind="timing", finding_leg="timing_annotate_on",
+            finding_kind="timing", finding_leg="timing_generated",
             signature=sig, error=err, bundle_path=path)
     return None

@@ -230,17 +230,17 @@ def _task_workload_metrics(workload: str, scale: float = 1.0,
 
 @register_task("timing_report")
 def _task_timing_report(workload: str, scale: float = 1.0, config=None,
-                        validate: bool = True, annotate=None):
+                        validate: bool = True):
     """Detailed-timing run; the value is the core's cycle report plus
     run identity fields.  Deterministic: the report is bit-identical
-    across repeats, job counts, and the annotation fast path (the
+    across repeats, job counts, and ``host_fastpath`` (the
     differential suite in tests/test_timing_annotation.py holds the
-    paths to identity)."""
+    forms to identity)."""
     from repro.timing.run import run_with_timing
     from repro.workloads import get_workload
     program = get_workload(workload).program(scale=scale)
     result, _controller, core = run_with_timing(
-        program, tol_config=config, validate=validate, annotate=annotate)
+        program, tol_config=config, validate=validate)
     report = core.report()
     report["exit_code"] = result.exit_code
     report["guest_icount"] = result.guest_icount

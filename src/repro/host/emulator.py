@@ -168,13 +168,10 @@ class HostEmulator:
         self.pause_retired_at: Optional[int] = None
         self.guest_retired_by_mode: Dict[str, int] = {}
         self.host_committed_by_mode: Dict[str, int] = {}
-        #: Optional per-instruction trace callback for the timing simulator:
-        #: ``trace_sink(unit, index, instr, info_dict)``.
+        #: Optional trace callback for the timing simulator:
+        #: ``trace_sink(unit, records)`` with ``records`` the ``(index,
+        #: info)`` pairs of one unit execution, in execution order.
         self.trace_sink: Optional[Callable] = None
-        #: Optional bulk variant: ``trace_sink_batch(unit, records)`` with
-        #: ``records`` a list of ``(index, info)`` pairs, record-for-record
-        #: equivalent to looping ``trace_sink``; used when set.
-        self.trace_sink_batch: Optional[Callable] = None
         # -- generated programs ---------------------------------------
         #: Policy callback ``hook(unit)``, called at a unit's first entry
         #: (traced or not).  It sets the unit's ``_directprog``
@@ -287,19 +284,10 @@ class HostEmulator:
 
     def _flush_trace(self, unit, records):
         """Deliver buffered ``(index, info)`` records to the trace sink,
-        in stream order, then clear the buffer.  Uses the batch sink
-        when one is attached."""
-        if not records:
-            return
-        batch = self.trace_sink_batch
-        if batch is not None:
-            batch(unit, records)
-        else:
-            sink = self.trace_sink
-            instrs = unit.instrs
-            for index, info in records:
-                sink(unit, index, instrs[index], info)
-        del records[:]
+        in stream order, then clear the buffer."""
+        if records:
+            self.trace_sink(unit, records)
+            del records[:]
 
 
 # ---------------------------------------------------------------------------

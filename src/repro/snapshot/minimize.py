@@ -45,7 +45,7 @@ counts.  :func:`minimize_bundle` picks the oracle from the bundle's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.guest.emulator import GuestEmulator
@@ -176,7 +176,6 @@ class SanitizerOracle(ProgramOracle):
     not trade it for a different bug."""
 
     def __init__(self, config, **kwargs):
-        from dataclasses import replace
         super().__init__(replace(config, sanitize=True), **kwargs)
 
     def diverges(self, program: GuestProgram) -> bool:
@@ -198,13 +197,14 @@ class SanitizerOracle(ProgramOracle):
 class TimingMismatchOracle:
     """Keeps candidates whose two timing legs still disagree.
 
-    The legs are ``(timing_config, annotate=True)`` vs
-    ``(timing_config_b or timing_config, annotate=False)`` — with one
-    timing config this checks the cycle-annotation identity contract (a
-    mismatch is a timing-path bug); with two it shrinks any
-    configuration-sensitive kernel to the minimal cycle-divergent core.
-    A candidate whose annotated leg *raises* while the plain leg runs
-    clean is also a mismatch (an annotated-path-only failure)."""
+    The legs are ``(timing_config, host_fastpath=True)`` vs
+    ``(timing_config_b or timing_config, host_fastpath=False)`` — with
+    one timing config this checks that the generated forms time exactly
+    as the reference forms do (a mismatch is a generated-path bug); with
+    two it shrinks any configuration-sensitive kernel to the minimal
+    cycle-divergent core.  A candidate whose generated leg *raises*
+    while the reference leg runs clean is also a mismatch (a
+    generated-path-only failure)."""
 
     def __init__(self, config, timing_config=None, timing_config_b=None,
                  fault: Optional[Dict] = None, os_stdin: bytes = b"",
@@ -227,12 +227,12 @@ class TimingMismatchOracle:
     _os = ProgramOracle._os
     valid = ProgramOracle.valid
 
-    def _leg(self, program: GuestProgram, timing_config, annotate: bool):
+    def _leg(self, program: GuestProgram, timing_config, generated: bool):
         from repro.timing.run import run_with_timing
         _, _, core = run_with_timing(
-            program, tol_config=self.config,
-            timing_config=timing_config, os=self._os(),
-            annotate=annotate)
+            program, tol_config=replace(self.config,
+                                        host_fastpath=generated),
+            timing_config=timing_config, os=self._os())
         return core.report()
 
     def diverges(self, program: GuestProgram) -> bool:
@@ -241,14 +241,14 @@ class TimingMismatchOracle:
             return False
         cfg_b = self.timing_config_b or self.timing_config
         try:
-            report_b = self._leg(program, cfg_b, annotate=False)
+            report_b = self._leg(program, cfg_b, generated=False)
         except Exception:
-            return False  # plain leg fails: invalid candidate
+            return False  # reference leg fails: invalid candidate
         try:
             report_a = self._leg(program, self.timing_config,
-                                 annotate=True)
+                                 generated=True)
         except Exception:
-            return True  # annotated-path-only failure
+            return True  # generated-path-only failure
         return report_a != report_b
 
 

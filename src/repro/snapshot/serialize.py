@@ -98,10 +98,11 @@ def config_to_dict(config: TolConfig) -> Dict[str, Any]:
 #: as a generated program unless ``host_fastpath`` is off; the
 #: ``direct_promote_threshold``, ``direct_max_repromotions`` and
 #: ``direct_cluster_max`` knobs of program promotion: every unit now
-#: runs the one program compiled at its first entry).
+#: runs the one program compiled at its first entry; ``interp_fastpath``:
+#: ``host_fastpath`` now selects the interpreter's form too).
 RETIRED_CONFIG_FIELDS = frozenset({
     "direct_enable", "direct_promote_threshold", "direct_max_repromotions",
-    "direct_cluster_max"})
+    "direct_cluster_max", "interp_fastpath"})
 
 
 def config_from_dict(d: Dict[str, Any]) -> TolConfig:

@@ -30,8 +30,9 @@ generated from it:
   overhead annotation folds in the facts that repeat with the mix and
   reads each record's PC and I-line from the annotation.
 
-Per-instruction ``InOrderCore.feed`` and the per-record trace sink are
-fed through the generic loop, so every path computes the same
+Per-instruction ``InOrderCore.feed``, ``TimingSession.sink`` and the
+reference forms' batches (``host_fastpath=False`` never tiers a unit
+up) are fed through the generic loop, so every path computes the same
 arithmetic by construction.  Configuration values are literals in every
 form, and each generated source is compiled once per process
 (:mod:`repro.pycode` memoizes code by source text).

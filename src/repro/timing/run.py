@@ -23,22 +23,23 @@ def run_with_timing(program: GuestProgram,
                     include_tol_overhead: bool = True,
                     os: Optional[GuestOS] = None,
                     validate: bool = True,
-                    annotate: Optional[bool] = None,
                     ) -> Tuple[RunResult, Controller, InOrderCore]:
     """Run a program with detailed timing simulation attached.
 
-    Application host instructions stream from the host emulator; TOL
-    overhead charges are (optionally) fed as synthetic instruction batches
-    so the timing results reflect the whole dynamic host stream.
+    Application host instructions stream from the host emulator in
+    batches, one per unit execution; TOL overhead charges are
+    (optionally) fed as synthetic instruction batches so the timing
+    results reflect the whole dynamic host stream.
 
-    ``annotate`` selects batched delivery with hot units tiered up to
-    generated appliers (default: on) or one record per call; results are
-    bit-identical either way, only simulator wall-clock changes.
+    ``tol_config.host_fastpath`` selects the generated forms (hot units
+    tiered up to generated appliers) or the reference forms (every
+    record on the generic loop); results are bit-identical either way,
+    only simulator wall-clock changes.
     """
     controller = Controller(program, config=tol_config, os=os,
                             validate=validate)
     core = InOrderCore(timing_config)
-    session = TimingSession(core, annotate=annotate)
+    session = TimingSession(core)
     tol = controller.codesigned.tol
     register_timing_collector(tol.telemetry, core, session=session)
     session.install(tol)

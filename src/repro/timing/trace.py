@@ -1,18 +1,18 @@
 """Adapter from executed host instructions to timing-model records.
 
-The host emulator's ``trace_sink`` delivers ``(unit, index, instr, info)``
-per executed instruction, and ``trace_sink_batch`` a unit execution's
+The host emulator's ``trace_sink`` hands over a unit execution's
 ``(index, info)`` records at once.  Units are placed in a synthetic
 code-address space (:func:`~repro.timing.annotate.host_pc`) so the
 I-cache and branch predictors see a realistic stream.
 
 Every record is fed through its unit's annotation
 (:mod:`repro.timing.annotate`), which carries the instruction's static
-facts; ``info`` carries only its per-execution dynamics.  ``annotate``
-selects the delivery: record batches with hot units tiered up to their
-generated appliers (the default), or one record per call.  Both compute
-the same step, so reports are identical; ``timing.annotated.*``
-telemetry counters expose the batched traffic.
+facts; ``info`` carries only its per-execution dynamics.  A batch runs
+on the generic loop, or on the unit's generated applier once the unit
+is hot; the TOL's ``host_fastpath`` switch, read at :meth:`install`,
+keeps every unit on the generic loop when off.  Both compute the same
+step, so reports are identical; ``timing.annotated.*`` telemetry
+counters expose the traffic.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ class TimingSession:
     #: :meth:`_grow_tol` both repeat
     TOL_PERIOD = 30
 
-    def __init__(self, core: Optional[InOrderCore] = None,
-                 annotate: Optional[bool] = None):
+    def __init__(self, core: Optional[InOrderCore] = None):
         self.core = core if core is not None else InOrderCore()
-        #: batched delivery with tier-up (default) or one record per call
-        self.annotate = annotate is None or bool(annotate)
+        #: tier hot units up to their generated appliers (:meth:`install`
+        #: sets it from the TOL's ``host_fastpath``)
+        self._tier_up = True
         self.fed = 0
         self._tol_pc = 0x7F00_0000
         self._tol_addr = 0xE000_0000
@@ -76,14 +76,13 @@ class TimingSession:
     # ------------------------------------------------------------------
 
     def install(self, tol) -> None:
-        """Wire this session into a TOL instance: trace sinks (the host
-        hands its buffered records to the batch sink, which feeds them
-        one per call unless annotating), and annotation-cache
-        invalidation chained onto the code cache's ``on_remove`` hook
-        (which already keeps the IBTC consistent)."""
-        host = tol.host
-        host.trace_sink = self.sink
-        host.trace_sink_batch = self.sink_batch
+        """Wire this session into a TOL instance: the host's trace sink
+        (it hands its buffered records to :meth:`sink_batch`), the
+        tier-up switch (the TOL's ``host_fastpath``), and
+        annotation-cache invalidation chained onto the code cache's
+        ``on_remove`` hook (which already keeps the IBTC consistent)."""
+        tol.host.trace_sink = self.sink_batch
+        self._tier_up = tol.config.host_fastpath
         cache = tol.cache
         prev = cache.on_remove
         inv = self.invalidate_unit
@@ -112,11 +111,6 @@ class TimingSession:
         """Batch form of :meth:`sink`: ``records`` is a list of
         ``(index, info)`` pairs in execution order, applied in one core
         call (the unit's compiled applier once it is hot)."""
-        if not self.annotate:
-            instrs = unit.instrs
-            for index, info in records:
-                self.sink(unit, index, instrs[index], info)
-            return
         ann = self._annotations.get(unit.uid) \
             or self._build_annotation(unit)
         n = len(records)
@@ -146,9 +140,12 @@ class TimingSession:
             self.compiled_units += 1
 
     def _build_annotation(self, unit):
-        """Resolve and cache a unit's annotation."""
+        """Resolve and cache a unit's annotation (never tiered up when
+        the TOL's ``host_fastpath`` is off)."""
         ann = self._annotations[unit.uid] = resolve_annotation(unit,
                                                                self.core)
+        if not self._tier_up:
+            ann.compile_at = None
         self.annotated_units += 1
         return ann
 

@@ -79,18 +79,17 @@ class TolConfig:
     background_translation: bool = False
 
     # -- simulator fast paths ---------------------------------------------------
-    #: Closure-compile guest IR expansions per decode address so the IM
-    #: interpreter executes one specialized closure per instruction instead
-    #: of re-walking the op list (simulator wall-clock only; simulated
-    #: costs and results are identical either way).
-    interp_fastpath: bool = True
-    #: Run each translated unit as one generated program
-    #: (``repro.tol.direct``), compiled at the unit's first entry
-    #: whatever its mode or quarantine rung; a chain back to the unit
-    #: loops inside it, every other chain goes through the driver.
-    #: False keeps every unit on the host's reference loop, one step
-    #: per host instruction (the fuzz oracle's reference leg).  Same
-    #: contract: wall-clock only.
+    #: The one switch between generated and reference forms.  True: the
+    #: IM interpreter runs one closure per decode address, each
+    #: translated unit runs as one generated program
+    #: (``repro.tol.direct``, compiled at the unit's first entry; a
+    #: chain back to the unit loops inside it, every other chain goes
+    #: through the driver), and a timing session tiers hot units up to
+    #: generated appliers.  False: the interpreter walks ``eval_ops``,
+    #: every unit runs on the host's reference loop, one step per host
+    #: instruction, and timing records stay on the generic loop (the
+    #: fuzz oracle's reference legs).  Simulator wall-clock only:
+    #: simulated costs and results are identical either way.
     host_fastpath: bool = True
 
     # -- resilience ---------------------------------------------------------------

@@ -103,7 +103,7 @@ class Tol:
         if self.config.profiling_hw_assist:
             self.host.profile_inline_cost = 0
         self.interp = Interpreter(self.frontend, state, memory,
-                                  fastpath=self.config.interp_fastpath)
+                                  fastpath=self.config.host_fastpath)
         self.profiler = Profiler()
         self.cache = CodeCache(capacity_insns=self.config.code_cache_capacity)
         self.translator = Translator(self.frontend, self.config)

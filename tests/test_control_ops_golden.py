@@ -11,7 +11,8 @@ The outcome of a scenario is the ExitEvent (or the exception), the
 guest registers, the host's committed, wasted, total and per-mode
 counts, the IBTC hits and misses, every unit's entry and accounting
 counters, the profile hook's calls and the trace records, once
-untraced, once with a per-record sink and once with batched delivery.
+untraced, once with a sink that takes the host's batches one record at
+a time and once with one that takes each batch whole.
 Every form must produce the same outcome, and its digest was recorded
 before the control ops were restated; a mismatch names the scenario.
 
@@ -228,11 +229,15 @@ def _outcome(form, build, trace):
     if "pause" in opts:
         host.pause_retired_at = opts["pause"]
     records = []
-    if trace:
-        host.trace_sink = lambda u, index, ins, info: records.append(
-            [u.uid, index, info])
-    if trace == "batched":
-        host.trace_sink_batch = lambda u, recs: records.extend(
+
+    def one_by_one(u, recs):
+        for index, info in recs:
+            records.append([u.uid, index, info])
+
+    if trace == "records":
+        host.trace_sink = one_by_one
+    elif trace == "batched":
+        host.trace_sink = lambda u, recs: records.extend(
             [u.uid, index, info] for index, info in recs)
     # Registers other than the guest homes survive between entries.
     for index, value in opts.get("regs", {}).items():

@@ -344,8 +344,7 @@ def test_host_fastpath_full_system_identity():
     def run(fast):
         result, controller = run_codesigned(
             generate(spec),
-            config=TolConfig(interp_fastpath=fast, host_fastpath=fast,
-                             **base))
+            config=TolConfig(host_fastpath=fast, **base))
         tol = controller.codesigned.tol
         return result, tol
 
@@ -371,7 +370,7 @@ def test_host_fastpath_full_system_identity():
 #: describe *how* the simulator executed (wall-clock bookkeeping), not
 #: any simulated quantity.
 DIRECT_WALLCLOCK_COUNTERS = (
-    "host.fastpath.", "host.slowpath.", "host.direct.", "tol.direct",
+    "host.direct.",
     # Fuzzer coverage edges for the direct tier count compiles and
     # strips — which-path instrumentation, not simulated quantities.
     # (cov.exit/cov.shape/cov.quarantine stay under the identity
@@ -540,8 +539,7 @@ def test_host_fastpath_traced_timing_identity():
     def run(fast):
         result, controller, core = run_with_timing(
             generate(spec),
-            tol_config=TolConfig(interp_fastpath=fast,
-                                 host_fastpath=fast, **base),
+            tol_config=TolConfig(host_fastpath=fast, **base),
             include_tol_overhead=True, validate=False)
         assert result.exit_code == 0
         tol = controller.codesigned.tol

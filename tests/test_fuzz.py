@@ -105,6 +105,45 @@ def test_reference_crashing_candidate_is_invalid():
     assert outcome.classification == "invalid"
 
 
+#: A branchy kernel whose traced programs take and skip branches.
+TIMING_PROBE = SyntheticSpec(seed=5, hot_loops=2, trip_count=120, bb_size=6,
+                             branchy=True, mem_ops=1, fp_ops=1)
+TIMING_PROBE_CONFIG = {"bbm_threshold": 3, "sbm_threshold": 8}
+
+
+def test_timing_leg_passes_a_clean_candidate():
+    outcome = evaluate_candidate(generate(TIMING_PROBE),
+                                 base_overrides=TIMING_PROBE_CONFIG,
+                                 timing=True)
+    assert outcome.classification == "ok"
+
+
+def test_timing_leg_compares_generated_against_reference_forms(
+        monkeypatch):
+    """Traced programs planted to record every ``beqz``/``bnez`` as not
+    taken leave every untimed leg clean; the timing leg's reference
+    forms (the reference loop, the generic timing loop) see the real
+    branch outcomes, so the cycle reports differ.  An empty code table
+    keeps an already compiled traced shape from hiding the plant."""
+    from repro import pycode
+    from repro.tol import direct
+
+    record = direct._Program.record
+
+    def not_taken(self, info):
+        return record(self, "{'taken': False}" if info == "{'taken': _tk}"
+                      else info)
+
+    monkeypatch.setattr(pycode, "_CODES", {})
+    monkeypatch.setattr(direct._Program, "record", not_taken)
+    outcome = evaluate_candidate(generate(TIMING_PROBE),
+                                 base_overrides=TIMING_PROBE_CONFIG,
+                                 timing=True)
+    assert outcome.classification == "finding"
+    assert outcome.finding_kind == "timing"
+    assert outcome.finding_leg == "timing_generated"
+
+
 # ---------------------------------------------------------------------------
 # Runaway containment (satellite: never hang a worker, never abort).
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ the table must reproduce them exactly:
   (memory bytes, dirty pages, alias-table entries, exception types);
 - each IR value op through ``eval_ops``, ``compile_ops`` and
   ``constfold`` on the same operand sets;
-- the 31 figure kernels at scale 0.02 with both fast paths off and,
-  twice, with the defaults, against one set of absolute counters.
+- the 31 figure kernels at scale 0.02 in the reference forms
+  (``host_fastpath=False``) and with the defaults, against one set of
+  absolute counters.
 
 Per-op cases are pinned as a digest of their canonical JSON so that a
 mismatch names the op.  Serial alias-table search is left out on
@@ -379,8 +380,7 @@ def test_ir_value_op_golden(op):
 # ---------------------------------------------------------------------------
 
 KERNEL_CONFIGS = {
-    "reference": dict(interp_fastpath=False, host_fastpath=False),
-    "fastpath": {},
+    "reference": dict(host_fastpath=False),
     "default": {},
 }
 

@@ -87,8 +87,9 @@ def test_sanitizer_oracle_minimizes_and_preserves_kind():
 
 
 def test_timing_oracle_identity_holds_on_one_config():
-    """annotate=True vs annotate=False on the same TimingConfig is the
-    cycle-annotation identity contract: no mismatch on a clean kernel."""
+    """The generated forms vs the reference forms on the same
+    TimingConfig is the timing identity contract: no mismatch on a
+    clean kernel."""
     from repro.timing.config import TimingConfig
     oracle = TimingMismatchOracle(_strict_config(),
                                   timing_config=TimingConfig())

@@ -118,7 +118,7 @@ def test_timing_session_counts_all_instructions():
     memory = PagedMemory()
     emu = HostEmulator(memory)
     session = TimingSession(InOrderCore())
-    emu.trace_sink = session.sink
+    emu.trace_sink = session.sink_batch
     emu.execute(_make_unit(), GuestState())
     assert session.fed == 4  # every executed instruction traced
     stats = session.core.finalize()

@@ -114,12 +114,15 @@ def test_incident_run_emits_replayable_bundle(tmp_path):
     assert outcome.incident_signature == signature
 
 
-#: Each retired config field, with the default it had when it was
-#: retired: ``direct_enable`` before every unit ran as a generated
-#: program, the promotion knobs before every unit ran the one program
-#: compiled at its first entry.
+#: Each retired config field, with a value bundles written before it
+#: was retired carry: the default of ``direct_enable`` before every unit
+#: ran as a generated program and of the promotion knobs before every
+#: unit ran the one program compiled at its first entry;
+#: ``interp_fastpath`` as the fuzz oracle's reference leg set it before
+#: ``host_fastpath`` selected the interpreter's form too.
 RETIRED_FIELDS = {"direct_enable": True, "direct_promote_threshold": 200,
-                  "direct_max_repromotions": 8, "direct_cluster_max": 4}
+                  "direct_max_repromotions": 8, "direct_cluster_max": 4,
+                  "interp_fastpath": False}
 
 
 @pytest.mark.parametrize("name", sorted(RETIRED_FIELDS))

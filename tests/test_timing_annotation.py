@@ -1,7 +1,9 @@
-"""Differential identity suite for the cycle-annotated timing path
-(ISSUE 7): with annotation on, off, or tiered up to generated per-unit
-appliers, ``InOrderCore.report()`` must be cycle-for-cycle identical —
-the annotation layer only changes simulator wall-clock, never results.
+"""Differential identity suite for the cycle-annotated timing path:
+in the generated forms (hot units tiered up to generated per-unit
+appliers, also from the first batch) and in the reference forms
+(``host_fastpath=False``: every record on the generic loop),
+``InOrderCore.report()`` must be cycle-for-cycle identical — the
+annotation layer only changes simulator wall-clock, never results.
 """
 
 import pytest
@@ -29,40 +31,43 @@ WORKLOADS = {
 }
 
 
-def _run(name, tol_kwargs, annotate_on, recovery_mode="strict"):
+def _run(name, tol_kwargs, generated, recovery_mode="strict"):
     workload, scale = WORKLOADS[name]
     program = get_workload(workload).program(scale=scale)
     result, controller, core = run_with_timing(
         program,
-        tol_config=TolConfig(recovery_mode=recovery_mode, **tol_kwargs),
-        validate=False, annotate=annotate_on)
+        tol_config=TolConfig(recovery_mode=recovery_mode,
+                             host_fastpath=generated, **tol_kwargs),
+        validate=False)
     assert result.exit_code == 0
     host = controller.codesigned.tol.host
     session = host.trace_sink.__self__
-    return core.report(), dict(core.stats.by_class), session
+    return core.report(), dict(core.stats.by_class), session, host
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 @pytest.mark.parametrize("tier,tol_kwargs",
                          [("fastpath", FAST), ("direct", DIRECT)])
 def test_annotation_identity(name, tier, tol_kwargs):
-    on_report, on_classes, on_session = _run(name, tol_kwargs, True)
-    off_report, off_classes, off_session = _run(name, tol_kwargs, False)
+    on_report, on_classes, on_session, _ = _run(name, tol_kwargs, True)
+    off_report, off_classes, off_session, off_host = _run(
+        name, tol_kwargs, False)
     assert on_report == off_report
     assert on_classes == off_classes
     # The comparison is only meaningful if the fast path actually ran.
     assert on_session.fastpath_insns > 0
     assert on_session.fastpath_batches > 0
-    assert off_session.fastpath_insns == 0
+    # The reference leg compiled no applier and entered no program.
+    assert (off_session.compiled_units, off_host.direct_entries) == (0, 0)
 
 
 @pytest.mark.parametrize("tier,tol_kwargs",
                          [("fastpath", FAST), ("direct", DIRECT)])
 def test_annotation_identity_recover_mode(tier, tol_kwargs):
-    on_report, _, _ = _run("syscall", tol_kwargs, True,
-                           recovery_mode="recover")
-    off_report, _, _ = _run("syscall", tol_kwargs, False,
-                            recovery_mode="recover")
+    on_report, _, _, _ = _run("syscall", tol_kwargs, True,
+                              recovery_mode="recover")
+    off_report, _, _, _ = _run("syscall", tol_kwargs, False,
+                               recovery_mode="recover")
     assert on_report == off_report
 
 
@@ -74,8 +79,8 @@ def test_annotation_identity_with_compiled_appliers(
     report must still match the per-instruction path exactly."""
     monkeypatch.setattr(annotate, "COMPILE_AT_PER_INSN", 0)
     monkeypatch.setattr(annotate, "COMPILE_AT_BASE", 0)
-    on_report, on_classes, on_session = _run("int", tol_kwargs, True)
-    off_report, off_classes, _ = _run("int", tol_kwargs, False)
+    on_report, on_classes, on_session, _ = _run("int", tol_kwargs, True)
+    off_report, off_classes, _, _ = _run("int", tol_kwargs, False)
     assert on_report == off_report
     assert on_classes == off_classes
     assert on_session.compiled_units > 0
@@ -88,7 +93,7 @@ def test_annotated_run_is_deterministic():
     for _ in range(2):
         _, _, core = run_with_timing(
             generate(spec), tol_config=TolConfig(**FAST),
-            validate=False, annotate=True)
+            validate=False)
         reports.append(core.report())
     assert reports[0] == reports[1]
 
@@ -129,8 +134,9 @@ def test_compiled_applier_matches_generic_and_per_record():
     batch = _synth_records(profile) * 7
 
     core_per = InOrderCore()
-    session = TimingSession(core_per, annotate=False)
-    session.sink_batch(unit, list(batch))
+    session = TimingSession(core_per)
+    for index, info in batch:
+        session.sink(unit, index, unit.instrs[index], info)
 
     core_gen = InOrderCore()
     ann_gen = resolve_annotation(unit, core_gen)
@@ -175,7 +181,7 @@ def test_compiled_applier_bails_on_non_leader_entry():
     # The session-level wrapper finishes such a batch on the generic
     # loop; the result must match a pure generic-loop core.
     core_a = InOrderCore()
-    session = TimingSession(core_a, annotate=True)
+    session = TimingSession(core_a)
     ann = session._build_annotation(unit)
     ann.compiled = compile_applier(unit, core_a)
     session.sink_batch(unit, records[non_leader:])
@@ -213,8 +219,8 @@ def _feed_tol_per_instruction(session, host_insns):
 @pytest.mark.parametrize("charges", [[7], [1000], [64, 128, 5, 977],
                                      [4097], [6384, 9000]])
 def test_tol_overhead_batch_matches_per_instruction(charges):
-    batched = TimingSession(InOrderCore(), annotate=True)
-    naive = TimingSession(InOrderCore(), annotate=True)
+    batched = TimingSession(InOrderCore())
+    naive = TimingSession(InOrderCore())
     for charge in charges:
         batched.feed_tol_overhead(charge)
         _feed_tol_per_instruction(naive, charge)

@@ -9,8 +9,9 @@ paths with each other).  Covered:
 - per-instruction ``InOrderCore.feed`` streams (test_power's loaded
   core at issue widths 1, 2 and 4; test_timing's mispredict stream);
 - ``run_with_timing`` on the identity suite's four workloads, below
-  its scale, on both execution tiers, with batched annotation on and
-  off (and once tiered up to compiled appliers from the first batch);
+  its scale, on both execution tiers, in the generated forms and in
+  the reference forms (``host_fastpath=False``, the ``per-record``
+  mode), and once tiered up to compiled appliers from the first batch;
 - two core configurations the identity suite does not reach: four
   simple units at issue/fetch width 4/8 (lowest-ready selection over
   three or more units) and two memory read and write ports, on all
@@ -76,8 +77,8 @@ BOTH = ("annotated", "per-record")
 ALL = BOTH + ("compiled",)
 
 #: name -> (workload, scale, TolConfig kwargs, TimingConfig factory,
-#: delivery modes pinned: batched annotation on, off, and tiered up to
-#: compiled appliers from the first batch)
+#: delivery modes pinned: the generated forms, the reference forms, and
+#: tiered up to compiled appliers from the first batch)
 RUNS = {
     "int-fastpath": ("401.bzip2", 0.03, FAST, None, ALL),
     "int-direct": ("401.bzip2", 0.03, DIRECT, None, BOTH),
@@ -109,9 +110,10 @@ def run_observed(name, mode, monkeypatch=None):
         monkeypatch.setattr(annotate, "COMPILE_AT_BASE", 0)
     program = get_workload(workload).program(scale=scale)
     result, _controller, core = run_with_timing(
-        program, tol_config=TolConfig(**tol_kwargs),
+        program, tol_config=TolConfig(
+            **tol_kwargs, host_fastpath=mode != "per-record"),
         timing_config=timing() if timing is not None else None,
-        validate=False, annotate=mode != "per-record")
+        validate=False)
     assert result.exit_code == 0
     return _observed(core)
 
