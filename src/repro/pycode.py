@@ -10,14 +10,15 @@ objects are memoized in one bounded, process-wide table, so a source
 that recurs -- in another run, another unit or another decode address
 -- is compiled once.
 
-The IM closures and the host programs are written as *shapes* so that
-they recur: temps are renumbered from 0 in first-use order and every
-literal is a parameter of a factory ``_mk(K0, K1, ...)`` that returns
-the closure.  The table keeps a shape's factory, so two decode
-addresses (or units) that differ only in literals share one factory
-and one code object, and making the closure is a call instead of a
-compile.  A program's shape is found by a structural key before its
-source is written (:func:`shape`); an IM closure's by its source.
+The IM closures, the host programs and the x86 component's closures
+and blocks are written as *shapes* so that they recur: temps are
+renumbered from 0 in first-use order and every literal is a parameter
+of a factory ``_mk(...)`` that returns the function.  The table keeps a
+shape's factory, so two decode addresses (or units, or guest
+instructions) that differ only in literals share one factory and one
+code object, and making the function is a call instead of a compile.
+Every shape is found by a structural key before its source is written
+(:func:`shape`), so a shape's source is written once per process.
 
 Two pieces of source are written by more than one generator, and so
 live here: the identifiers a source reads (:func:`names`) and the
@@ -105,37 +106,3 @@ def shape(key, write, namespace: dict, filename: str):
     ``key``.  The factory's globals are a copy of ``namespace``."""
     return _compiled(key, write, filename, namespace)
 
-
-class Shape:
-    """The shape of one closure being written: :meth:`param` names the
-    parameter that holds a literal, :meth:`temp` a temp's local, and
-    :meth:`instance` makes the closure."""
-
-    def __init__(self):
-        self.values = []
-        self._temps = {}
-
-    def param(self, value) -> str:
-        self.values.append(value)
-        return f"K{len(self.values) - 1}"
-
-    def temp(self, prefix: str, key) -> str:
-        name = self._temps.get(key)
-        if name is None:
-            name = self._temps[key] = f"{prefix}{len(self._temps)}"
-        return name
-
-    def instance(self, signature: str, lines, namespace: dict,
-                 filename: str):
-        """The closure ``def <signature>:`` with body ``lines`` and its
-        parameters bound.  Its globals are a copy of ``namespace`` made
-        once per shape, so a generator must pass the same ``namespace``
-        for every shape it writes."""
-        params = ", ".join(f"K{k}" for k in range(len(self.values)))
-        name = signature.split("(")[0]
-        source = (f"def _mk({params}):\n"
-                  f"    def {signature}:\n"
-                  + "".join(f"        {line}\n" for line in lines)
-                  + f"    return {name}\n")
-        return _compiled(source, lambda: source, filename,
-                         namespace)(*self.values)

@@ -33,10 +33,10 @@ _FP_CONST_SCRATCH2 = 12
 _COMMUTATIVE = {"add", "and", "or", "xor", "cmpeq", "cmpne", "mul"}
 
 
-def _fp_src_positions(op: str) -> frozenset:
-    """Which source positions of an IR value op are FP registers."""
-    files = VALUE_OPS[_DIRECT[op]][0]
-    return frozenset(i for i, file in enumerate(files[1:]) if file == "f")
+#: IR value op -> which of its source positions are FP registers
+_FP_SRCS = {op: frozenset(i for i, file in enumerate(VALUE_OPS[row][0][1:])
+                          if file == "f")
+            for op, row in _DIRECT.items()}
 
 
 _LOADS = {"ld32": "ld32", "ldf": "ldf", "ldv": "vld",
@@ -184,7 +184,7 @@ class CodeGenerator:
                         guest_pc=instr.guest_pc)
                     return
         # General form: materialize remaining constants in scratch regs.
-        fp_src_positions = _fp_src_positions(op)
+        fp_src_positions = _FP_SRCS[op]
         regs = []
         int_scratches = (INT_CONST_SCRATCH, 14)
         fp_scratches = (FP_CONST_SCRATCH, _FP_CONST_SCRATCH2)

@@ -26,6 +26,7 @@ from repro.guest.memory import PagedMemory
 from repro.tol.ir import (
     CF, Const, Flag, GFReg, GReg, GVReg, IRInstr, OF, SF, TmpAllocator, ZF,
 )
+from repro.tol.ir_eval import compile_ops
 
 _SCALE_LOG = {1: 0, 2: 1, 4: 2, 8: 3}
 
@@ -68,7 +69,6 @@ class Frontend:
         cache = self.__dict__.setdefault("_compiled_cache", {})
         entry = cache.get(pc)
         if entry is None:
-            from repro.tol.ir_eval import compile_ops
             decoded = self.decode(memory, pc)
             fn = compile_ops(decoded.ops) if decoded.ops else None
             entry = (decoded, fn)

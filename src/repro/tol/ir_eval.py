@@ -17,8 +17,9 @@ Two execution strategies share one contract:
 - :func:`compile_ops` translates an op list once into a single Python
   closure (specialized on opcodes and register operands, temps resolved
   to locals) that the interpreter caches per decode address; the closure
-  is an instance of a shape that holds the literals as parameters, and
-  each shape compiles once per process.  The closure returns the
+  is an instance of a shape that holds the literals as parameters, found
+  by the op list's structural key before any source is written, so each
+  shape is written and compiled once per process.  The closure returns the
   same ``(outcome, pc)`` pairs as :func:`eval_ops` and preserves the
   memory-before-architectural-write ordering, so page faults mid-closure
   leave architectural state untouched exactly like the interpretive path.
@@ -40,7 +41,7 @@ from repro.guest.state import GuestState
 from repro.host.isa import (
     IN_PAGE_WIDTHS, IR_HOST_OPS, OP_NS, VALUE_OPS, evaluator,
 )
-from repro.pycode import Shape, in_page
+from repro.pycode import in_page, shape
 from repro.tol.ir import (
     Const, FTmp, Flag, GFReg, GReg, GVReg, IRInstr, IROp, Tmp, VTmp,
 )
@@ -171,13 +172,12 @@ _EVAL = {op: evaluator(row) for op, row in _ROWS.items()}
 
 
 # ---------------------------------------------------------------------------
-# Closure compilation (the hot-loop fast path).  The closure is written as
-# a shape (:mod:`repro.pycode`): temps are locals numbered in first-use
-# order, and every literal (a constant, a displacement, a branch or exit
-# PC, and the IR instruction an assert reports) is a parameter of the
-# factory that makes it.  Value ops format their row's expression over
-# the operand expressions, which are atoms (a local, a parameter or a
-# list index).
+# Closure compilation (the hot-loop fast path).  The closure is an instance
+# of a shape (:mod:`repro.pycode`): :func:`_describe` splits an op list into
+# the shape's key and the factory's arguments, and :func:`_source` writes
+# the factory from the key alone, only when no factory is memoized under
+# it.  Value ops format their row's expression over the operand
+# expressions, which are atoms (a local, a parameter or a list index).
 # ---------------------------------------------------------------------------
 
 
@@ -190,50 +190,20 @@ _COMPILE_NS = dict(
     OP_NS, IRAssertFailure=IRAssertFailure, FALLTHROUGH=FALLTHROUGH,
     JUMP=JUMP, EXIT=EXIT)
 
+#: IR value op -> its number of sources.
+_ARITY = {op: len(VALUE_OPS[row][0]) - 1 for op, row in _ROWS.items()}
 
-def _operand_expr(operand, shape):
-    """Python expression reading ``operand`` (mirrors eval_ops.read)."""
-    if isinstance(operand, Tmp):
-        return shape.temp("t", operand)
-    if isinstance(operand, GReg):
-        return f"gpr[{operand.index}]"
-    if isinstance(operand, Flag):
-        return f"flags[{operand.index}]"
-    if isinstance(operand, Const):
-        return shape.param(operand.value)
-    if isinstance(operand, FTmp):
-        return shape.temp("ft", operand)
-    if isinstance(operand, GFReg):
-        return f"fpr[{operand.index}]"
-    if isinstance(operand, VTmp):
-        return shape.temp("vt", operand)
-    if isinstance(operand, GVReg):
-        return f"vr[{operand.index}]"
-    raise _Unsupported(f"unreadable operand {operand!r}")
-
-
-def _write_stmt(operand, expr, shape):
-    """Assignment statement writing ``expr`` (mirrors eval_ops.write)."""
-    if isinstance(operand, (Tmp, FTmp, VTmp)):
-        return f"{_operand_expr(operand, shape)} = {expr}"
-    if isinstance(operand, GReg):
-        return f"gpr[{operand.index}] = ({expr}) & 0xFFFFFFFF"
-    if isinstance(operand, Flag):
-        return f"flags[{operand.index}] = 1 if ({expr}) else 0"
-    if isinstance(operand, GFReg):
-        return f"fpr[{operand.index}] = float({expr})"
-    if isinstance(operand, GVReg):
-        return (f"vr[{operand.index}] ="
-                f" [_v & 0xFFFFFFFF for _v in ({expr})]")
-    raise _Unsupported(f"unwritable operand {operand!r}")
-
-
-def _addr_expr(instr, shape):
-    base = _operand_expr(instr.srcs[0], shape)
-    if instr.imm:
-        return f"(({base}) + {shape.param(instr.imm)}) & 0xFFFFFFFF"
-    return f"({base}) & 0xFFFFFFFF"
-
+#: Register operand class -> the expression reading it (mirrors
+#: eval_ops.read) and the statement writing it (mirrors eval_ops.write),
+#: over its index (a temp's slot: temps are locals).
+_READ = {Tmp: "t{}", FTmp: "ft{}", VTmp: "vt{}", GReg: "gpr[{}]",
+         Flag: "flags[{}]", GFReg: "fpr[{}]", GVReg: "vr[{}]"}
+_WRITE = {Tmp: "t{} = {}", FTmp: "ft{} = {}", VTmp: "vt{} = {}",
+          GReg: "gpr[{}] = ({}) & 0xFFFFFFFF",
+          Flag: "flags[{}] = 1 if ({}) else 0",
+          GFReg: "fpr[{}] = float({})",
+          GVReg: "vr[{}] = [_v & 0xFFFFFFFF for _v in ({})]"}
+_TEMPS = frozenset({Tmp, FTmp, VTmp})
 
 #: IR load/store -> (its access's width in ``MEMORY_OPS``, the suffix
 #: of the memory's methods).
@@ -241,22 +211,112 @@ _IR_MEMORY = {"ld32": ("", "u32"), "st32": ("", "u32"),
               "ldf": ("F", "f64"), "stf": ("F", "f64"),
               "ldv": ("V", "vec"), "stv": ("V", "vec")}
 
+_SIDE_EXITS = ("side_exit_true", "side_exit_false", "guard_exit_false")
 
-def _memory_stmts(instr, shape):
-    """A load or store as :func:`eval_ops` makes it through the memory's
-    methods; inside a present page, for the widths of ``IN_PAGE_WIDTHS``,
-    straight on the page's bytes (:func:`repro.pycode.in_page`)."""
-    width, method = _IR_MEMORY[instr.op]
+
+def _describe(ops):
+    """``(structure, values)`` of an op list: what its closure's source
+    depends on, and the factory's arguments.
+
+    Each op becomes a tuple of its name and its fields in the order the
+    closure reads them, a destination last.  A register field is the
+    operand itself; a temp's is ``(class, slot)``, slots numbered in
+    first-use order; a literal field is the index of its parameter in
+    ``values``; a load's or store's displacement field is ``None`` when
+    it is 0.  This walk alone orders the parameters.  Raises
+    _Unsupported for an op or operand the closure compiler cannot
+    take."""
+    structure, values, temps = [], [], {}
+
+    def param(value):
+        values.append(value)
+        return len(values) - 1
+
+    def field(operand):
+        kind = type(operand)
+        if kind is Const:
+            values.append(operand.value)
+            return len(values) - 1
+        if kind in _TEMPS:
+            slot = temps.get(operand)
+            if slot is None:
+                slot = temps[operand] = (kind, len(temps))
+            return slot
+        if kind in _READ:
+            return operand
+        raise _Unsupported(f"unreadable operand {operand!r}")
+
+    for instr in ops:
+        op = instr.op
+        if type(instr.dst) is Const:
+            raise _Unsupported(f"unwritable operand {instr.dst!r}")
+        if op in _ARITY:
+            if len(instr.srcs) != _ARITY[op]:
+                raise _Unsupported(f"bad arity for {op!r}")
+            structure.append((op, *map(field, instr.srcs), field(instr.dst)))
+        elif op in _IR_MEMORY:
+            structure.append((
+                op, field(instr.srcs[0]),
+                param(instr.imm) if instr.imm else None,
+                field(instr.srcs[1] if op in IROp.STORE else instr.dst)))
+        elif op in ("br_true", "br_false"):
+            structure.append((op, field(instr.srcs[0]),
+                              param(instr.attrs["taken_pc"]),
+                              param(instr.attrs["fall_pc"])))
+        elif op in ("assert_true", "assert_false"):
+            structure.append((op, field(instr.srcs[0]), param(instr)))
+        elif op in _SIDE_EXITS:
+            structure.append((op, field(instr.srcs[0]),
+                              param(instr.attrs["target_pc"])))
+        elif op == "jmp":
+            structure.append((op, param(instr.attrs["target_pc"])))
+        elif op == "exit":
+            structure.append((op, param(instr.attrs["next_pc"])))
+        elif op in ("jmp_ind", "exit_ind"):
+            structure.append((op, field(instr.srcs[0])))
+        else:
+            raise _Unsupported(f"unhandled IR op {op!r}")
+    return structure, values
+
+
+def _register(field):
+    """``(class, index)`` of a register field; a temp's index is its
+    slot."""
+    return field if type(field) is tuple else (type(field), field.index)
+
+
+def _text(field):
+    """Python expression of a register or literal field."""
+    if type(field) is int:
+        return f"K{field}"
+    kind, index = _register(field)
+    return _READ[kind].format(index)
+
+
+def _write_stmt(field, expr):
+    """Assignment statement writing ``expr`` to register ``field``."""
+    kind, index = _register(field)
+    return _WRITE[kind].format(index, expr)
+
+
+def _memory_stmts(op, base, disp, last):
+    """A load into ``last`` or a store of ``last`` as :func:`eval_ops`
+    makes it through the memory's methods; inside a present page, for
+    the widths of ``IN_PAGE_WIDTHS``, straight on the page's bytes
+    (:func:`repro.pycode.in_page`)."""
+    width, method = _IR_MEMORY[op]
     in_page_width = IN_PAGE_WIDTHS.get(width)
-    stmts = [f"_a = {_addr_expr(instr, shape)}"]
-    if instr.op in IROp.LOAD:
-        slow = [_write_stmt(instr.dst, f"memory.read_{method}(_a)", shape)]
+    address = (f"(({_text(base)}) + K{disp}) & 0xFFFFFFFF"
+               if disp is not None else f"({_text(base)}) & 0xFFFFFFFF")
+    stmts = [f"_a = {address}"]
+    if op in IROp.LOAD:
+        slow = [_write_stmt(last, f"memory.read_{method}(_a)")]
         if in_page_width is None:
             return stmts + slow
         size, unpack, _, _ = in_page_width
-        fast = [_write_stmt(instr.dst, f"{unpack}(_pg, _po)[0]", shape)]
+        fast = [_write_stmt(last, f"{unpack}(_pg, _po)[0]")]
         return stmts + in_page("_a", size, fast, slow)
-    value = _operand_expr(instr.srcs[1], shape)
+    value = _text(last)
     if in_page_width is None:
         return stmts + [f"memory.write_{method}(_a, {value})"]
     size, _, pack, packed = in_page_width
@@ -266,62 +326,53 @@ def _memory_stmts(instr, shape):
         [f"memory.write_{method}(_a, {stored})"])
 
 
-def _compile_stmts(ops, shape):
-    """Translate an IR op list into a list of Python statements."""
+def _source(structure):
+    """The source of the factory ``_mk(K0, K1, ...)`` of the closure of
+    the op lists whose structure (:func:`_describe`) is ``structure``."""
     stmts = []
-    for instr in ops:
-        op = instr.op
-        row = _ROWS.get(op)
-        if row is not None:
-            files, template = VALUE_OPS[row]
-            exprs = [_operand_expr(s, shape) for s in instr.srcs]
-            if len(exprs) != len(files) - 1:
-                raise _Unsupported(f"bad arity for {op!r}")
-            expr = template.format(a=exprs[0], b=exprs[-1])
-            stmts.append(_write_stmt(instr.dst, expr, shape))
+    for op, *fields in structure:
+        if op in _ARITY:
+            *srcs, dst = fields
+            exprs = [_text(src) for src in srcs]
+            template = VALUE_OPS[_ROWS[op]][1]
+            stmts.append(_write_stmt(
+                dst, template.format(a=exprs[0], b=exprs[-1])))
         elif op in _IR_MEMORY:
-            stmts.extend(_memory_stmts(instr, shape))
+            stmts += _memory_stmts(op, *fields)
         elif op in ("br_true", "br_false"):
-            cond = _operand_expr(instr.srcs[0], shape)
-            taken = shape.param(instr.attrs["taken_pc"])
-            fall = shape.param(instr.attrs["fall_pc"])
-            if op == "br_true":
-                stmts.append(f"return (JUMP, {taken} if ({cond})"
-                             f" else {fall})")
-            else:
-                stmts.append(f"return (JUMP, {fall} if ({cond})"
-                             f" else {taken})")
-        elif op == "jmp":
-            stmts.append(
-                f"return (JUMP, {shape.param(instr.attrs['target_pc'])})")
-        elif op == "jmp_ind":
-            target = _operand_expr(instr.srcs[0], shape)
-            stmts.append(f"return (JUMP, ({target}) & 0xFFFFFFFF)")
-        elif op == "assert_true":
-            cond = _operand_expr(instr.srcs[0], shape)
-            stmts.append(f"if not ({cond}):"
-                         f" raise IRAssertFailure({shape.param(instr)})")
-        elif op == "assert_false":
-            cond = _operand_expr(instr.srcs[0], shape)
-            stmts.append(f"if ({cond}):"
-                         f" raise IRAssertFailure({shape.param(instr)})")
-        elif op in ("side_exit_true", "side_exit_false", "guard_exit_false"):
-            cond = _operand_expr(instr.srcs[0], shape)
-            target = shape.param(instr.attrs["target_pc"])
-            if op == "side_exit_true":
-                stmts.append(f"if ({cond}): return (EXIT, {target})")
-            else:
-                stmts.append(f"if not ({cond}): return (EXIT, {target})")
-        elif op == "exit":
-            stmts.append(
-                f"return (EXIT, {shape.param(instr.attrs['next_pc'])})")
-        elif op == "exit_ind":
-            target = _operand_expr(instr.srcs[0], shape)
-            stmts.append(f"return (EXIT, ({target}) & 0xFFFFFFFF)")
-        else:
-            raise _Unsupported(f"unhandled IR op {op!r}")
+            cond, taken, fall = map(_text, fields)
+            if op == "br_false":
+                taken, fall = fall, taken
+            stmts.append(f"return (JUMP, {taken} if ({cond}) else {fall})")
+        elif op in ("assert_true", "assert_false"):
+            cond, instr = map(_text, fields)
+            test = f"not ({cond})" if op == "assert_true" else f"({cond})"
+            stmts.append(f"if {test}: raise IRAssertFailure({instr})")
+        elif op in _SIDE_EXITS:
+            cond, target = map(_text, fields)
+            test = f"({cond})" if op == "side_exit_true" else f"not ({cond})"
+            stmts.append(f"if {test}: return (EXIT, {target})")
+        else:  # jmp, exit and their indirect forms
+            target = _text(fields[0])
+            if op.endswith("_ind"):
+                target = f"({target}) & 0xFFFFFFFF"
+            outcome = "JUMP" if op.startswith("jmp") else "EXIT"
+            stmts.append(f"return ({outcome}, {target})")
     stmts.append("return (FALLTHROUGH, None)")
-    return stmts
+    body = "\n".join(stmts)
+    prologue = [f"{name} = state.{name}"
+                for name in ("gpr", "flags", "fpr", "vr")
+                if f"{name}[" in body]
+    if "GP.get(" in body:
+        prologue.append("GP = memory._pages")
+    if "DIRTYA(" in body:
+        prologue.append("DIRTYA = memory.dirty.add")
+    count = sum(type(field) is int for entry in structure for field in entry)
+    params = ", ".join(f"K{k}" for k in range(count))
+    return (f"def _mk({params}):\n"
+            "    def _ir_compiled(state, memory):\n"
+            + "".join(f"        {line}\n" for line in prologue + stmts)
+            + "    return _ir_compiled\n")
 
 
 def compile_ops(ops: List[IRInstr]):
@@ -332,20 +383,12 @@ def compile_ops(ops: List[IRInstr]):
     sequence contains an op the compiler does not support (the caller falls
     back to :func:`eval_ops`).  Temps become function locals; guest state
     accesses become direct list indexing.  The closure is an instance of
-    its shape, which is compiled once per process.
+    its shape, found by the op list's structure before any source is
+    written, and compiled once per process.
     """
-    shape = Shape()
     try:
-        stmts = _compile_stmts(ops, shape)
+        structure, values = _describe(ops)
     except _Unsupported:
         return None
-    body = "\n".join(stmts)
-    prologue = [f"{name} = state.{name}"
-                for name in ("gpr", "flags", "fpr", "vr")
-                if f"{name}[" in body]
-    if "GP.get(" in body:
-        prologue.append("GP = memory._pages")
-    if "DIRTYA(" in body:
-        prologue.append("DIRTYA = memory.dirty.add")
-    return shape.instance("_ir_compiled(state, memory)", prologue + stmts,
-                          _COMPILE_NS, "<ir_fastpath>")
+    return shape(("ir", *structure), lambda: _source(structure),
+                 _COMPILE_NS, "<ir_fastpath>")(*values)
