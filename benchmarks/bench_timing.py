@@ -21,7 +21,9 @@ rotated each round, so load drifts on the host fall on all three alike:
 
 Each round's ``tax = traced - base`` per mode gives one ratio
 ``tax_per / tax_annotated``; the >=3x bar is asserted on the median of
-the rounds' ratios, and their quartiles are reported beside it.
+the rounds' ratios, and their quartiles (``benchmarks/darco/measure.py``)
+are reported beside it.  Both timed legs feed TOL overhead charges
+through the same generated TOL applier, so the ratio moves with it.
 ``timing_kips_*`` report host timing instructions per second of median
 tax.  The differential identity suite
 (tests/test_timing_annotation.py) guarantees both modes produce
@@ -44,6 +46,7 @@ import sys
 import time
 from pathlib import Path
 
+from darco.measure import quartiles
 from repro.system.controller import Controller, run_codesigned
 from repro.telemetry.collectors import register_timing_collector
 from repro.timing.core import InOrderCore
@@ -101,14 +104,6 @@ def _legs(spec):
     }
 
 
-def _quartiles(values):
-    """(q1, median, q3) of ``values``."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def compare(spec=SPEC, rounds: int = ROUNDS):
     legs = _legs(spec)
     names = list(legs)
@@ -139,7 +134,7 @@ def compare(spec=SPEC, rounds: int = ROUNDS):
                             for name in names)
     tax_ann = max(ann_s - base_s, 1e-9)
     tax_per = max(per_s - base_s, 1e-9)
-    q1, speedup, q3 = _quartiles(ratios)
+    q1, speedup, q3 = quartiles(ratios)
     identical = len(reports) == 1
     return {
         "timed_insns": insns,

@@ -19,27 +19,33 @@ RAW bound, unit or port selection, issue with stall attribution,
 latency, the gshare/BTB update and the scoreboard write -- is written
 once, as the source emitter :func:`_emit_step`, over an instruction's
 facts.  Each fact is either a literal folded into the source or the
-name of the local that holds it at run time, and three forms are
-generated from it:
+expression that reads it at run time, and three forms are generated
+from it:
 
 - the generic loop (:func:`generic_loop`, run by
   ``InOrderCore.feed_unit``) reads the facts from the annotation records;
 - a hot unit's applier (:func:`compile_applier`) folds them in as
   literals, one straight-line block per instruction;
-- the periodic applier (:func:`compile_periodic`) of the synthetic TOL
-  overhead annotation folds in the facts that repeat with the mix and
-  reads each record's PC and I-line from the annotation.
+- the TOL applier (:func:`compile_tol`) feeds a TOL overhead charge from
+  its record count alone: one period of the synthetic mix is unrolled
+  with its facts as literals, PC and I-line are arithmetic on the
+  record number and the data address steps inline.  Only this form
+  holds core state in locals for the call and takes the cache, TLB and
+  predictor probes' common case inline (:class:`_Held`): the TOL's
+  lines and pages are MRU nearly always, the application's far less.
 
 Per-instruction ``InOrderCore.feed``, ``TimingSession.sink`` and the
-reference forms' batches (``host_fastpath=False`` never tiers a unit
-up) are fed through the generic loop, so every path computes the same
-arithmetic by construction.  Configuration values are literals in every
-form, and each generated source is compiled once per process
-(:mod:`repro.pycode` memoizes code by source text).
+reference forms (``host_fastpath=False`` never tiers a unit up and
+feeds TOL charges one ``feed`` call per instruction) run the generic
+loop, so every path computes the same arithmetic by construction.
+Configuration values are literals in every form, and each generated
+source is compiled once per process (:mod:`repro.pycode` memoizes code
+by source text).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from repro.host.isa import REGFILES, HostOp, op_unit_class
@@ -151,22 +157,9 @@ class UnitAnnotation:
     def __init__(self, uid: int, profile, core):
         self.uid = uid
         self.recs = []
-        self.class_names = []
-        self.extend(profile, core)
-        #: generated applier (``fn(records) -> None | resume position``),
-        #: or None while the unit stays on the generic loop.
-        self.compiled = None
-        #: records fed through the generic loop so far; crossing
-        #: ``compile_at`` tiers the unit up to its applier.
-        self.fed_records = 0
-        self.compile_at = COMPILE_AT_PER_INSN * self.size + COMPILE_AT_BASE
-
-    def extend(self, profile, core) -> None:
-        """Append the records of further profile entries."""
+        self.class_names = names = []
         units = core._units
         classes = core.config.units
-        names = self.class_names
-        append = self.recs.append
         for pc, line, kind, klass, dst, srcs, taken_pc in profile:
             if klass not in names:
                 names.append(klass)
@@ -176,9 +169,16 @@ class UnitAnnotation:
                 _count, latency, pipelined = classes[klass]
                 ulist = units[klass]
                 ext = (latency, 1 if pipelined else latency, len(ulist))
-            append((pc, line, kind, names.index(klass), dst, srcs, ulist,
-                    ext))
+            self.recs.append((pc, line, kind, names.index(klass), dst, srcs,
+                              ulist, ext))
         self.size = len(self.recs)
+        #: generated applier (``fn(records) -> None | resume position``),
+        #: or None while the unit stays on the generic loop.
+        self.compiled = None
+        #: records fed through the generic loop so far; crossing
+        #: ``compile_at`` tiers the unit up to its applier.
+        self.fed_records = 0
+        self.compile_at = COMPILE_AT_PER_INSN * self.size + COMPILE_AT_BASE
 
 
 def resolve_annotation(unit, core, profile: Optional[list] = None
@@ -195,19 +195,38 @@ def resolve_annotation(unit, core, profile: Optional[list] = None
 class _Facts(NamedTuple):
     """One instruction as :func:`_emit_step` sees it.  Each field is a
     literal to fold into the source or the expression that reads it at
-    run time: a local of the generic loop, a record field in the
-    periodic applier."""
+    run time: a local of the generic loop, a record field of a unit's
+    applier, arithmetic on the record number in the TOL applier."""
     pc: object
     line: object
-    new_line: bool     # emit the I-line change check
+    new_line: object   # emit the I-line change check: always (True),
+                       # never (False) or under this guard expression,
+                       # which binds ``_pc`` to ``pc`` (``line`` reads it)
     kind: Optional[int]  # None: dispatch on the record's kind
     srcs: Optional[tuple]  # None: loop over the record's sources
     dst: object        # register, None (no write) or the local's name
     unit: Optional[tuple]  # exec: (list, count, latency, occupancy)
     taken: object      # taken-target PC of a branch
-    info: str          # the record's per-execution dynamics
+    info: object       # the record's per-execution dynamics: its info
+                       # dict's expression, or a dict of static ones
     last: bool         # emit the ``last_done`` update (False: a later
                        # instruction of the same arm completes no earlier)
+
+
+class _Held(NamedTuple):
+    """Core state a form holds in locals for a whole call: scoreboard
+    register -> local, and state list (``UL_<class>``, ``RP``, ``WP``)
+    -> its entries' locals.  With ``probes`` (the core), an I-cache,
+    DTLB+L1D or gshare/BTB probe whose line, page or entry is already MRU
+    (a saturated taken counter, a hit on the right target) counts in a
+    local instead of calling its method."""
+    regs: dict
+    lists: dict
+    probes: object
+
+
+#: every form but the TOL applier: core state stays in the core's lists
+_IN_LISTS = _Held({}, {}, None)
 
 
 #: the generic loop's facts: every one read from the record
@@ -225,6 +244,23 @@ _RESOURCES = (
     ("RP", "C._read_ports"), ("WP", "C._write_ports"),
     ("UL_simple", 'C._units["simple"]'),
 )
+
+#: the state the inline probes (:class:`_Held`) read, bound once per
+#: applier: the L1I (``MI``), the L1D (``MD``), the DTLB (``MT``), the
+#: gshare (``GS``) and the BTB (``BT``)
+_PROBE_STATE = (
+    ("MI", "C.mem.l1i"), ("MI_sets", "C.mem.l1i.sets"),
+    ("MI_pf", "C.mem.l1i._prefetched"), ("MD", "C.mem.l1d"),
+    ("MD_sets", "C.mem.l1d.sets"), ("MD_pf", "C.mem.l1d._prefetched"),
+    ("MT", "C.mem.dtlb"), ("MT_sets", "C.mem.dtlb.sets"),
+    ("GS", "C.gshare"), ("GS_table", "C.gshare.table"),
+    ("BT", "C.btb"), ("BT_tags", "C.btb.tags"),
+    ("BT_targets", "C.btb.targets"),
+)
+#: (local, counters) of the hits the inline probes count (``n_MD``: a
+#: DTLB and an L1D hit)
+_PROBE_HITS = (("n_MI", ("MI.hits",)), ("n_MD", ("MT.hits", "MD.hits")),
+               ("n_GS", ("GS.lookups",)), ("n_BT", ("BT.hits",)))
 
 #: (local, core attribute) of the scalar state carried across calls
 _SCALARS = (("fetch_cycle", "_fetch_cycle"), ("fetched", "_fetched_in_cycle"),
@@ -248,7 +284,7 @@ class _Source:
         return "\n".join(self.lines) + "\n"
 
 
-def _emit_step(emit, ind: int, f: _Facts, cfg) -> None:
+def _emit_step(emit, ind: int, f: _Facts, cfg, held=_IN_LISTS) -> None:
     """One instruction's update of the in-order core: fetch, RAW bound,
     unit/port selection, issue with stall attribution, latency, branch
     prediction and scoreboard write, in that order."""
@@ -256,13 +292,25 @@ def _emit_step(emit, ind: int, f: _Facts, cfg) -> None:
     emit(ind + 1, "fetch_cycle += 1")
     emit(ind + 1, "fetched = 0")
     if f.new_line:
-        emit(ind, f"if {f.line} != last_line:")
-        emit(ind + 1, f"last_line = {f.line}")
-        emit(ind + 1, f"_fl = FL({f.pc}) - {cfg.l1i.hit_latency}")
-        emit(ind + 1, "if _fl > 0:")
-        emit(ind + 2, "fetch_cycle += _fl")
-        emit(ind + 2, "fetched = 0")
-        emit(ind + 2, "st_front += _fl")
+        at, pc = ind, f.pc
+        if f.new_line is not True:
+            emit(ind, f"if {f.new_line}:")
+            at += 1
+            if pc != "_pc":
+                emit(at, f"_pc = {pc}")
+                pc = "_pc"
+        emit(at, f"if {f.line} != last_line:")
+        emit(at + 1, f"last_line = {f.line}")
+        if held.probes:
+            emit(at + 1, f"if {_mru(emit, at + 1, held, 'MI', pc)}:")
+            emit(at + 2, "n_MI += 1")
+            emit(at + 1, "else:")
+            at += 1
+        emit(at + 1, f"_fl = FL({pc}) - {cfg.l1i.hit_latency}")
+        emit(at + 1, "if _fl > 0:")
+        emit(at + 2, "fetch_cycle += _fl")
+        emit(at + 2, "fetched = 0")
+        emit(at + 2, "st_front += _fl")
     # IQ backpressure: fetch waits for the op iq_size ahead to issue.
     emit(ind, "_b = IQ[iq_pos]")
     emit(ind, "if _b > fetch_cycle:")
@@ -271,7 +319,7 @@ def _emit_step(emit, ind: int, f: _Facts, cfg) -> None:
     emit(ind + 1, "fetched = 0")
     emit(ind, "fetched += 1")
     emit(ind, f"ready = fetch_cycle + {cfg.decode_depth}")
-    raw = _emit_raw(emit, ind, f.srcs)
+    raw = _emit_raw(emit, ind, f.srcs, held)
     if f.kind is None:
         for i, kind in enumerate((KIND_EXEC, KIND_LOAD, KIND_BRANCH,
                                   KIND_STORE)):
@@ -279,20 +327,20 @@ def _emit_step(emit, ind: int, f: _Facts, cfg) -> None:
                  else "else:")
             if kind == KIND_EXEC:
                 emit(ind + 1, "latency, occupancy, n_units = ext")
-            _emit_kind(emit, ind + 1, kind, f, raw, cfg)
+            _emit_kind(emit, ind + 1, kind, f, raw, cfg, held)
     else:
-        _emit_kind(emit, ind, f.kind, f, raw, cfg)
+        _emit_kind(emit, ind, f.kind, f, raw, cfg, held)
     if isinstance(f.dst, str):
         emit(ind, f"if {f.dst} is not None:")
         emit(ind + 1, f"RR[{f.dst}] = done")
     elif f.dst is not None:
-        emit(ind, f"RR[{f.dst}] = done")
+        emit(ind, f"{held.regs.get(f.dst, f'RR[{f.dst}]')} = done")
     if f.last:
         emit(ind, "if done > last_done:")
         emit(ind + 1, "last_done = done")
 
 
-def _emit_raw(emit, ind: int, srcs) -> bool:
+def _emit_raw(emit, ind: int, srcs, held) -> bool:
     """Bind ``raw_bound``; False when the instruction reads no register
     (a zero bound can never bind)."""
     if srcs is None:
@@ -303,38 +351,73 @@ def _emit_raw(emit, ind: int, srcs) -> bool:
         emit(ind + 2, "raw_bound = _r")
         return True
     for i, src in enumerate(srcs):
+        reg = held.regs.get(src)
         if i == 0:
-            emit(ind, f"raw_bound = RR[{src}]")
-        else:
+            emit(ind, f"raw_bound = {reg or f'RR[{src}]'}")
+            continue
+        if reg is None:
             emit(ind, f"_r = RR[{src}]")
-            emit(ind, "if _r > raw_bound:")
-            emit(ind + 1, "raw_bound = _r")
+            reg = "_r"
+        emit(ind, f"if {reg} > raw_bound:")
+        emit(ind + 1, f"raw_bound = {reg}")
     return bool(srcs)
 
 
+def _dynamic(emit, ind: int, info, key: str) -> str:
+    """The expression of the record's ``key`` dynamic: a static one as
+    it is, a run-time one bound to ``_<key>`` from its info dict
+    (``None`` when the record has none)."""
+    if isinstance(info, dict):
+        return info[key]
+    emit(ind, f"_inf = {info}")
+    default = "False" if key == "taken" else "None"
+    emit(ind, f'_{key} = _inf["{key}"] if _inf is not None else {default}')
+    return f"_{key}"
+
+
+def _mru(emit, ind: int, held, cache: str, addr) -> str:
+    """Bind the set of ``addr``'s line in the L1I (``cache`` ``MI``) or
+    L1D (``MD``), or of its page in the DTLB (``MT``), and return the
+    condition that it is MRU there: the case its ``access`` only counts
+    a hit in."""
+    mem = held.probes.mem
+    if cache == "MT":
+        emit(ind, f"_p = {addr} >> {mem.dtlb.PAGE_BITS}")
+        emit(ind, f"_w = MT_sets[_p % {mem.dtlb.n_sets}]")
+        return "_w and _w[0] == _p"
+    obj = mem.l1i if cache == "MI" else mem.l1d
+    emit(ind, f"_t = {addr} >> {obj.line_bits}")
+    emit(ind, f"_v = {cache}_sets[_t % {obj.n_sets}]")
+    return f"_v and _v[0] == _t and _t not in {cache}_pf"
+
+
 def _emit_kind(emit, ind: int, kind: int, f: _Facts, raw: bool,
-               cfg) -> None:
+               cfg, held) -> None:
     """Selection, issue and latency of one record kind; binds ``done``."""
     if kind == KIND_EXEC:
         ulist, count, latency, occupancy = f.unit
-        at = _emit_select(emit, ind, ulist, count)
+        at = _emit_select(emit, ind, ulist, count, held)
         _emit_issue(emit, ind, raw, "st_unit", cfg)
         if occupancy == latency:
-            emit(ind, f"done = {ulist}[{at}] = issue + {latency}")
+            _emit_put(emit, ind, held, ulist, at, f"issue + {latency}",
+                      done=True)
         else:
-            emit(ind, f"{ulist}[{at}] = issue + {occupancy}")
+            _emit_put(emit, ind, held, ulist, at, f"issue + {occupancy}")
             emit(ind, f"done = issue + {latency}")
     elif kind == KIND_BRANCH:
-        at = _emit_select(emit, ind, "UL_simple", cfg.units["simple"][0])
+        at = _emit_select(emit, ind, "UL_simple", cfg.units["simple"][0],
+                          held)
         _emit_issue(emit, ind, raw, "st_unit", cfg)
-        emit(ind, f"done = UL_simple[{at}] = issue + 1")
-        emit(ind, f"_inf = {f.info}")
-        emit(ind, '_tk = _inf["taken"] if _inf is not None else False')
-        emit(ind, f"_ok = GU({f.pc}, _tk)")
-        emit(ind, "if _tk:")
-        emit(ind + 1, f"if BL({f.pc}) != {f.taken}:")
-        emit(ind + 2, "_ok = False")
-        emit(ind + 1, f"BU({f.pc}, {f.taken})")
+        _emit_put(emit, ind, held, "UL_simple", at, "issue + 1", done=True)
+        taken = _dynamic(emit, ind, f.info, "taken")
+        if held.probes:
+            _emit_branch_probe(emit, ind, f, taken, held.probes)
+        else:
+            emit(ind, f"_ok = GU({f.pc}, {taken})")
+            emit(ind, f"if {taken}:")
+            emit(ind + 1, f"if BL({f.pc}) != {f.taken}:")
+            emit(ind + 2, "_ok = False")
+            emit(ind + 1, f"BU({f.pc}, {f.taken})")
         emit(ind, "if not _ok:")
         emit(ind + 1, "n_mispredicts += 1")
         emit(ind + 1, f"_rd = done + {cfg.mispredict_penalty}")
@@ -345,23 +428,71 @@ def _emit_kind(emit, ind: int, kind: int, f: _Facts, raw: bool,
         load = kind == KIND_LOAD
         ports, count = (("RP", cfg.mem_read_ports) if load
                         else ("WP", cfg.mem_write_ports))
-        at = _emit_select(emit, ind, ports, count)
+        at = _emit_select(emit, ind, ports, count, held)
         _emit_issue(emit, ind, raw, "st_mem", cfg)
-        emit(ind, f"_inf = {f.info}")
-        emit(ind, '_a = _inf["mem_addr"] if _inf is not None else None')
+        addr = _dynamic(emit, ind, f.info, "mem_addr")
+        if addr == "_mem_addr":
+            addr = "_mem_addr or 0"
+        access = f"DL({f.pc}, {addr})"
+        at_miss = ind
+        if held.probes:
+            # both MRU: the DTLB hit adds nothing to the L1D hit latency
+            hit = _mru(emit, ind, held, "MT", addr)
+            emit(ind, f"if {hit} and {_mru(emit, ind, held, 'MD', addr)}:")
+            emit(ind + 1, "n_MD += 1")
+            if load:
+                emit(ind + 1, f"done = issue + {cfg.l1d.hit_latency}")
+            emit(ind, "else:")
+            at_miss += 1
         if load:
-            emit(ind, f"done = issue + DL({f.pc}, _a or 0)")
-            emit(ind, f"{ports}[{at}] = issue + 1")
+            emit(at_miss, f"done = issue + {access}")
         else:
-            emit(ind, f"DL({f.pc}, _a or 0)")
+            emit(at_miss, access)
+        if load:
+            _emit_put(emit, ind, held, ports, at, "issue + 1")
+        else:
             # the store buffer hides the rest
-            emit(ind, f"done = {ports}[{at}] = issue + 1")
+            _emit_put(emit, ind, held, ports, at, "issue + 1", done=True)
 
 
-def _emit_select(emit, ind: int, lst: str, count) -> str:
+def _emit_branch_probe(emit, ind: int, f: _Facts, taken: str,
+                       core) -> None:
+    """Bind ``_ok``: the gshare/BTB probe of an always-taken branch,
+    inline when its counter is saturated and the BTB holds its target."""
+    assert taken == "True", "the probes take a static taken branch only"
+    emit(ind, "_h = GS.history")
+    emit(ind, f"_gi = (({f.pc} >> 2) ^ _h) & {core.gshare.mask}")
+    emit(ind, "if GS_table[_gi] == 3:")
+    emit(ind + 1, f"GS.history = ((_h << 1) | 1) & "
+                  f"{core.gshare.history_mask}")
+    emit(ind + 1, "n_GS += 1")
+    emit(ind + 1, "_ok = True")
+    emit(ind, "else:")
+    emit(ind + 1, f"_ok = GU({f.pc}, True)")
+    emit(ind, f"_bi = ({f.pc} >> 2) & {core.btb.mask}")
+    emit(ind, f"if BT_tags[_bi] == {f.pc} and BT_targets[_bi] == {f.taken}:")
+    emit(ind + 1, "n_BT += 1")
+    emit(ind, "else:")
+    emit(ind + 1, f"if BL({f.pc}) != {f.taken}:")
+    emit(ind + 2, "_ok = False")
+    emit(ind + 1, f"BU({f.pc}, {f.taken})")
+
+
+def _emit_select(emit, ind: int, lst: str, count, held=_IN_LISTS) -> str:
     """Bind ``bound`` to the lowest-ready entry of ``lst`` (ties to the
     lowest index, as ``min`` resolves them) and return its index
     expression.  ``count`` is ``len(lst)``, or the local holding it."""
+    names = held.lists.get(lst)
+    if names is not None:
+        emit(ind, f"bound = {names[0]}")
+        if len(names) == 1:
+            return "0"
+        emit(ind, "at = 0")
+        for k, name in enumerate(names[1:], 1):
+            emit(ind, f"if {name} < bound:")
+            emit(ind + 1, f"bound = {name}")
+            emit(ind + 1, f"at = {k}")
+        return "at"
     if count == 1:
         emit(ind, f"bound = {lst}[0]")
         return "0"
@@ -384,6 +515,25 @@ def _emit_select(emit, ind: int, lst: str, count) -> str:
     emit(ind, f"at = min(range({count}), key={lst}.__getitem__)")
     emit(ind, f"bound = {lst}[at]")
     return "at"
+
+
+def _emit_put(emit, ind: int, held, lst: str, at: str, value: str,
+              done: bool = False) -> None:
+    """Store ``value`` in entry ``at`` of ``lst`` (and, with ``done``, in
+    ``done``)."""
+    names = held.lists.get(lst)
+    if names is None:
+        emit(ind, f"{'done = ' if done else ''}{lst}[{at}] = {value}")
+        return
+    if done:
+        emit(ind, f"done = {value}")
+        value = "done"
+    for k, name in enumerate(names[:-1]):
+        emit(ind, f"{'elif' if k else 'if'} at == {k}:")
+        emit(ind + 1, f"{name} = {value}")
+    if len(names) > 1:
+        emit(ind, "else:")
+    emit(ind + (len(names) > 1), f"{names[-1]} = {value}")
 
 
 def _emit_issue(emit, ind: int, raw: bool, stall: str, cfg) -> None:
@@ -413,21 +563,35 @@ def _emit_issue(emit, ind: int, raw: bool, stall: str, cfg) -> None:
     emit(ind, f"iq_pos = iq_pos + 1 if iq_pos < {cfg.iq_size - 1} else 0")
 
 
-def _emit_enter(emit, ind: int) -> None:
+def _emit_enter(emit, ind: int, held=_IN_LISTS) -> None:
     for local, attr in _SCALARS:
         emit(ind, f"{local} = C.{attr}")
     for local, key in _STALLS:
         emit(ind, f'{local} = ST["{key}"]')
     emit(ind, "n_mispredicts = 0")
+    for reg, local in held.regs.items():
+        emit(ind, f"{local} = RR[{reg}]")
+    for lst, names in held.lists.items():
+        emit(ind, f"{', '.join(names)}, = {lst}")
+    if held.probes:
+        emit(ind, f"{' = '.join(local for local, _ in _PROBE_HITS)} = 0")
 
 
-def _emit_leave(emit, ind: int) -> None:
+def _emit_leave(emit, ind: int, held=_IN_LISTS) -> None:
     for local, attr in _SCALARS:
         emit(ind, f"C.{attr} = {local}")
     for local, key in _STALLS:
         emit(ind, f'ST["{key}"] = {local}')
     emit(ind, "SS.mispredicts += n_mispredicts")
     emit(ind, "SS.cycles = last_done")
+    for reg, local in held.regs.items():
+        emit(ind, f"RR[{reg}] = {local}")
+    for lst, names in held.lists.items():
+        emit(ind, f"{lst}[:] = {', '.join(names)},")
+    if held.probes:
+        for local, counters in _PROBE_HITS:
+            for counter in counters:
+                emit(ind, f"{counter} += {local}")
 
 
 def generic_loop(cfg):
@@ -463,36 +627,49 @@ def _exec_facts(kind, klass, cfg):
     return f"UL_{klass}", count, latency, 1 if pipelined else latency
 
 
-def _applier(core, classes, label, body, **extra):
-    """Compile an applier ``fn(records)``: ``body(emit)`` writes the
-    ``try`` block, which consumes ``records`` from ``pos``, counts
-    ``kc_<class>`` and returns the position of the first unconsumed
-    record (``None``: all consumed).  ``extra`` binds further names."""
+def _applier(core, classes, label, body, args="records", held=_IN_LISTS,
+             counts=None):
+    """Compile an applier ``fn(<args>)``: ``body(emit)`` writes the
+    ``try`` block, which counts ``kc_<class>`` from ``0`` (or from the
+    expression ``counts`` gives the class) and returns.  ``held`` keeps
+    core state in locals for the call."""
     params = [f"{name}={expr}" for name, expr in _RESOURCES]
     params += [f'UL_{klass}=C._units["{klass}"]' for klass in classes
                if klass not in _CLASS_KIND and klass != "simple"]
-    params += [f"{key}={key}" for key in extra]
+    if held.probes:
+        params += [f"{name}={expr}" for name, expr in _PROBE_STATE]
     emit = _Source()
-    emit(0, f"def _applier(records, C=C, {', '.join(params)}):")
-    _emit_enter(emit, 1)
+    emit(0, f"def _applier({args}, C=C, {', '.join(params)}):")
+    _emit_enter(emit, 1, held)
     for klass in classes:
-        emit(1, f"kc_{klass} = 0")
-    emit(1, "pos = 0")
-    emit(1, "n = len(records)")
+        emit(1, f"kc_{klass} = {(counts or {}).get(klass, 0)}")
     emit(1, "try:")
     body(emit)
     emit(1, "finally:")
-    _emit_leave(emit, 2)
+    _emit_leave(emit, 2, held)
     for klass in classes:
         emit(2, f"if kc_{klass}:")
         emit(3, f'SS.by_class["{klass}"] = '
                 f'SS.by_class.get("{klass}", 0) + kc_{klass}')
-    return define(emit.text(), "_applier", {"C": core, **extra}, label)
+    return define(emit.text(), "_applier", {"C": core}, label)
 
 
 def _emit_counts(emit, ind: int, klasses) -> None:
     for klass in dict.fromkeys(klasses):
         emit(ind, f"kc_{klass} += {klasses.count(klass)}")
+
+
+def _done_bounds(kind: int, klass: str, cfg) -> tuple:
+    """Bounds of an instruction's ``done - issue`` (a load's upper bound
+    is open).  Issue is in order, so an instruction need not update
+    ``last_done`` when a later one's lower bound reaches its upper
+    bound."""
+    if kind == KIND_EXEC:
+        return (cfg.units[klass][1],) * 2
+    if kind == KIND_LOAD:
+        return min(cfg.l1d.hit_latency, cfg.l2.hit_latency,
+                   cfg.memory_latency), None
+    return 1, 1
 
 
 def compile_applier(unit, core, profile=None):
@@ -509,18 +686,8 @@ def compile_applier(unit, core, profile=None):
     if size == 0 or size > _MAX_COMPILED_SIZE:
         return None
     cfg = core.config
-    # Bounds of ``done - issue`` per instruction (a load's upper bound
-    # is open).  Issue is in order, so within a whole arm an instruction
-    # need not update ``last_done`` when a later one's lower bound
-    # reaches its upper bound.
-    load_lb = min(cfg.l1d.hit_latency, cfg.l2.hit_latency,
-                  cfg.memory_latency)
-    bounds = []
-    for _pc, _line, kind, klass, *_rest in profile:
-        if kind == KIND_EXEC:
-            bounds.append((cfg.units[klass][1],) * 2)
-        else:
-            bounds.append((load_lb, None) if kind == KIND_LOAD else (1, 1))
+    bounds = [_done_bounds(kind, klass, cfg)
+              for _pc, _line, kind, klass, *_rest in profile]
     leaders = {0}
     for k, ins in enumerate(unit.instrs):
         if profile[k][2] == KIND_BRANCH:
@@ -531,6 +698,8 @@ def compile_applier(unit, core, profile=None):
     order = sorted(leaders) + [size]
 
     def body(emit):
+        emit(2, "pos = 0")
+        emit(2, "n = len(records)")
         emit(2, "while pos < n:")
         emit(3, "index = records[pos][0]")
         for i, lead in enumerate(order[:-1]):
@@ -562,30 +731,84 @@ def compile_applier(unit, core, profile=None):
     return _applier(core, classes, f"<timing-annotation:{unit.uid}>", body)
 
 
-def compile_periodic(ann, period: int, core):
-    """Generate the applier of a synthetic annotation whose records
-    repeat every ``period`` records in all but their PC, I-line and
-    taken target (the TOL overhead mix): the repeating facts are
-    literals, those three are read from ``ann.recs``.  ``fn(records)``
-    applies a batch whose record ``i`` has index ``i``, whole."""
+def compile_tol(core, period, pc_base: int, slots: int, data: tuple):
+    """Generate the applier of the synthetic TOL overhead stream:
+    ``fn(n, addr)`` feeds records ``0..n-1`` of one charge and returns
+    the last data address.  Record ``i`` is ``period[i % len(period)]``,
+    a ``(klass, has_mem, dst, srcs)`` tuple, at PC ``pc_base + (i %
+    slots) * 4``; a branch is taken 64 bytes ahead, and a memory access
+    first steps ``addr`` to ``base + ((addr + stride) & mask)`` (``data``
+    is ``(base, stride, mask)``).
+
+    The record number is the only run-time input: the period is
+    unrolled, PC and I-line are arithmetic on the record number, and the
+    I-line check runs only at a line's first record.  The registers, the
+    simple units and the memory ports stay in locals for the call, the
+    probes take their common case inline (:class:`_Held`) and the class
+    counts are closed forms of ``n``."""
     cfg = core.config
-    slots = ann.recs[:period]
-    klasses = [ann.class_names[ki] for _pc, _line, _kind, ki, *_rest
-               in slots]
+    size = len(period)
+    per_line = 64 // 4
+    assert pc_base % 64 == 0 and slots & (slots - 1) == 0 \
+        and slots % per_line == 0
+    base, stride, mask = data
+    regs = sorted({reg for *_rest, dst, srcs in period
+                   for reg in (dst, *srcs)})
+    classes = list(dict.fromkeys(klass for klass, *_rest in period))
+    units = ["simple"] + [klass for klass in classes
+                          if klass not in _CLASS_KIND and klass != "simple"]
+    lists = {f"UL_{klass}": [f"U_{klass}{k}"
+                             for k in range(cfg.units[klass][0])]
+             for klass in units}
+    lists["RP"] = [f"RP{k}" for k in range(cfg.mem_read_ports)]
+    lists["WP"] = [f"WP{k}" for k in range(cfg.mem_write_ports)]
+    held = _Held({reg: f"R{reg}" for reg in regs}, lists, core)
+    # a line starts at record j of a period when (pos + j) % per_line == 0
+    phase = math.gcd(size, per_line)
+    counts = {}
+    for klass in classes:
+        prefix = [0]
+        for entry in period:
+            prefix.append(prefix[-1] + (entry[0] == klass))
+        counts[klass] = (f"{prefix[-1]} * (n // {size}) + "
+                         f"{tuple(prefix[:-1])}[n % {size}]")
+    kinds = [_CLASS_KIND.get(klass, KIND_EXEC) for klass, *_rest in period]
+    bounds = [_done_bounds(kind, klass, cfg)
+              for kind, (klass, *_rest) in zip(kinds, period)]
 
     def body(emit):
+        emit(2, "pos = 0")
+        emit(2, "m = n")
+        emit(2, "done = 0")
         emit(2, "while True:")
-        for j, (_pc, _line, kind, _ki, dst, srcs, _ulist, _ext) in \
-                enumerate(slots):
-            emit(3, "if pos == n:")
+        emit(3, f"ck = -pos % {per_line}")
+        for j, (klass, has_mem, dst, srcs) in enumerate(period):
+            kind = kinds[j]
+            emit(3, f"# [{j}] {klass}")
+            emit(3, f"if m == {j}:")
             emit(4, "break")
-            emit(3, "rec = R[pos]")
+            pc = f"{pc_base} + ({f'pos + {j}' if j else 'pos'} & " \
+                 f"{slots - 1}) * 4"
+            if kind == KIND_BRANCH:
+                emit(3, f"_pc = {pc}")
+                pc = "_pc"
+            if has_mem:
+                emit(3, f"addr = {base} + ((addr + {stride}) & {mask})")
+            # the next record completes no earlier: the loop's exit
+            # updates ``last_done`` from the last record's ``done``
+            upper = bounds[j][1]
+            last = upper is None or bounds[(j + 1) % size][0] < upper
             _emit_step(emit, 3, _Facts(
-                "rec[0]", "rec[1]", True, kind, srcs, dst,
-                _exec_facts(kind, klasses[j], cfg), "rec[7]",
-                "records[pos][1]", True), cfg)
-            emit(3, f"kc_{klasses[j]} += 1")
-            emit(3, "pos += 1")
+                pc, "_pc >> 6",
+                j % phase == 0 and f"ck == {j % per_line}", kind,
+                tuple(srcs), dst, _exec_facts(kind, klass, cfg),
+                f"{pc} + 64",
+                {"taken": "True", "mem_addr": "addr"}, last), cfg, held)
+        emit(3, f"pos += {size}")
+        emit(3, f"m -= {size}")
+        emit(2, "if done > last_done:")
+        emit(3, "last_done = done")
+        emit(2, "return addr")
 
-    return _applier(core, list(dict.fromkeys(klasses)),
-                    "<timing-periodic>", body, R=ann.recs)
+    return _applier(core, classes, "<timing-tol>", body, "n, addr", held,
+                    counts)

@@ -9,10 +9,15 @@ Every record is fed through its unit's annotation
 (:mod:`repro.timing.annotate`), which carries the instruction's static
 facts; ``info`` carries only its per-execution dynamics.  A batch runs
 on the generic loop, or on the unit's generated applier once the unit
-is hot; the TOL's ``host_fastpath`` switch, read at :meth:`install`,
-keeps every unit on the generic loop when off.  Both compute the same
-step, so reports are identical; ``timing.annotated.*`` telemetry
-counters expose the traffic.
+is hot.  A TOL overhead charge is only a count of synthetic instructions
+of a fixed mix: the TOL applier
+(:func:`~repro.timing.annotate.compile_tol`) feeds it from the count
+and the last data address.  The TOL's ``host_fastpath`` switch, read at
+:meth:`install`, selects the reference forms when off: every unit stays
+on the generic loop, and a charge is fed one ``InOrderCore.feed`` call
+per instruction.  Both forms compute the same step, so reports are
+identical; ``timing.annotated.*`` telemetry counters expose the units'
+traffic.
 """
 
 from __future__ import annotations
@@ -20,13 +25,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.timing.annotate import (  # noqa: F401  (host_pc: re-export)
-    UnitAnnotation, compile_applier, compile_periodic, host_pc,
-    profile_entry, resolve_annotation,
+    compile_applier, compile_tol, host_pc, resolve_annotation,
 )
 from repro.timing.core import InOrderCore
-
-#: the per-execution dynamics of a TOL-mix branch (always taken)
-_TAKEN = {"taken": True}
 
 
 class TimingSession:
@@ -45,8 +46,14 @@ class TimingSession:
         ("simple", False),
     )
     #: records after which the mix slot and the destination pattern of
-    #: :meth:`_grow_tol` both repeat
+    #: :meth:`_tol_record` both repeat
     TOL_PERIOD = 30
+    #: PC slots of the TOL code: record ``i`` of a charge is at slot
+    #: ``i % TOL_SLOTS`` from ``_tol_pc``, four bytes apart
+    TOL_SLOTS = 4096
+    #: the TOL's data working set, ``(base, stride, mask)``: each memory
+    #: access steps the address to ``base + ((addr + stride) & mask)``
+    TOL_DATA = (0xE000_0000, 64, 0x1FFF)
 
     def __init__(self, core: Optional[InOrderCore] = None):
         self.core = core if core is not None else InOrderCore()
@@ -56,14 +63,10 @@ class TimingSession:
         self.fed = 0
         self._tol_pc = 0x7F00_0000
         self._tol_addr = 0xE000_0000
-        #: the TOL mix as a synthetic annotation, sized to the longest
-        #: charge so far (at least one period); its records with the
-        #: mix's static dynamics, the positions of its memory accesses,
-        #: and its periodic applier (built on the first charge)
-        self._tol_ann = UnitAnnotation(-1, (), self.core)
-        self._tol_records = []
-        self._tol_mem = []
-        self._tol_applier = None
+        #: ``fn(n, addr) -> addr`` feeding a TOL charge: the generated
+        #: applier, or the reference feed with tier-up off (chosen at the
+        #: first charge)
+        self._tol_feed = None
         self._feed_unit = self.core.feed_unit
         #: uid -> resolved UnitAnnotation
         self._annotations = {}
@@ -151,41 +154,41 @@ class TimingSession:
 
     # ------------------------------------------------------------------
 
-    def _grow_tol(self, size: int) -> None:
-        """Extend the synthetic TOL annotation to ``size`` records.
-        Record ``i`` of a charge is mix slot ``i % len(TOL_MIX)`` at PC
-        slot ``i % 4096``; it writes ``20`` or ``21`` and reads that and
-        ``22``, and a branch is taken, 64 bytes ahead."""
-        mix = self.TOL_MIX
-        profile = []
-        for i in range(self._tol_ann.size, size):
-            klass, has_mem = mix[i % len(mix)]
-            pc = self._tol_pc + (i & 4095) * 4
-            dst = 20 if i % 3 == 0 else 21
-            profile.append(profile_entry(pc, klass, dst, (dst, 22), pc + 64))
-            self._tol_records.append((i, _TAKEN if klass == "branch"
-                                      else None))
+    def _tol_record(self, i: int) -> tuple:
+        """Record ``i`` of a TOL charge, ``(klass, has_mem, dst, srcs)``:
+        mix slot ``i % len(TOL_MIX)``, writing ``20`` or ``21`` and
+        reading that and ``22``.  A branch is taken, 64 bytes ahead."""
+        klass, has_mem = self.TOL_MIX[i % len(self.TOL_MIX)]
+        dst = 20 if i % 3 == 0 else 21
+        return klass, has_mem, dst, (dst, 22)
+
+    def _feed_tol_reference(self, n: int, addr: int) -> int:
+        """Feed records ``0..n-1`` of a TOL charge one
+        ``InOrderCore.feed`` call each, on the generic loop; return the
+        last data address.  The reference form of :func:`compile_tol`."""
+        base, stride, mask = self.TOL_DATA
+        for i in range(n):
+            klass, has_mem, dst, srcs = self._tol_record(i)
+            pc = self._tol_pc + (i % self.TOL_SLOTS) * 4
+            mem = None
             if has_mem:
-                self._tol_mem.append(i)
-        self._tol_ann.extend(profile, self.core)
+                addr = mem = base + ((addr + stride) & mask)
+            self.core.feed(pc, klass, dst, srcs, mem_addr=mem,
+                           branch=(True, pc + 64) if klass == "branch"
+                           else None)
+        return addr
 
     def feed_tol_overhead(self, host_insns: int) -> None:
         """Feed ``host_insns`` synthetic TOL instructions (a fixed,
-        moderately serial mix over a small working set) as one batch of
-        the synthetic TOL annotation, through its periodic applier."""
-        if self._tol_applier is None:
-            self._grow_tol(max(host_insns, self.TOL_PERIOD))
-            self._tol_applier = compile_periodic(
-                self._tol_ann, self.TOL_PERIOD, self.core)
-        elif self._tol_ann.size < host_insns:
-            self._grow_tol(host_insns)
-        records = self._tol_records[:host_insns]
-        addr = self._tol_addr
-        for i in self._tol_mem:
-            if i >= host_insns:
-                break
-            addr = 0xE000_0000 + ((addr + 64) & 0x1FFF)
-            records[i] = (i, {"mem_addr": addr})
-        self._tol_addr = addr
-        self._tol_applier(records)
+        moderately serial mix over a small working set) as one charge:
+        through the TOL applier generated at the first charge, or, with
+        tier-up off, the reference feed."""
+        feed = self._tol_feed
+        if feed is None:
+            feed = self._tol_feed = compile_tol(
+                self.core,
+                [self._tol_record(i) for i in range(self.TOL_PERIOD)],
+                self._tol_pc, self.TOL_SLOTS, self.TOL_DATA) \
+                if self._tier_up else self._feed_tol_reference
+        self._tol_addr = feed(host_insns, self._tol_addr)
         self.fed += host_insns

@@ -144,6 +144,30 @@ def test_timing_leg_compares_generated_against_reference_forms(
     assert outcome.finding_leg == "timing_generated"
 
 
+def test_timing_leg_compares_the_tol_applier_against_its_reference(
+        monkeypatch):
+    """A TOL applier planted to drop each charge's last record leaves
+    every untimed leg clean; the timing leg's reference forms feed TOL
+    charges through the generic loop, so the cycle reports differ."""
+    from repro import pycode
+    from repro.timing import trace
+
+    compile_tol = trace.compile_tol
+
+    def dropping_last_record(*args):
+        applier = compile_tol(*args)
+        return lambda n, addr: applier(max(n - 1, 0), addr)
+
+    monkeypatch.setattr(pycode, "_CODES", {})
+    monkeypatch.setattr(trace, "compile_tol", dropping_last_record)
+    outcome = evaluate_candidate(generate(TIMING_PROBE),
+                                 base_overrides=TIMING_PROBE_CONFIG,
+                                 timing=True)
+    assert outcome.classification == "finding"
+    assert outcome.finding_kind == "timing"
+    assert outcome.finding_leg == "timing_generated"
+
+
 # ---------------------------------------------------------------------------
 # Runaway containment (satellite: never hang a worker, never abort).
 # ---------------------------------------------------------------------------

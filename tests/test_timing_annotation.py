@@ -6,12 +6,15 @@ appliers, also from the first batch) and in the reference forms
 annotation layer only changes simulator wall-clock, never results.
 """
 
+import random
+
 import pytest
 
 import repro.timing.annotate as annotate
 from repro.timing.annotate import (
     build_static_profile, compile_applier, resolve_annotation,
 )
+from repro.timing.config import TimingConfig
 from repro.timing.core import InOrderCore
 from repro.timing.run import run_with_timing
 from repro.timing.trace import TimingSession
@@ -216,19 +219,111 @@ def _feed_tol_per_instruction(session, host_insns):
     session.fed += host_insns
 
 
-@pytest.mark.parametrize("charges", [[7], [1000], [64, 128, 5, 977],
-                                     [4097], [6384, 9000]])
-def test_tol_overhead_batch_matches_per_instruction(charges):
-    batched = TimingSession(InOrderCore())
-    naive = TimingSession(InOrderCore())
-    for charge in charges:
+def _contend(session, k):
+    """Application traffic before TOL charge ``k``, fed per instruction.
+    Branches at the TOL's first three branch PCs leave wrong targets in
+    the BTB.  Before an odd charge, 640 code lines evict the TOL's from
+    the L1I; among them, branches of either direction move the gshare
+    history and take the BTB entries of the TOL's first 50 branches;
+    five lines in every L1D set evict the TOL's data lines, five pages
+    in each of the TOL's DTLB sets evict its pages, and a strided stream
+    up to the TOL's last address leaves the two lines its next accesses
+    go to prefetched.  Before an even charge, the TOL's next twelve data
+    lines are loaded, MRU in their L1D sets, and two pages then push the
+    TOL's next page off MRU in its DTLB set."""
+    rng = random.Random(k)
+    feed = session.core.feed
+    for t in range(3):
+        pc = 0x7F00_0000 + 4 * (10 * t + 5)
+        feed(pc, "branch", None, (3,), branch=(True, pc + 128))
+    addr = session._tol_addr
+    if k % 2 == 0:
+        for i in range(1, 13):
+            feed(0x1000_0100 + 4 * i, "load", 7, (6,),
+                 mem_addr=0xE000_0000 + ((addr + 64 * i) & 0x1FFF))
+        page = (0xE000_0000 + ((addr + 64) & 0x1FFF)) >> 12
+        for t in range(2):
+            feed(0x1000_0200, "load", 7, (6,),
+                 mem_addr=((0x30000 + 16 * t + page % 16) << 12)
+                 | (addr & 0xFFF))
+        return
+    for j in range(640):
+        pc = 0x1000_0000 + 64 * j
+        feed(pc, "simple", 3, (4,))
+        if j < 50:
+            feed(0x1000_0000 + 4 * (10 * j + 5), "branch", None, (3,),
+                 branch=(rng.random() < 0.5, pc + 128))
+        feed(pc + 4, "load", 4, (3,),
+             mem_addr=0x1000_0000 + 64 * (j % 128) + 8192 * (j // 128))
+    for t in range(5):
+        for page in (0, 1):
+            feed(0x1000_0010, "load", 5, (4,),
+                 mem_addr=0x3000_0000 + 65536 * t + 4096 * page)
+    for t in range(4):
+        feed(0x1000_0020, "load", 6, (5,), mem_addr=addr - 64 * (3 - t))
+
+
+def _tol_state(core):
+    """The timing model's whole state a TOL charge can change."""
+    mem, gshare, btb = core.mem, core.gshare, core.btb
+    return (core.report(), dict(core.stats.by_class),
+            [(cache.hits, cache.misses, cache.prefetch_hits, cache.sets)
+             for cache in (mem.l1i, mem.l1d, mem.l2)],
+            [(tlb.hits, tlb.misses, tlb.sets) for tlb in (mem.dtlb, mem.stlb)],
+            (gshare.table, gshare.history, gshare.lookups,
+             gshare.mispredicts),
+            (btb.tags, btb.targets, btb.hits, btb.misses),
+            mem.prefetcher.table)
+
+
+def _wide_config():
+    cfg = TimingConfig(issue_width=4, fetch_width=8)
+    cfg.units = dict(cfg.units)
+    cfg.units["simple"] = (4, 1, True)
+    return cfg
+
+
+#: timing configurations of the goldens that the default does not reach
+TOL_CONFIGS = {
+    "ports2": lambda: TimingConfig(mem_read_ports=2, mem_write_ports=2),
+    "wide4": _wide_config,
+}
+#: charges around a period (30 records) and the PC wrap (4,096), the
+#: last within the lines the contention before it loads
+CONTENDED = [29, 4095, 30, 4096, 31]
+
+
+@pytest.mark.parametrize("charges,config,contended", [
+    pytest.param(charges, None, False, id=f"charges{k}")
+    for k, charges in enumerate([[7], [1000], [64, 128, 5, 977], [4097],
+                                 [6384, 9000]])
+] + [
+    pytest.param(CONTENDED, config, True, id=f"contended-{config}")
+    for config in (None, "ports2", "wide4")
+])
+def test_tol_overhead_batch_matches_per_instruction(charges, config,
+                                                    contended):
+    """The generated TOL applier, the reference feed (tier-up off) and
+    the per-instruction specification leave the same core."""
+    def session():
+        return TimingSession(InOrderCore(
+            TOL_CONFIGS[config]() if config else None))
+    batched, reference, naive = session(), session(), session()
+    reference._tier_up = False
+    for k, charge in enumerate(charges):
+        if contended:
+            for each in (batched, reference, naive):
+                _contend(each, k)
         batched.feed_tol_overhead(charge)
+        reference.feed_tol_overhead(charge)
         _feed_tol_per_instruction(naive, charge)
-    assert batched.core.report() == naive.core.report()
-    assert dict(batched.core.stats.by_class) \
-        == dict(naive.core.stats.by_class)
-    assert batched._tol_addr == naive._tol_addr
-    assert batched.fed == naive.fed
+    assert _tol_state(batched.core) == _tol_state(naive.core)
+    assert _tol_state(reference.core) == _tol_state(naive.core)
+    assert batched._tol_addr == reference._tol_addr == naive._tol_addr
+    assert batched.fed == reference.fed == naive.fed
+    if contended:
+        # the TOL met the lines the strided streams left prefetched
+        assert batched.core.mem.l1d.prefetch_hits
 
 
 # -- annotation cache ---------------------------------------------------------
