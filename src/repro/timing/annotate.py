@@ -444,15 +444,9 @@ def _emit_kind(emit, ind: int, kind: int, f: _Facts, raw: bool,
                 emit(ind + 1, f"done = issue + {cfg.l1d.hit_latency}")
             emit(ind, "else:")
             at_miss += 1
-        if load:
-            emit(at_miss, f"done = issue + {access}")
-        else:
-            emit(at_miss, access)
-        if load:
-            _emit_put(emit, ind, held, ports, at, "issue + 1")
-        else:
-            # the store buffer hides the rest
-            _emit_put(emit, ind, held, ports, at, "issue + 1", done=True)
+        emit(at_miss, f"done = issue + {access}" if load else access)
+        # the store buffer hides the rest of a store
+        _emit_put(emit, ind, held, ports, at, "issue + 1", done=not load)
 
 
 def _emit_branch_probe(emit, ind: int, f: _Facts, taken: str,
