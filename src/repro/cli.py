@@ -805,10 +805,15 @@ def cmd_serve_status(args) -> int:
             print(f"host: {host['cpu_count']} cpus "
                   f"({host['available_cpus']} available), "
                   f"load {load.get('1m', '?')}")
+            table = health["code_table"]
+            print(f"code table: {table['entries']} entries, "
+                  f"{table['bytes']} bytes")
             for worker in health["workers"]:
                 print(f"  worker {worker['index']}: {worker['state']} "
                       f"pid={worker['pid']} spawns={worker['spawns']} "
-                      f"done={worker['jobs_done']}")
+                      f"done={worker['jobs_done']} "
+                      f"code sent={worker['code_sent']} "
+                      f"returned={worker['code_returned']}")
             print("jobs: " + " ".join(
                 f"{state}={count}"
                 for state, count in health["jobs"].items()))

@@ -20,6 +20,12 @@ code object, and making the function is a call instead of a compile.
 Every shape is found by a structural key before its source is written
 (:func:`shape`), so a shape's source is written once per process.
 
+The workers of one pool (:mod:`repro.serve.supervisor`) share their
+code objects, so a shape is written and compiled by about one worker per
+pool: a worker queues each code object it compiles for its pool
+(:func:`share`, :func:`take_shared`), and takes one the pool sent
+(:func:`receive`) before writing a source itself.
+
 Two pieces of source are written by more than one generator, and so
 live here: the identifiers a source reads (:func:`names`) and the
 in-page guest memory access (:func:`in_page`) of the host's loads and
@@ -28,8 +34,11 @@ stores, the IM closures' and the x86 component's forms.
 
 from __future__ import annotations
 
+import marshal
+import pickle
 import struct
 import threading
+import types
 
 #: Code objects kept, least recently used evicted first.  The 31 Fig. 4-7
 #: kernels at their figure scales (SPEC 0.5, Physicsbench 1.0), run in
@@ -43,6 +52,12 @@ CAPACITY = 2048
 #: source text (or a shape's structural key) -> its code object, or, for
 #: a shape, its factory
 _CODES: dict = {}
+#: code the pool sent and this process has not used yet: key -> the
+#: marshalled code object, at most ``CAPACITY``, oldest dropped first
+_RECEIVED: dict = {}
+#: in a pool worker, the ``(key, marshalled code object)`` entries this
+#: process compiled and has not handed to its pool yet; else None
+_OUTBOX = None
 _LOCK = threading.Lock()
 _NOT_NAME = {c: " " for c in range(128)
              if not (chr(c).isalnum() or chr(c) == "_")}
@@ -76,19 +91,74 @@ def in_page(addr: str, size: int, fast, slow) -> list:
 def _compiled(key, write, filename: str, shape_globals=None):
     """The memoized code of the source ``write()`` returns; with
     ``shape_globals``, the factory ``_mk`` that source defines in a copy
-    of them.  ``write`` is called only when ``key`` is not memoized."""
+    of them.  ``write`` is called only when ``key`` is not memoized and
+    the pool sent no code for it that loads."""
     with _LOCK:
         entry = _CODES.pop(key, None)
         if entry is None:
             if len(_CODES) >= CAPACITY:
                 del _CODES[next(iter(_CODES))]
-            entry = compile(write(), filename, "exec")
+            entry = _load(_RECEIVED.pop(key, None))
+            if entry is None:
+                entry = compile(write(), filename, "exec")
+                if _OUTBOX is not None:
+                    _queue(key, entry)
             if shape_globals is not None:
                 namespace = dict(shape_globals)
                 exec(entry, namespace)
                 entry = namespace["_mk"]
         _CODES[key] = entry
     return entry
+
+
+def _load(blob):
+    """The code object marshalled in ``blob``; None for no blob or one
+    that does not load as code (its source is then compiled)."""
+    if blob is None:
+        return None
+    try:
+        code = marshal.loads(blob)
+    except (EOFError, ValueError, TypeError):
+        return None
+    return code if isinstance(code, types.CodeType) else None
+
+
+def _queue(key, code) -> None:
+    """Queue ``code`` for the pool, unless it or its key cannot be sent."""
+    try:
+        pickle.dumps(key)
+        blob = marshal.dumps(code)
+    except Exception:  # whatever fails to pickle: the entry is not shared
+        return
+    _OUTBOX.append((key, blob))
+
+
+def share() -> None:
+    """Queue every code object compiled from now on for the pool (called
+    once by a pool worker)."""
+    global _OUTBOX
+    with _LOCK:
+        _OUTBOX = []
+
+
+def take_shared() -> list:
+    """The ``(key, marshalled code)`` entries queued since :func:`share`
+    or the last call."""
+    global _OUTBOX
+    with _LOCK:
+        entries, _OUTBOX = _OUTBOX, []
+    return entries
+
+
+def receive(entries) -> None:
+    """Keep the ``(key, marshalled code)`` entries the pool sent for the
+    keys this process has not compiled."""
+    with _LOCK:
+        for key, blob in entries:
+            if key not in _CODES:
+                _RECEIVED[key] = blob
+        while len(_RECEIVED) > CAPACITY:
+            del _RECEIVED[next(iter(_RECEIVED))]
 
 
 def define(source: str, name: str, namespace: dict,

@@ -59,7 +59,7 @@ from repro.hostinfo import host_snapshot
 from repro.serve import protocol
 from repro.serve.flightrec import FlightRecorder
 from repro.serve.supervisor import (
-    STATE_BACKOFF, STATE_BUSY, STATE_IDLE, Shard,
+    STATE_BACKOFF, STATE_BUSY, STATE_IDLE, Shard, shared_code,
 )
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesScraper
@@ -1041,6 +1041,7 @@ class ServeService:
                 "run_ms": self.run_hist.percentiles(),
             },
             workers=[shard.healthz() for shard in self.shards],
+            code_table=shared_code(),
             counters={k: v for k, v in snapshot.counters.items()
                       if k.startswith(("serve.", "jobs."))},
             jobs={state: sum(1 for e in self.table.values()

@@ -16,7 +16,13 @@ runs its jobs on shards, and so does every pooled attempt of
 - **deadline kills**: :meth:`Shard.kill_if_overdue` SIGKILLs a worker
   whose job is past its per-attempt deadline; the kill then flows
   through the same death path, so deadline enforcement and chaos
-  SIGKILLs are literally the same code.
+  SIGKILLs are literally the same code;
+- **shared code**: a worker returns the code objects it compiled
+  (:mod:`repro.pycode`) with each ``done`` frame, the owner keeps them in
+  one table for all its shards, and each ``job`` frame carries the
+  entries its worker has not been sent, so each generated-code shape is
+  compiled by about one worker per pool.  A respawned worker is sent the
+  whole table with its first job.
 
 The shard never decides a job's fate.  Its owner (serve's supervision
 tasks, or sweep's loop) charges the attempt, applies the
@@ -28,10 +34,15 @@ checkpoint-resume params with
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import signal
+import threading
 import time
+import traceback
 from typing import Any, Optional, Tuple
+
+from repro import pycode
 
 #: Parent-side view of the worker lifecycle (exported on /healthz).
 STATE_STARTING = "starting"
@@ -46,6 +57,21 @@ STATE_STOPPED = "stopped"
 #: see EOF when its owner dies without cleanup (a SIGKILL).
 _PARENT_ENDS: set = set()
 
+#: The code objects the workers of this process's shards returned, as
+#: ``(key, marshalled code, pid of the worker)``, first returned first,
+#: at most ``pycode.CAPACITY``; it only grows, so a shard's cursor into
+#: it stays valid.  ``_SHARED_KEYS`` holds their keys; the lock is taken
+#: to add an entry (serve receives frames in several threads).
+_SHARED: list = []
+_SHARED_KEYS: set = set()
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_code() -> dict:
+    """The pool's code table for healthz: its entries and their bytes."""
+    return {"entries": len(_SHARED),
+            "bytes": sum(len(blob) for _key, blob, _pid in _SHARED)}
+
 
 def _worker_main(conn) -> None:
     """Worker-process entry: execute jobs until told to stop.
@@ -54,12 +80,20 @@ def _worker_main(conn) -> None:
     terminal must not race the parent's graceful drain), and the
     final state of every job is delivered as a frame — exceptions are
     records, never worker deaths (only SIGKILL-class events kill a
-    worker, which is exactly what supervision is for).
+    worker, which is exactly what supervision is for).  A result the
+    pipe cannot carry is sent as an error record of its job.
+
+    The heap inherited from the owner lives as long as the worker, so it
+    is frozen out of the cyclic collector's walks.  Code the pool sent is
+    installed before the job runs, and the code the job compiled goes
+    back with its ``done`` frame.
     """
+    gc.freeze()
     for end in _PARENT_ENDS:
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.harness.parallel import _worker
+    pycode.share()
     conn.send(("ready", None))
     while True:
         try:
@@ -68,16 +102,30 @@ def _worker_main(conn) -> None:
             break
         if frame[0] == "stop":
             break
-        _, job_key, task, params, trace = frame
+        _, job_key, task, params, trace, code = frame
+        pycode.receive(code)
         if trace is not None:
             params = {**params, "_trace": trace}
-        status, payload, duration, stderr_tail = _worker(task, params)
         try:
-            conn.send(("done", job_key, status, payload, duration,
-                       stderr_tail))
-        except (BrokenPipeError, OSError):
+            _send_done(conn, ("done", job_key, *_worker(task, params),
+                              pycode.take_shared()))
+        except OSError:
             break
     conn.close()
+
+
+def _send_done(conn, frame) -> None:
+    """Send a job's ``done`` frame, or, when it cannot be pickled (then
+    nothing reached the pipe), the job's error record with the same
+    duration, stderr tail and code entries.  A closed pipe raises
+    ``OSError``."""
+    try:
+        conn.send(frame)
+    except OSError:
+        raise
+    except Exception:
+        conn.send(("done", frame[1], "error", traceback.format_exc(),
+                   *frame[4:]))
 
 
 class Shard:
@@ -100,6 +148,13 @@ class Shard:
         #: Lifetime spawn count (healthz).
         self.spawns = 0
         self.jobs_done = 0
+        #: Entries of ``_SHARED`` that the current worker has been sent
+        #: or skipped as its own: the next job carries the ones after it.
+        self.code_cursor = 0
+        #: Shared-code entries sent to and returned by the current
+        #: worker (healthz).
+        self.code_sent = 0
+        self.code_returned = 0
 
     @property
     def alive(self) -> bool:
@@ -122,6 +177,7 @@ class Shard:
         self.state = STATE_STARTING
         self.spawns += 1
         self.kill_reason = None
+        self.code_cursor = self.code_sent = self.code_returned = 0
 
     def send_job(self, job_key: str, task: str, params: dict,
                  deadline_s: Optional[float],
@@ -130,7 +186,15 @@ class Shard:
         self.deadline = (time.monotonic() + deadline_s
                          if deadline_s else None)
         self.state = STATE_BUSY
-        self.conn.send(("job", job_key, task, params, trace))
+        # Serve receives other shards' frames in threads, which append
+        # to ``_SHARED`` meanwhile: the cursor moves past the entries
+        # read here, never to the table's length.
+        unsent = _SHARED[self.code_cursor:]
+        code = [(key, blob) for key, blob, pid in unsent
+                if pid != self.pid]
+        self.conn.send(("job", job_key, task, params, trace, code))
+        self.code_cursor += len(unsent)
+        self.code_sent += len(code)
 
     def abort_dispatch(self) -> None:
         """Forget a dispatch that never reached the worker (the frame
@@ -141,11 +205,24 @@ class Shard:
         self.state = STATE_IDLE
 
     def recv(self) -> Optional[Tuple[Any, ...]]:
-        """Blocking receive; ``None`` = the worker died."""
+        """Blocking receive; ``None`` = the worker died.  A ``done``
+        frame's code entries go to the pool's table, and the frame is
+        handed on without them."""
         try:
-            return self.conn.recv()
+            frame = self.conn.recv()
         except (EOFError, OSError):
             return None
+        if frame[0] != "done":
+            return frame
+        *frame, code = frame
+        self.code_returned += len(code)
+        with _SHARED_LOCK:
+            for key, blob in code:
+                if key not in _SHARED_KEYS and \
+                        len(_SHARED) < pycode.CAPACITY:
+                    _SHARED_KEYS.add(key)
+                    _SHARED.append((key, blob, self.pid))
+        return tuple(frame)
 
     def kill(self, reason: str) -> bool:
         """SIGKILL the worker (deadline enforcement, chaos testing).
@@ -215,4 +292,6 @@ class Shard:
             "crashes_streak": self.crashes,
             "jobs_done": self.jobs_done,
             "busy_with": self.current_key,
+            "code_sent": self.code_sent,
+            "code_returned": self.code_returned,
         }

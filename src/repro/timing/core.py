@@ -26,6 +26,13 @@ from repro.timing.cache import MemoryHierarchy
 from repro.timing.config import TimingConfig
 
 
+#: One-record annotations :meth:`InOrderCore.feed` keeps before it
+#: starts again.  The reference feed of a TOL charge uses one per
+#: record, and charges stay well below this (at most 2,458 records in
+#: the timed 429.mcf and ragdoll at scale 0.1).
+ONE_RECORD_ANNOTATIONS = 4096
+
+
 @dataclass
 class TimingStats:
     cycles: int = 0
@@ -93,6 +100,8 @@ class InOrderCore:
                        "frontend": 0}
         self._last_done = 0
         self._loop = generic_loop(cfg)
+        #: :meth:`feed`'s one-record annotations, by their static facts
+        self._one: Dict[tuple, UnitAnnotation] = {}
 
     # ------------------------------------------------------------------
 
@@ -106,9 +115,14 @@ class InOrderCore:
         (``None`` counts as not taken).
         """
         taken, target = branch if branch is not None else (False, 0)
-        srcs = tuple(src for src in srcs if src is not None)
-        ann = UnitAnnotation(0, (profile_entry(pc, klass, dst, srcs,
-                                               target),), self)
+        facts = (pc, klass, dst, tuple(srcs), target)
+        ann = self._one.get(facts)
+        if ann is None:
+            if len(self._one) >= ONE_RECORD_ANNOTATIONS:
+                self._one.clear()
+            srcs = tuple(src for src in srcs if src is not None)
+            ann = self._one[facts] = UnitAnnotation(0, (profile_entry(
+                pc, klass, dst, srcs, target),), self)
         info = None
         if klass == "branch":
             info = {"taken": taken}

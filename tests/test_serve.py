@@ -22,7 +22,7 @@ from repro.harness.retry import RetryPolicy
 from repro.serve import ServeClient, ServeConfig, ServeService
 from repro.serve import protocol
 from repro.serve.client import ServeError
-from repro.serve.supervisor import Shard
+from repro.serve.supervisor import Shard, shared_code
 
 WORKLOAD = {"workload": "429.mcf", "scale": 0.05}
 
@@ -534,6 +534,9 @@ def test_healthz_reports_host_saturation_and_workers(tmp_path):
             assert health["queue"]["capacity"] == 64
             assert 0.0 <= health["saturation"] <= 1.0
             assert len(health["workers"]) == 2
+            assert health["code_table"] == shared_code()
+            for worker in health["workers"]:
+                assert worker["code_sent"] == worker["code_returned"] == 0
             metrics = client.metrics()["snapshot"]
             assert "serve.workers_alive" in metrics["gauges"]
 

@@ -4,6 +4,7 @@ per-task failure isolation."""
 
 import os
 import pickle
+import threading
 import time
 
 import pytest
@@ -209,6 +210,23 @@ def test_unexpected_worker_exception_surfaces_in_report(n_jobs):
     assert not result.ok
     assert "_UnexpectedSweepError" in result.error
     assert "must surface in the sweep report" in result.error
+
+
+@parallel.register_task("_test_unpicklable_result")
+def _unpicklable_result_task():
+    return threading.Lock()
+
+
+def test_result_the_pipe_cannot_carry_is_an_error_record():
+    """A pooled result that cannot be pickled comes back as its job's
+    error record, with the traceback; the worker does not die."""
+    bad, good = sweep([SweepJob(task="_test_unpicklable_result"),
+                       SweepJob(task="_test_sleep", params={"seconds": 0})],
+                      n_jobs=2, use_cache=False, retries=1)
+    assert not bad.ok and bad.attempts == 2
+    assert "cannot pickle '_thread.lock' object" in bad.error
+    assert "died" not in bad.error
+    assert good.ok and good.value == "woke"
 
 
 def test_worker_crash_is_isolated_per_task():

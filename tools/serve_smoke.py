@@ -14,8 +14,10 @@ user types — against a service with supervised workers:
    return a completed result that is **bit-identical** to a clean
    in-process run — the supervisor restarted the worker and the job
    resumed from its checkpoint.
-5. ``darco status`` healthz reflects the restart, and SIGINT shuts the
-   service down cleanly (socket removed).
+5. ``darco status`` healthz reflects the restart: the restarted worker,
+   given a job, was sent the pool's shared code table (the entries the
+   other workers compiled).  SIGINT shuts the service down cleanly
+   (socket removed).
 
 Exit status 0 on success; any assertion failure exits non-zero with a
 diagnostic.  Run from the repository root::
@@ -154,14 +156,35 @@ def main():
         print(f"== chaos job completed in {final['attempts']} attempts, "
               f"bit-identical to clean run")
 
-        # 5. The supervisor restarted the killed worker.
+        # 5. The supervisor restarted the killed worker, and the
+        # restarted worker's first job carried the pool's code table.
         counters = healthz()["counters"]
         if counters.get("serve.worker_restarts", 0) < 1:
             fail(f"no worker restart recorded: {counters}")
+        for scale in ("0.06", "0.07", "0.08", "0.09"):
+            health = healthz()
+            restarted = [w for w in health["workers"] if w["spawns"] >= 2]
+            if any(w["code_sent"] for w in restarted):
+                break
+            # The idle restarted worker takes the next job (or the one
+            # after, if the other worker asked for work first).
+            serve_cli("submit", "workload_metrics",
+                      "--param", "workload=429.mcf",
+                      "--param", f"scale={scale}", "--wait")
+        health = healthz()
+        table = health["code_table"]
+        sent = [(w["code_sent"], w["code_returned"])
+                for w in health["workers"] if w["spawns"] >= 2]
+        if not any(got and got + own >= table["entries"]
+                   for got, own in sent):
+            fail(f"the restarted worker was not sent the pool's code "
+                 f"table ({table}): {health['workers']}")
         human = serve_cli("status")
         if "live" not in human.stdout:
             fail(f"healthz summary missing liveness: {human.stdout}")
-        print("== healthz shows the restart; human summary live")
+        print(f"== healthz shows the restart and the restarted worker "
+              f"was sent the pool's code ({table['entries']} entries); "
+              f"human summary live")
     finally:
         server.send_signal(signal.SIGINT)
         try:
