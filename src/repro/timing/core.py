@@ -115,14 +115,15 @@ class InOrderCore:
         (``None`` counts as not taken).
         """
         taken, target = branch if branch is not None else (False, 0)
-        facts = (pc, klass, dst, tuple(srcs), target)
+        srcs = tuple(srcs)
+        facts = (pc, klass, dst, srcs, target)
         ann = self._one.get(facts)
         if ann is None:
             if len(self._one) >= ONE_RECORD_ANNOTATIONS:
                 self._one.clear()
-            srcs = tuple(src for src in srcs if src is not None)
             ann = self._one[facts] = UnitAnnotation(0, (profile_entry(
-                pc, klass, dst, srcs, target),), self)
+                pc, klass, dst, tuple(src for src in srcs if src is not None),
+                target),), self)
         info = None
         if klass == "branch":
             info = {"taken": taken}
